@@ -107,9 +107,7 @@ def _cmd_lbo_build(args):
 def _cmd_spectrum(args):
     op = SparseOperator.load(args.operator)
     eigs = eigenvalues(op)
-    # roundoff-positive real parts are not instabilities
-    report = stability_report(eigs, k_max=args.kmax, tol=args.tol,
-                              real_part_tol=1e-6)
+    report = stability_report(eigs, k_max=args.kmax, tol=args.tol)
     save_spectrum_csv(report, args.out)
     print(f"max real part {report.max_real_part:.3e} "
           f"({'unstable' if report.unstable else 'stable'})")

@@ -15,16 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._linalg import COND_ERROR_LIMIT
 from .kernels import Kernel, KernelFamily
-from .lbo import StencilGeometry, stencil_weights
-from .nodesets import (
-    ImplicitSurface,
-    NodeSet,
-    SurfaceKind,
-    gen_sphere_nodes,
-    nearest_neighbors,
-    unit_sphere,
-)
+from .lbo import weight_table
+from .nodesets import ImplicitSurface, NodeSet, SurfaceKind, gen_sphere_nodes, unit_sphere
 from .surface_geom import SurfaceFrame, analytic_frames, estimate_frames
 
 _MIN_FIT_POINTS = 3
@@ -122,25 +116,19 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
     """Worst nodal error of the stencil approximation against the exact LBO.
 
     Conditioning is never gated here; the caller sees the worst condition
-    number and how many solves failed outright.
+    number and how many solves failed outright.  A solve fails by the
+    assembly gate's rule (cond of 1e15 and above) or with non-finite
+    weights, and its node is left out of the error.
     """
-    indices = range(len(nodes)) if node is None else [node]
-    worst_err = 0.0
-    worst_cond = 0.0
-    failures = 0
-    for i in indices:
-        stencil = nearest_neighbors(nodes, i, m)
-        geom = StencilGeometry.from_stencil(nodes, stencil, frames)
-        w, cond = stencil_weights(geom, kernel, gate=False, return_cond=True)
-        worst_cond = max(worst_cond, cond)
-        if not np.all(np.isfinite(w)):
-            failures += 1
-            continue
-        approx = float(w @ f[stencil.all_indices()])
-        worst_err = max(worst_err, abs(approx - lf[i]))
+    indices, w, cond = weight_table(nodes, frames, m, kernel,
+                                    None if node is None else [node])
+    ok = (cond < COND_ERROR_LIMIT) & np.all(np.isfinite(w), axis=1)
+    failures = int(len(ok) - ok.sum())
+    approx = np.einsum("ij,ij->i", w[ok], f[indices[ok]])
+    worst_err = float(np.abs(approx - lf[indices[ok, 0]]).max(initial=0.0))
     if failures and worst_err == 0.0:
         worst_err = np.inf
-    return worst_err, worst_cond, failures
+    return worst_err, float(cond.max()), failures
 
 
 def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.distance import cdist
 
-from ._linalg import solve_with_cond
-from .errors import ConditioningError
+from ._linalg import check_conditioning, solve_rbf_systems
 from .kernels import Kernel
-from .nodesets import NodeSet, Stencil, nearest_neighbors
+from .nodesets import NodeSet, Stencil, knn_table
 from .surface_geom import SurfaceFrame
 
 
@@ -32,7 +30,8 @@ class StencilGeometry:
     """Geometry of one weight solve: stencil points plus the center's frame.
 
     ``r_vectors[j] = center - points[j]`` (so the first row is zero), and
-    ``distances`` are their norms.
+    ``distances`` are their norms.  Leading axes of every field, before the
+    stencil and coordinate axes, index a batch of stencils.
     """
 
     center: np.ndarray
@@ -46,15 +45,15 @@ class StencilGeometry:
     def from_points(cls, points, normal, curvature):
         """Build from stencil points (center first) and the center's frame."""
         points = np.asarray(points, dtype=float)
-        center = points[0]
-        r_vectors = center - points
+        center = points[..., 0, :]
+        r_vectors = center[..., None, :] - points
         return cls(
             center=center,
             points=points,
             r_vectors=r_vectors,
-            distances=np.linalg.norm(r_vectors, axis=1),
+            distances=np.linalg.norm(r_vectors, axis=-1),
             normal=np.asarray(normal, dtype=float),
-            curvature=float(curvature),
+            curvature=np.asarray(curvature, dtype=float)[()],
         )
 
     @classmethod
@@ -66,7 +65,7 @@ class StencilGeometry:
 
     @property
     def size(self):
-        return len(self.points)
+        return self.points.shape[-2]
 
 
 def _lbo_of_rbf_rows(kernel, r_vectors, distances, normal, kappa):
@@ -74,12 +73,13 @@ def _lbo_of_rbf_rows(kernel, r_vectors, distances, normal, kappa):
 
     With c = (r.n)/r the row is (1 + c^2 - kappa r.n) phi'/r + (1 - c^2) phi'',
     the ambient Laplacian minus the normal-derivative and second-normal
-    terms of a radial function.
+    terms of a radial function.  Leading axes of ``r_vectors`` (..., M, 3)
+    batch stencils, matched by ``normal`` (..., 3) and ``kappa`` (...).
     """
-    rn = r_vectors @ normal
+    rn = (r_vectors * normal[..., None, :]).sum(axis=-1)
     ratio = np.divide(rn, distances, out=np.zeros_like(distances), where=distances > 0)
     q = ratio * ratio
-    return (1.0 + q - kappa * rn) * kernel.dphi_over_r(distances) + (
+    return (1.0 + q - np.asarray(kappa)[..., None] * rn) * kernel.dphi_over_r(distances) + (
         1.0 - q
     ) * kernel.d2phi(distances)
 
@@ -95,19 +95,8 @@ def lbo_of_rbf(kernel: Kernel, r_vec, normal, kappa):
     return float(_lbo_of_rbf_rows(kernel, rv, d, np.asarray(normal, dtype=float), kappa)[0])
 
 
-def _weight_system(geom: StencilGeometry, kernel: Kernel):
-    m = geom.size
-    A = np.zeros((m + 1, m + 1))
-    A[:m, :m] = kernel.phi(cdist(geom.points, geom.points))
-    A[:m, m] = 1.0
-    A[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[:m] = _lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal, geom.curvature)
-    return A, rhs
-
-
 def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_cond=False):
-    """Solve the augmented weight system for one stencil.
+    """Solve the augmented weight system for one stencil, or a batch of them.
 
     Returns the M weights; the extra unknown attached to the constant basis
     function is solved for and discarded.  The constraint row makes the
@@ -115,9 +104,26 @@ def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_con
     ``return_cond`` the estimated condition number of the system comes back
     alongside the weights.
     """
-    A, rhs = _weight_system(geom, kernel)
-    sol, cond = solve_with_cond(A, rhs, gate=gate)
-    return (sol[:-1], cond) if return_cond else sol[:-1]
+    m = geom.size
+    rows = _lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal, geom.curvature)
+    sol, cond = solve_rbf_systems(geom.points.reshape(-1, m, 3),
+                                  np.pad(rows.reshape(-1, m), ((0, 0), (0, 1))), kernel)
+    if gate:
+        check_conditioning(cond)
+    w, cond = sol[:, :-1].reshape(rows.shape), cond.reshape(rows.shape[:-1])[()]
+    return (w, cond) if return_cond else w
+
+
+def weight_table(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel, centers=None):
+    """Stencil indices (K, M), center first, weight rows and cond of many nodes at once.
+
+    No gate is applied; see :func:`check_conditioning`.
+    """
+    indices, _ = knn_table(nodes, m, centers)
+    ctr = indices[:, 0]
+    geom = StencilGeometry.from_points(nodes.points[indices], frames.normals[ctr],
+                                       frames.curvatures[ctr])
+    return (indices, *stencil_weights(geom, kernel, gate=False, return_cond=True))
 
 
 def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel):
@@ -134,32 +140,13 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
     if not 1 <= m <= n:
         raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
 
-    indptr = np.arange(0, (n + 1) * m, m)
-    indices = np.empty(n * m, dtype=np.int64)
-    data = np.empty(n * m)
-    failed = []
-    worst_cond = 0.0
-    for i in range(n):
-        stencil = nearest_neighbors(nodes, i, m)
-        geom = StencilGeometry.from_stencil(nodes, stencil, frames)
-        try:
-            w = stencil_weights(geom, kernel)
-        except ConditioningError as exc:
-            failed.append(i)
-            worst_cond = max(worst_cond, exc.cond or np.inf)
-            continue
-        cols = stencil.all_indices()
-        order = np.argsort(cols)
-        indices[i * m:(i + 1) * m] = cols[order]
-        data[i * m:(i + 1) * m] = w[order]
-    if failed:
-        shown = ", ".join(map(str, failed[:10])) + ("..." if len(failed) > 10 else "")
-        raise ConditioningError(
-            f"{len(failed)} stencil systems numerically singular (nodes {shown})",
-            cond=worst_cond,
-            node_indices=failed,
-        )
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    indices, w, cond = weight_table(nodes, frames, m, kernel)
+    check_conditioning(cond, indices[:, 0])
+    order = np.argsort(indices, axis=1)
+    matrix = sparse.csr_matrix(
+        (np.take_along_axis(w, order, axis=1).ravel(),
+         np.take_along_axis(indices, order, axis=1).ravel(), np.arange(0, (n + 1) * m, m)),
+        shape=(n, n))
     return SparseOperator(matrix, stencil_size=m)
 
 

@@ -1,9 +1,9 @@
 """Surface node sets: file I/O, generation, projection, neighbor queries.
 
 A :class:`NodeSet` is an immutable cloud of 3D surface samples.  Stencils for
-the finite-difference-style weights are built from nearest neighbors, queried
-either brute-force or through a k-d tree; both paths break distance ties by
-node index so they return identical stencils.
+the finite-difference-style weights are built from nearest neighbors,
+queried for all nodes at once through a k-d tree, with distance ties
+broken by node index.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import NodeFileError, ProjectionError
-
-# Below this size a linear scan beats tree construction.
-_BRUTE_FORCE_MAX_N = 512
 
 _MIN_SEPARATION = 1e-12
 
@@ -353,50 +350,50 @@ def project_radial(nodes, surface, drop_misses=False, residual_tol=1e-10):
 # nearest-neighbor stencils
 # ---------------------------------------------------------------------------
 
-def _order_by_distance(nodes, i, candidates):
-    d = np.linalg.norm(nodes.points[candidates] - nodes.points[i], axis=1)
-    order = np.lexsort((candidates, d))
-    return candidates[order], d[order]
+def knn_table(nodes, m, centers=None):
+    """Stencils of many nodes at once: ``(indices, distances)``, (len(centers), m).
 
-
-def _neighbors_brute(nodes, i, m):
-    idx = np.arange(len(nodes))
-    idx, d = _order_by_distance(nodes, i, idx)
-    # self sits first (exact zero distance; coincident nodes are excluded by NodeSet)
-    return idx[1:m], d[1:m]
-
-
-def _neighbors_kdtree(nodes, i, m):
+    Rows are ordered by (exact distance, node index), so the center comes
+    first.  One k-d tree query fetches m + 8 candidates per row; everything
+    strictly closer than the farthest candidate is guaranteed fetched, so a
+    row whose m-th distance ties the farthest is queried again with twice as many.
+    """
     n = len(nodes)
+    pts = nodes.points
+    centers = np.arange(n) if centers is None else np.asarray(centers)
+    indices = np.empty((len(centers), m), dtype=np.intp)
+    distances = np.empty((len(centers), m))
+    todo = np.arange(len(centers))
     k = min(n, m + 8)
-    while True:
-        _, cand = nodes.kdtree.query(nodes.points[i], k=k)
-        cand = np.atleast_1d(cand)
-        idx, d = _order_by_distance(nodes, i, cand)
-        # Safe cut: everything strictly closer than the farthest fetched
-        # candidate is guaranteed fetched, so ties at the cut force a re-query.
-        if k == n or d[m - 1] < d[-1]:
-            return idx[1:m], d[1:m]
+    while len(todo):
+        c = centers[todo]
+        _, cand = nodes.kdtree.query(pts[c], k=k)
+        cand = cand.reshape(len(c), k)
+        d = np.linalg.norm(pts[cand] - pts[c, None], axis=2)
+        order = np.lexsort((cand, d))
+        cand = np.take_along_axis(cand, order, axis=1)
+        d = np.take_along_axis(d, order, axis=1)
+        done = (d[:, m - 1] < d[:, -1]) | (k == n)
+        indices[todo[done]] = cand[done, :m]
+        distances[todo[done]] = d[done, :m]
+        todo = todo[~done]
         k = min(n, 2 * k)
+    return indices, distances
 
 
 def nearest_neighbors(nodes, i, m, method="auto"):
     """Stencil of node i and its m-1 nearest neighbors.
 
-    Ties in distance are broken by the smaller node index, so the brute-force
-    and k-d tree paths return identical stencils.
+    Ties in distance are broken by the smaller node index.  ``method="brute"``
+    ranks every node; ``"kdtree"`` (and ``"auto"``) widen the candidate set
+    only on a tie at the cut.  Both return identical stencils.
     """
     n = len(nodes)
     if not 1 <= m <= n:
         raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
-    if method == "auto":
-        method = "brute" if n < _BRUTE_FORCE_MAX_N else "kdtree"
-    if method == "brute":
-        neigh, dists = _neighbors_brute(nodes, i, m)
-    elif method == "kdtree":
-        neigh, dists = _neighbors_kdtree(nodes, i, m)
-    else:
+    if method not in ("auto", "brute", "kdtree"):
         raise ValueError(f"unknown method {method!r}")
-    return Stencil(i, neigh, dists)
+    indices, distances = knn_table(nodes, n if method == "brute" else m, [i])
+    return Stencil(i, indices[0, 1:m], distances[0, 1:m])

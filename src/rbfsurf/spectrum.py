@@ -62,16 +62,19 @@ def sphere_multiplicity(k):
     return int(comb(k + 2, 2, exact=True) - comb(k, 2, exact=True))
 
 
-def stability_report(eigs, k_max, tol, real_part_tol=0.0):
+def stability_report(eigs, k_max, tol, real_part_tol=None):
     """Cluster the spectrum around the exact sphere eigenvalues.
 
     For each k up to ``k_max``, counts eigenvalues with real part within
     ``tol`` of ``-k(k+1)`` and imaginary part at most ``tol`` in magnitude.
-    ``unstable`` flags any real part above ``real_part_tol``.
+    ``unstable`` flags any real part above ``real_part_tol``, by default
+    the roundoff level ``len(eigs) * eps * max|lambda|`` of a dense solve.
     """
     if not tol > 0:
         raise ValueError(f"cluster tolerance must be positive, got {tol}")
     eigs = np.asarray(eigs, dtype=complex)
+    if real_part_tol is None:
+        real_part_tol = len(eigs) * np.finfo(float).eps * float(np.abs(eigs).max())
     table = []
     for k in range(k_max + 1):
         target = -k * (k + 1)

@@ -7,24 +7,24 @@ The gradient of that level-set function gives the unit normal; its
 divergence gives the curvature ``kappa = div(n)`` (equal to 2 on the unit
 sphere with the outward normal).
 
-Per-node fits fix the normal only up to sign.  A breadth-first pass over the
-stencil graph makes the signs globally consistent, and each connected
-component is flipped, if needed, so normals point away from the centroid on
-average.  Curvature flips sign together with the normal.
+Per-node fits fix the normal only up to sign.  A pass along the minimum
+spanning tree of the stencil graph makes the signs globally consistent, and
+each connected component is flipped, if needed, so normals point away from
+the centroid on average.  Curvature flips sign together with the normal.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from ._linalg import solve_with_cond
-from .errors import ConditioningError, GeometryError
+from ._linalg import check_conditioning, solve_rbf_systems
+from .errors import GeometryError
 from .kernels import Kernel
-from .nodesets import ImplicitSurface, NodeSet, Stencil, nearest_neighbors
+from .nodesets import ImplicitSurface, NodeSet, Stencil, knn_table
 
 _COLLINEAR_TOL = 1e-10
 # selection threshold on the sine of the subtended angle: the two nearest
@@ -41,7 +41,9 @@ class LevelSetFit:
 
     ``Psi(x) = sum_k coefficients[k] * phi(|x - centers[k]|) + constant``
     with the last two centers being the off-surface points.  The
-    coefficients sum to zero (augmented-constant constraint).
+    coefficients sum to zero (augmented-constant constraint).  Leading axes
+    of ``coefficients`` (..., P), ``centers`` (..., P, 3), ``constant`` and
+    ``cond`` index a batch of fits, which the ``levelset_*`` functions accept.
     """
 
     coefficients: np.ndarray
@@ -95,31 +97,37 @@ def approx_normal(center, a, b):
     return n / norm
 
 
-def _stencil_normal_guess(points):
-    """Normal guess from the nearest neighbor and the first well-separated b.
+def _fit_levelsets(points, h, nodes, kernel):
+    """Batched :class:`LevelSetFit` of K stencils ``points`` (K, M, 3), center first.
 
-    b advances through the stencil by distance order until the pair
-    subtends a healthy angle at the center (sine above the selection
-    threshold); failing that, the widest available pair is used as long as
-    it clears the collinearity precondition.
+    The off-surface centers sit at ``h`` either side of the stencil center
+    along a rough normal: nearest neighbor cross the first later point whose
+    pair subtends a healthy angle at the center (sine above the selection
+    threshold), else the widest pair unless collinear, which raises
+    :class:`GeometryError` for the first such node of ``nodes``.
     """
-    center = points[0]
-    u = center - points[1]
-    u_norm = np.linalg.norm(u)
-    best_j, best_sin = None, 0.0
-    for j in range(2, len(points)):
-        v = center - points[j]
-        scale = u_norm * np.linalg.norm(v)
-        if scale == 0.0:
-            continue
-        sin = np.linalg.norm(np.cross(u, v)) / scale
-        if sin >= _SELECTION_SIN:
-            return approx_normal(center, points[1], points[j])
-        if sin > best_sin:
-            best_j, best_sin = j, sin
-    if best_j is not None and best_sin > _COLLINEAR_TOL:
-        return approx_normal(center, points[1], points[best_j])
-    raise GeometryError("all stencil points are collinear; cannot orient off-surface points")
+    u = points[:, :1] - points[:, 1:2]
+    v = points[:, :1] - points[:, 2:]
+    cross = np.cross(u, v)
+    scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+    sin = np.divide(np.linalg.norm(cross, axis=-1), scale, out=np.zeros_like(scale),
+                    where=scale > 0)
+    healthy = sin >= _SELECTION_SIN
+    pick = np.where(healthy.any(axis=1), healthy.argmax(axis=1), sin.argmax(axis=1))
+    rows = np.arange(len(points))
+    collinear = np.flatnonzero(~(sin[rows, pick] > _COLLINEAR_TOL))
+    if len(collinear):
+        i = int(nodes[collinear[0]])
+        raise GeometryError(f"all stencil points of node {i} are collinear; "
+                            "cannot orient off-surface points", node_index=i)
+    guess = cross[rows, pick]
+    offset = h[:, None, None] * (guess / np.linalg.norm(guess, axis=-1)[:, None])[:, None]
+    centers = np.concatenate([points, points[:, :1] + offset, points[:, :1] - offset], axis=1)
+    p = centers.shape[1]
+    rhs = np.zeros((len(centers), p + 1))
+    rhs[:, p - 2], rhs[:, p - 1] = 1.0, -1.0
+    sol, cond = solve_rbf_systems(centers, rhs, kernel)
+    return LevelSetFit(sol[:, :p], sol[:, p], centers, kernel, cond)
 
 
 def fit_levelset(stencil: Stencil, nodes: NodeSet, kernel: Kernel, h: float):
@@ -133,39 +141,37 @@ def fit_levelset(stencil: Stencil, nodes: NodeSet, kernel: Kernel, h: float):
         raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {stencil.size}")
     if not h > 0:
         raise ValueError(f"off-surface offset must be positive, got {h}")
-    pts = nodes.points[stencil.all_indices()]
-    n_app = _stencil_normal_guess(pts)
-    centers = np.vstack([pts, pts[0] + h * n_app, pts[0] - h * n_app])
-
-    m2 = len(centers)  # M + 2
-    A = np.zeros((m2 + 1, m2 + 1))
-    A[:m2, :m2] = kernel.phi(cdist(centers, centers))
-    A[:m2, m2] = 1.0
-    A[m2, :m2] = 1.0
-    rhs = np.zeros(m2 + 1)
-    rhs[m2 - 2] = 1.0
-    rhs[m2 - 1] = -1.0
-
-    sol, cond = solve_with_cond(A, rhs)
-    return LevelSetFit(sol[:m2], float(sol[m2]), centers, kernel, cond)
+    fit = _fit_levelsets(nodes.points[stencil.all_indices()][None], np.array([h]),
+                         [stencil.center_index], kernel)
+    check_conditioning(fit.cond)
+    return LevelSetFit(fit.coefficients[0], fit.constant[0], fit.centers[0], kernel, fit.cond[0])
 
 
 def levelset_gradient(fit: LevelSetFit, x):
     """Gradient of the fitted Psi at a point (chain rule through phi(r))."""
-    rv = np.asarray(x, dtype=float) - fit.centers
-    r = np.linalg.norm(rv, axis=1)
+    rv = np.asarray(x, dtype=float)[..., None, :] - fit.centers
+    r = np.linalg.norm(rv, axis=-1)
     # phi'(r)/r is finite at r = 0 and the r-vector vanishes there, so the
     # center contributes nothing, as it should.
-    return (fit.kernel.dphi_over_r(r) * fit.coefficients) @ rv
+    return np.einsum("...j,...jd->...d", fit.kernel.dphi_over_r(r) * fit.coefficients, rv)
+
+
+def _gradient_norm(fit: LevelSetFit, x):
+    """Gradient and its norm; a vanishing one raises, naming its batch row."""
+    g = levelset_gradient(fit, x)
+    norm = np.linalg.norm(g, axis=-1)
+    vanished = np.flatnonzero(norm <= _GRAD_TOL)
+    if len(vanished):
+        j = int(vanished[0])
+        raise GeometryError(f"level-set gradient vanished (|grad| = {norm.flat[j]:.3e})",
+                            node_index=j if norm.ndim else None)
+    return g, norm
 
 
 def levelset_normal(fit: LevelSetFit, x):
     """Unit normal grad(Psi)/|grad(Psi)| at a point."""
-    g = levelset_gradient(fit, x)
-    norm = np.linalg.norm(g)
-    if norm <= _GRAD_TOL:
-        raise GeometryError(f"level-set gradient vanished (|grad| = {norm:.3e})")
-    return g / norm
+    g, norm = _gradient_norm(fit, x)
+    return g / norm[..., None]
 
 
 def levelset_curvature(fit: LevelSetFit, x, normal):
@@ -174,60 +180,44 @@ def levelset_curvature(fit: LevelSetFit, x, normal):
     ``normal`` is the unit normal at ``x`` (only its direction squared
     enters, so the sign does not matter here).
     """
-    g = levelset_gradient(fit, x)
-    grad_norm = np.linalg.norm(g)
-    if grad_norm <= _GRAD_TOL:
-        raise GeometryError(f"level-set gradient vanished (|grad| = {grad_norm:.3e})")
-    rv = np.asarray(x, dtype=float) - fit.centers
-    r = np.linalg.norm(rv, axis=1)
-    rn = rv @ np.asarray(normal, dtype=float)
+    _, grad_norm = _gradient_norm(fit, x)
+    rv = np.asarray(x, dtype=float)[..., None, :] - fit.centers
+    r = np.linalg.norm(rv, axis=-1)
+    rn = np.einsum("...jd,...d->...j", rv, np.asarray(normal, dtype=float))
     # (r.n)/r -> 0 as r -> 0: the in-surface approach direction is tangent.
     ratio = np.divide(rn, r, out=np.zeros_like(r), where=r > 0)
     q = ratio * ratio
     terms = (1.0 + q) * fit.kernel.dphi_over_r(r) + (1.0 - q) * fit.kernel.d2phi(r)
-    return float(fit.coefficients @ terms) / grad_norm
+    return (np.einsum("...j,...j->...", fit.coefficients, terms) / grad_norm)[()]
 
 
-def _orient_frames(points, normals, curvatures, adjacency):
+def _orient_frames(points, normals, curvatures, indices, distances):
     """Make normal signs globally consistent.
 
-    Signs propagate over the stencil graph from the lowest unvisited index,
-    always crossing the geometrically shortest frontier edge next (a Prim
-    traversal).  Short edges connect nearby nodes whose true normals are
-    nearly parallel, so flipping a newcomer whenever its normal opposes its
-    tree parent's is reliable; plain first-in-first-out order is not, since
-    wide stencils put far-apart (even antipodal) nodes on one edge.  Each
-    component is then flipped as a whole if its mean normal points toward
-    the centroid.
+    A node is flipped whenever its normal opposes its parent's in the
+    minimum spanning tree of the stencil graph (edges weighted by length,
+    rooted at each component's lowest index).  Short edges join nodes with
+    nearly parallel true normals; wide stencils also join far-apart (even
+    antipodal) nodes, so plain breadth-first order is not reliable.  Each
+    component is then flipped if its mean normal points toward the centroid.
     """
-    n_nodes = len(points)
-    centroid = points.mean(axis=0)
-    visited = np.zeros(n_nodes, dtype=bool)
-    for root in range(n_nodes):
-        if visited[root]:
-            continue
-        component = [root]
-        visited[root] = True
-        frontier = [(np.linalg.norm(points[j] - points[root]), root, j)
-                    for j in adjacency[root]]
-        heapq.heapify(frontier)
-        while frontier:
-            _, i, j = heapq.heappop(frontier)
-            if visited[j]:
-                continue
-            if normals[i] @ normals[j] < 0:
-                normals[j] = -normals[j]
-                curvatures[j] = -curvatures[j]
-            visited[j] = True
-            component.append(j)
-            for k in adjacency[j]:
-                if not visited[k]:
-                    heapq.heappush(frontier, (np.linalg.norm(points[k] - points[j]), j, k))
-        comp = np.array(component)
-        outward = np.einsum("ij,ij->i", normals[comp], points[comp] - centroid)
-        if outward.mean() < 0:
-            normals[comp] = -normals[comp]
-            curvatures[comp] = -curvatures[comp]
+    n = len(points)
+    # the tree reads the graph as undirected: (i, j) and (j, i) are one edge
+    graph = sparse.csr_matrix(
+        (distances[:, 1:].ravel(), (np.repeat(indices[:, 0], indices.shape[1] - 1),
+                                    indices[:, 1:].ravel())), shape=(n, n))
+    tree = csgraph.minimum_spanning_tree(graph)
+    _, labels = csgraph.connected_components(tree, directed=False)
+    sign = np.ones(n)
+    for root in np.unique(labels, return_index=True)[1]:
+        order, parent = csgraph.breadth_first_order(tree, root, directed=False)
+        dots = np.einsum("ij,ij->i", normals[order[1:]], normals[parent[order[1:]]])
+        for j, p, dot in zip(order[1:].tolist(), parent[order[1:]].tolist(), dots.tolist()):
+            sign[j] = -1.0 if sign[p] * dot < 0 else 1.0
+    outward = np.einsum("ij,ij->i", normals, points - points.mean(axis=0)) * sign
+    sign[(np.bincount(labels, outward) < 0)[labels]] *= -1.0
+    normals *= sign[:, None]
+    curvatures *= sign
 
 
 def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
@@ -235,7 +225,9 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
 
     Each node gets an independent level-set fit over its M-node stencil,
     with the off-surface offset equal to the nearest-neighbor distance;
-    a deterministic orientation pass then fixes the global sign.
+    a deterministic orientation pass then fixes the global sign.  All fits
+    run as one batch: a collinear stencil raises first, then the
+    conditioning gate, then a vanishing gradient, each naming its node.
     """
     n = len(nodes)
     if m < 5:
@@ -243,27 +235,17 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     if m > n:
         raise ValueError(f"stencil size M={m} exceeds node count N={n}")
 
-    normals = np.zeros((n, 3))
-    curvatures = np.zeros(n)
-    adjacency = [set() for _ in range(n)]
-    for i in range(n):
-        stencil = nearest_neighbors(nodes, i, m)
-        for j in stencil.neighbor_indices:
-            adjacency[i].add(int(j))
-            adjacency[j].add(i)
-        try:
-            fit = fit_levelset(stencil, nodes, kernel, h=float(stencil.neighbor_distances[0]))
-            normals[i] = levelset_normal(fit, nodes.points[i])
-            curvatures[i] = levelset_curvature(fit, nodes.points[i], normals[i])
-        except ConditioningError as exc:
-            raise ConditioningError(
-                f"frame estimation failed at node {i}: {exc}", cond=exc.cond, node_indices=[i]
-            ) from exc
-        except GeometryError as exc:
-            raise GeometryError(f"frame estimation failed at node {i}: {exc}", node_index=i) from exc
-
-    adjacency = [sorted(a) for a in adjacency]
-    _orient_frames(nodes.points, normals, curvatures, adjacency)
+    indices, distances = knn_table(nodes, m)
+    fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
+    check_conditioning(fit.cond, indices[:, 0])
+    try:
+        normals = levelset_normal(fit, nodes.points)
+    except GeometryError as exc:
+        # batch row i is node i
+        raise GeometryError(f"frame estimation failed at node {exc.node_index}: {exc}",
+                            node_index=exc.node_index) from exc
+    curvatures = levelset_curvature(fit, nodes.points, normals)
+    _orient_frames(nodes.points, normals, curvatures, indices, distances)
     return SurfaceFrame(normals, curvatures)
 
 

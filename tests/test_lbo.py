@@ -2,9 +2,11 @@
 
 The closed-form surface Laplacian of an RBF is checked against angular
 finite differences on the sphere (an independent parametric route), and
-the production weight solve against a hand-rolled dense solve.
+the production weight solve against a hand-rolled dense build solved in
+50-digit arithmetic.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,27 +101,42 @@ class TestStencilGeometry:
         assert geom.size == 12
 
 
+def exact_solve(A, rhs):
+    """Solve a double-precision system in 50-digit arithmetic, rounded back."""
+    with mpmath.workdps(50):
+        x = mpmath.lu_solve(mpmath.matrix(A.tolist()), mpmath.matrix(rhs.tolist()))
+        return np.array([float(v) for v in x])
+
+
 def dense_weights(geom, kernel):
-    """Independent dense solve of the augmented system, entry by entry."""
+    """Independent build of the augmented system, entry by entry, solved exactly.
+
+    Distances and dot products are plain sums of products.  At cond ~ 1e9
+    a last-bit change in the entries alone (a BLAS dot instead of a sum)
+    moves the weights by ~ 1e-9 relative, so the entries follow the
+    textbook formulas and the 50-digit solve removes the oracle's own
+    solve error.
+    """
     m = geom.size
     A = np.zeros((m + 1, m + 1))
     for a in range(m):
         for b in range(m):
-            A[a, b] = kernel.phi(np.linalg.norm(geom.points[a] - geom.points[b]))
+            A[a, b] = kernel.phi(np.sqrt(np.sum((geom.points[a] - geom.points[b]) ** 2)))
         A[a, m] = 1.0
         A[m, a] = 1.0
     rhs = np.zeros(m + 1)
     for a in range(m):
         rv = geom.center - geom.points[a]
-        r = np.linalg.norm(rv)
+        r = np.sqrt(np.sum(rv * rv))
         if r == 0.0:
             rhs[a] = kernel.dphi_over_r(0.0) + kernel.d2phi(0.0)
         else:
-            c = (rv @ geom.normal) / r
-            rhs[a] = (1 + c * c - geom.curvature * (rv @ geom.normal)) * kernel.dphi_over_r(r) + (
+            rn = np.sum(rv * geom.normal)
+            c = rn / r
+            rhs[a] = (1 + c * c - geom.curvature * rn) * kernel.dphi_over_r(r) + (
                 1 - c * c
             ) * kernel.d2phi(r)
-    return np.linalg.solve(A, rhs)[:m]
+    return exact_solve(A, rhs)[:m]
 
 
 class TestStencilWeights:
@@ -188,6 +205,15 @@ class TestAssembleOperator:
         # z restricted to the sphere is a degree-1 harmonic: eigenvalue -2
         z = sphere1000.points[:, 2]
         assert np.abs(sphere1000_op.apply(z) + 2.0 * z).max() <= 2e-2
+
+    def test_rows_match_exact_solve(self, sphere1000, sphere1000_frames, sphere1000_op):
+        # the batched rows that assembly stores, not the single-stencil call
+        for i in (0, 123, 500, 999):
+            st = nearest_neighbors(sphere1000, i, 31)
+            geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
+            ref = dense_weights(geom, GAUSS2)
+            row = sphere1000_op.matrix[i].toarray()[0, st.all_indices()]
+            assert np.abs(row - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_orientation_invariance(self, small_setup):
         # the weight rows depend on (n, kappa) only through even combinations,

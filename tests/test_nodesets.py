@@ -16,6 +16,7 @@ from rbfsurf import (
     surface_by_name,
     unit_sphere,
 )
+from rbfsurf.nodesets import knn_table
 
 
 TETRA = np.array([
@@ -284,3 +285,33 @@ class TestNearestNeighbors:
             st_k = nearest_neighbors(nodes, 0, m, method="kdtree")
             assert list(st_b.neighbor_indices) == list(range(1, m))
             assert list(st_k.neighbor_indices) == list(range(1, m))
+
+
+class TestKnnTable:
+    @pytest.mark.parametrize("m", [7, 10, 19])
+    def test_lattice_ties_match_brute_oracle(self, m):
+        # on an integer lattice exact distance ties straddle the M-th
+        # neighbor of most nodes (M=10 cuts through the 12-node sqrt(2)
+        # shell, which also overflows the first m + 8 candidates)
+        g = np.arange(5.0)
+        pts = np.array(np.meshgrid(g, g, g[:3], indexing="ij")).reshape(3, -1).T
+        indices, distances = knn_table(NodeSet(pts), m)
+        for i in range(len(pts)):
+            assert indices[i, 0] == i
+            np.testing.assert_array_equal(indices[i, 1:], brute_oracle(pts, i, m))
+        np.testing.assert_array_equal(
+            distances, np.linalg.norm(pts[indices] - pts[:, None], axis=2))
+
+    def test_m_equals_n(self):
+        nodes = gen_sphere_nodes(60)
+        indices, _ = knn_table(nodes, 60)
+        for i in range(60):
+            np.testing.assert_array_equal(indices[i, 1:], brute_oracle(nodes.points, i, 60))
+
+    def test_center_subset_matches_single_queries(self):
+        nodes = gen_sphere_nodes(600)
+        indices, distances = knn_table(nodes, 31, [5, 333, 599])
+        for row, i in enumerate((5, 333, 599)):
+            st = nearest_neighbors(nodes, i, 31)
+            np.testing.assert_array_equal(indices[row], st.all_indices())
+            np.testing.assert_array_equal(distances[row, 1:], st.neighbor_distances)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rbfsurf import (
     GeometryError,
@@ -16,11 +19,15 @@ from rbfsurf import (
     levelset_normal,
     load_frames,
     nearest_neighbors,
+    project_radial,
     save_frames,
     schwarz_p,
     unit_sphere,
 )
+from rbfsurf.nodesets import knn_table
 from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame
+
+from conftest import repulsion_nodes
 
 GAUSS2 = Kernel(KernelFamily.GAUSSIAN, 2.0)
 
@@ -193,6 +200,49 @@ class TestEstimateFrames:
         dots = np.einsum("ij,ij->i", frames.normals, nodes.points)
         assert np.all(dots > 0)
         assert np.abs(frames.curvatures - 2.0).max() <= 0.5
+
+    def test_one_conditioning_warning_per_call(self, sphere_nodes):
+        # eps=1 at N=1000 puts every level-set system above the 1e12 limit
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate_frames(sphere_nodes, 31, Kernel(KernelFamily.GAUSSIAN, 1.0))
+        poor = [str(w.message) for w in caught
+                if str(w.message).startswith("local system poorly conditioned")]
+        assert len(poor) == 1
+        assert "1000 of 1000 above 1e+12" in poor[0]
+        assert "worst nodes [" in poor[0]
+
+    @pytest.mark.parametrize("surface", ["sphere", "schwarz-p"])
+    def test_orientation_against_analytic_signs(self, surface):
+        # the MST pass must give one sign relative to the exact normals on
+        # each connected component of the stencil graph; on the sphere that
+        # sign is outward
+        exact_surface = unit_sphere() if surface == "sphere" else schwarz_p()
+        nodes = project_radial(repulsion_nodes(1800), exact_surface, drop_misses=True)
+        eps = 2.0 if surface == "sphere" else 6.0
+        frames = estimate_frames(nodes, 31, Kernel(KernelFamily.GAUSSIAN, eps))
+        exact = analytic_frames(exact_surface, nodes.points)
+        dots = np.einsum("ij,ij->i", frames.normals, exact.normals)
+        assert np.abs(dots).min() > 0.9
+        indices, _ = knn_table(nodes, 31)
+        n = len(nodes)
+        graph = sparse.csr_matrix((np.ones(n * 30), (np.repeat(np.arange(n), 30),
+                                                     indices[:, 1:].ravel())), shape=(n, n))
+        _, labels = sparse.csgraph.connected_components(graph, directed=False)
+        for label in np.unique(labels):
+            assert len(np.unique(np.sign(dots[labels == label]))) == 1
+        if surface == "sphere":
+            assert np.all(dots > 0)
+
+    def test_collinear_stencil_names_first_node(self):
+        # a planar patch (nodes 0-4) fits; the distant line (nodes 5-12)
+        # cannot orient its off-surface points
+        patch = [[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0.1, 0.1, 0], [0.05, 0.05, 0]]
+        line = [[10 + 0.1 * k, 0, 0] for k in range(8)]
+        with pytest.raises(GeometryError) as exc_info:
+            estimate_frames(NodeSet(np.array(patch + line, dtype=float)), 5, GAUSS2)
+        assert exc_info.value.node_index == 5
+        assert "node 5" in str(exc_info.value)
 
     def test_m_bounds(self, sphere_nodes):
         with pytest.raises(ValueError):
