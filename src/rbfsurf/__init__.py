@@ -36,7 +36,6 @@ from .surface_geom import (
     LevelSetFit,
     SurfaceFrame,
     analytic_frames,
-    approx_normal,
     estimate_frames,
     fit_levelset,
     levelset_curvature,
@@ -48,7 +47,6 @@ from .surface_geom import (
 from .lbo import (
     SparseOperator,
     StencilGeometry,
-    apply_operator,
     assemble_operator,
     lbo_of_rbf,
     stencil_weights,
@@ -93,10 +91,10 @@ __all__ = [
     "ImplicitSurface", "NodeSet", "Stencil", "SurfaceKind",
     "gen_sphere_nodes", "load_nodes", "nearest_neighbors", "project_radial",
     "save_nodes", "schwarz_p", "surface_by_name", "unit_sphere",
-    "LevelSetFit", "SurfaceFrame", "analytic_frames", "approx_normal",
+    "LevelSetFit", "SurfaceFrame", "analytic_frames",
     "estimate_frames", "fit_levelset", "levelset_curvature",
     "levelset_gradient", "levelset_normal", "load_frames", "save_frames",
-    "SparseOperator", "StencilGeometry", "apply_operator", "assemble_operator",
+    "SparseOperator", "StencilGeometry", "assemble_operator",
     "lbo_of_rbf", "stencil_weights",
     "SpectrumReport", "eigenvalues", "save_spectrum_csv",
     "sphere_multiplicity", "stability_report",

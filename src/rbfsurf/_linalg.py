@@ -21,13 +21,18 @@ _CHUNK = 256
 _SHOWN = 10
 
 
+def solve_failed(cond):
+    """Which solves failed: those whose cond is not below 1e15 (NaN included)."""
+    return ~(cond < COND_ERROR_LIMIT)
+
+
 def check_conditioning(cond, nodes=None):
     """Warn once about estimates (K,) above 1e12; raise once for those of 1e15 and above.
 
     ``nodes``, if given, names the node behind each estimate; the warning
     then lists the worst nodes and the error every failed one.
     """
-    failed = ~(cond < COND_ERROR_LIMIT)
+    failed = solve_failed(cond)
     poor = (cond > COND_WARN_LIMIT) & ~failed
     if poor.any():
         worst = "" if nodes is None else (

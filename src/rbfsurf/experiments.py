@@ -11,15 +11,15 @@ in the output rather than fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ._linalg import COND_ERROR_LIMIT
+from ._linalg import solve_failed
 from .kernels import Kernel, KernelFamily
 from .lbo import weight_table
 from .nodesets import ImplicitSurface, NodeSet, SurfaceKind, gen_sphere_nodes, unit_sphere
-from .surface_geom import SurfaceFrame, analytic_frames, estimate_frames
+from .surface_geom import analytic_frames, estimate_frames
 
 _MIN_FIT_POINTS = 3
 _SPREAD_TOL = 1e-12
@@ -102,16 +102,6 @@ def fit_order(rows) -> dict:
     return orders
 
 
-def _sphere_nodes_and_frames(n, nodes, analytic, frame_m, frame_kernel, seed, method):
-    if nodes is None:
-        nodes = gen_sphere_nodes(n, method=method, seed=seed)
-    if analytic:
-        frames = analytic_frames(unit_sphere(), nodes.points)
-    else:
-        frames = estimate_frames(nodes, frame_m, frame_kernel)
-    return nodes, frames
-
-
 def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
     """Worst nodal error of the stencil approximation against the exact LBO.
 
@@ -122,7 +112,7 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
     """
     indices, w, cond = weight_table(nodes, frames, m, kernel,
                                     None if node is None else [node])
-    ok = (cond < COND_ERROR_LIMIT) & np.all(np.isfinite(w), axis=1)
+    ok = ~solve_failed(cond) & np.all(np.isfinite(w), axis=1)
     failures = int(len(ok) - ok.sum())
     approx = np.einsum("ij,ij->i", w[ok], f[indices[ok]])
     worst_err = float(np.abs(approx - lf[indices[ok, 0]]).max(initial=0.0))
@@ -148,13 +138,16 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
     ms = [m] if np.isscalar(m) else list(m)
     rows = []
     for n_i in ns:
+        nodeset = nodes if nodes is not None else gen_sphere_nodes(n_i, method=method, seed=seed)
+        f = reference_field(nodeset.points)
+        lf = reference_lbo(nodeset.points)
+        if use_analytic_frames:
+            frames = analytic_frames(unit_sphere(), nodeset.points)
         for m_i in ms:
             for eps in eps_grid:
                 kernel = Kernel(family, float(eps))
-                nodeset, frames = _sphere_nodes_and_frames(
-                    n_i, nodes, use_analytic_frames, m_i, kernel, seed, method)
-                f = reference_field(nodeset.points)
-                lf = reference_lbo(nodeset.points)
+                if not use_analytic_frames:
+                    frames = estimate_frames(nodeset, m_i, kernel)
                 err, cond, failures = _max_lbo_error(nodeset, frames, m_i, kernel, f, lf, node)
                 rows.append(SweepRow(len(nodeset), m_i, float(eps), err, cond, failures))
     return ConvergenceTable(rows)

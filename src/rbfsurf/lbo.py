@@ -188,6 +188,11 @@ class SparseOperator:
 
     @classmethod
     def load(cls, path):
+        """Read the :meth:`save` format.
+
+        Raises ValueError unless every row holds exactly M finite weights
+        at distinct columns, with every index in [0, N).
+        """
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline().split()
             if len(first) != 2:
@@ -201,12 +206,22 @@ class SparseOperator:
                 rows.append(int(r))
                 cols.append(int(c))
                 vals.append(float(w))
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        vals = np.array(vals)
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+            raise ValueError(f"operator indices must lie in [0, {n})")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("operator weights must be finite")
+        counts = np.bincount(rows, minlength=n)
+        if np.any(counts != m):
+            r = int(np.flatnonzero(counts != m)[0])
+            raise ValueError(f"row {r} has {counts[r]} entries, expected M={m}")
+        # sorted by (row, col), the entries form N blocks of M columns each
+        row_cols = cols[np.lexsort((cols, rows))].reshape(n, m)
+        repeated = np.flatnonzero((np.diff(row_cols, axis=1) == 0).any(axis=1))
+        if len(repeated):
+            raise ValueError(f"row {repeated[0]} repeats a column")
         matrix = sparse.csr_matrix(
             (vals, (rows, cols)), shape=(n, n)
         )
         return cls(matrix, stencil_size=m)
-
-
-def apply_operator(op: SparseOperator, field):
-    """Functional alias for :meth:`SparseOperator.apply`."""
-    return op.apply(field)

@@ -19,6 +19,8 @@ from scipy.spatial import cKDTree
 from .errors import NodeFileError, ProjectionError
 
 _MIN_SEPARATION = 1e-12
+# largest |F| accepted at a projected point
+_PROJECTION_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -323,21 +325,22 @@ def _project_direction(direction, surface, t_lo=0.05, t_hi=1.5, samples=400):
     return t
 
 
-def project_radial(nodes, surface, drop_misses=False, residual_tol=1e-10):
+def project_radial(nodes, surface, drop_misses=False):
     """Project each node radially (along x/||x||) onto an implicit surface.
 
     Roots are bracketed on t in [0.05, 1.5], bisected to 1e-12 and polished
     with one Newton sweep; the nearest root to the origin is taken.
 
     With ``drop_misses=False`` (default) a direction whose ray never crosses
-    the surface raises :class:`ProjectionError` with the node index; with
-    ``drop_misses=True`` such nodes are silently removed from the output.
+    the surface, or whose root leaves |F| above 1e-10, raises
+    :class:`ProjectionError` with the node index; with ``drop_misses=True``
+    such nodes are silently removed from the output.
     """
     dirs = nodes.points / np.linalg.norm(nodes.points, axis=1, keepdims=True)
     projected = []
     for i, d in enumerate(dirs):
         t = _project_direction(d, surface)
-        if t is None or abs(float(surface.F(t * d))) > residual_tol:
+        if t is None or abs(float(surface.F(t * d))) > _PROJECTION_RESIDUAL_TOL:
             if drop_misses:
                 continue
             raise ProjectionError(f"no surface crossing along ray of node {i}", node_index=i)
@@ -381,19 +384,15 @@ def knn_table(nodes, m, centers=None):
     return indices, distances
 
 
-def nearest_neighbors(nodes, i, m, method="auto"):
+def nearest_neighbors(nodes, i, m):
     """Stencil of node i and its m-1 nearest neighbors.
 
-    Ties in distance are broken by the smaller node index.  ``method="brute"``
-    ranks every node; ``"kdtree"`` (and ``"auto"``) widen the candidate set
-    only on a tie at the cut.  Both return identical stencils.
+    Ties in distance are broken by the smaller node index.
     """
     n = len(nodes)
     if not 1 <= m <= n:
         raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
-    if method not in ("auto", "brute", "kdtree"):
-        raise ValueError(f"unknown method {method!r}")
-    indices, distances = knn_table(nodes, n if method == "brute" else m, [i])
+    indices, distances = knn_table(nodes, m, [i])
     return Stencil(i, indices[0, 1:m], distances[0, 1:m])

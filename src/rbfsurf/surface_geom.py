@@ -60,7 +60,7 @@ class LevelSetFit:
 
 @dataclass
 class SurfaceFrame:
-    """Per-node unit normals (N, 3) and curvatures (N,)."""
+    """Per-node unit normals (N, 3) and curvatures (N,), all finite."""
 
     normals: np.ndarray
     curvatures: np.ndarray
@@ -70,6 +70,12 @@ class SurfaceFrame:
         self.curvatures = np.asarray(self.curvatures, dtype=float)
         if self.normals.shape != (len(self.curvatures), 3):
             raise ValueError("normals must be (N, 3) matching curvatures (N,)")
+        # the conditioning gate cannot see the frames: the kernel matrix
+        # does not involve them, so a non-finite one would reach the weights
+        bad = np.flatnonzero(~(np.isfinite(self.normals).all(axis=1)
+                               & np.isfinite(self.curvatures)))
+        if len(bad):
+            raise ValueError(f"frame of node {bad[0]} is not finite")
 
     def __len__(self):
         return len(self.curvatures)
@@ -77,24 +83,6 @@ class SurfaceFrame:
     def flipped(self):
         """Frames with every normal (and hence curvature) sign-flipped."""
         return SurfaceFrame(-self.normals, -self.curvatures)
-
-
-def approx_normal(center, a, b):
-    """Rough unit normal from two stencil points, used to place off-surface points.
-
-    Returns the normalized cross product ``(center - a) x (center - b)``;
-    its sign is arbitrary. Raises :class:`GeometryError` if the three points
-    are (nearly) collinear.
-    """
-    center = np.asarray(center, dtype=float)
-    u = center - np.asarray(a, dtype=float)
-    v = center - np.asarray(b, dtype=float)
-    n = np.cross(u, v)
-    norm = np.linalg.norm(n)
-    scale = np.linalg.norm(u) * np.linalg.norm(v)
-    if norm <= _COLLINEAR_TOL * scale or scale == 0.0:
-        raise GeometryError("stencil points are collinear with the center")
-    return n / norm
 
 
 def _fit_levelsets(points, h, nodes, kernel):

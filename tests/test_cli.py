@@ -130,6 +130,21 @@ class TestGeomAndOperator:
         assert code == 2
         assert "error:" in err
 
+    def test_build_rejects_nonfinite_frames(self, sphere_file, tmp_path, capsys):
+        frames_path = tmp_path / "frames.csv"
+        run_cli(capsys, "geom", "estimate", "--nodes", str(sphere_file),
+                "--stencil", "15", "--out", str(frames_path))
+        lines = frames_path.read_text().splitlines()
+        fields = lines[8].split(",")  # node 7, after the header
+        fields[3] = "nan"
+        lines[8] = ",".join(fields)
+        frames_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),
+                               "--frames", str(frames_path), "--stencil", "15",
+                               "--out", str(tmp_path / "op.txt"))
+        assert code == 2
+        assert "node 7" in err
+
     def test_spectrum_report(self, sphere_file, tmp_path, capsys):
         op_path = tmp_path / "op.txt"
         run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),

@@ -8,6 +8,7 @@ formula cannot cancel out.
 import numpy as np
 import pytest
 
+from rbfsurf import experiments
 from rbfsurf.experiments import (
     ConvergenceTable,
     SweepRow,
@@ -141,6 +142,22 @@ class TestLboErrorSweep:
     def test_requires_sphere(self):
         with pytest.raises(ValueError):
             lbo_error_sweep(schwarz_p(), 100, 11, [2.0])
+
+    def test_nodes_generated_once_per_count(self, monkeypatch):
+        calls = []
+        generate = experiments.gen_sphere_nodes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "gen_sphere_nodes", counting)
+        table = lbo_error_sweep(unit_sphere(), [100, 200], [11, 15], [2.0, 4.0])
+        assert len(calls) == 2
+        # a one-cell sweep generates its own node set, as every cell once did
+        cells = [lbo_error_sweep(unit_sphere(), n, m, [eps]).rows[0]
+                 for n in (100, 200) for m in (11, 15) for eps in (2.0, 4.0)]
+        assert table.rows == cells
 
     def test_scalar_arguments(self):
         table = lbo_error_sweep(unit_sphere(), 100, 11, [2.0])

@@ -15,7 +15,6 @@ from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import (
     SparseOperator,
     StencilGeometry,
-    apply_operator,
     assemble_operator,
     lbo_of_rbf,
     stencil_weights,
@@ -241,6 +240,15 @@ class TestAssembleOperator:
         with pytest.raises(ValueError):
             assemble_operator(nodes, short, 15, GAUSS2)
 
+    def test_nonfinite_normal_rejected(self, small_setup):
+        # the kernel matrix does not involve the normals, so the
+        # conditioning gate alone would let this through as NaN weights
+        nodes, frames, _ = small_setup
+        normals = frames.normals.copy()
+        normals[7] = np.nan
+        with pytest.raises(ValueError, match="node 7"):
+            assemble_operator(nodes, SurfaceFrame(normals, frames.curvatures), 15, GAUSS2)
+
 
 class TestSparseOperator:
     def test_apply_matches_dense(self, small_setup):
@@ -270,11 +278,6 @@ class TestSparseOperator:
         tol = 1e-13 * np.abs(op.matrix.data).max()
         assert np.abs(op.row_sums() - op.to_dense().sum(axis=1)).max() <= tol
 
-    def test_apply_operator_alias(self, small_setup):
-        _, _, op = small_setup
-        f = np.arange(op.n, dtype=float)
-        assert np.array_equal(apply_operator(op, f), op.apply(f))
-
     def test_save_load_round_trip(self, small_setup, tmp_path):
         _, _, op = small_setup
         path = tmp_path / "op.txt"
@@ -289,6 +292,18 @@ class TestSparseOperator:
         path = tmp_path / "bad.txt"
         path.write_text("3\n0 0 1.0\n")
         with pytest.raises(ValueError):
+            SparseOperator.load(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 0 1.0\n0 1 -1.0\n1 1 1.0\n", "row 1 has 1 entries"),
+        ("0 0 1.0\n0 0 2.0\n1 0 1.0\n1 1 -1.0\n", "row 0 repeats a column"),
+        ("0 0 1.0\n0 2 -1.0\n1 0 1.0\n1 1 -1.0\n", r"\[0, 2\)"),
+        ("0 0 nan\n0 1 -1.0\n1 0 1.0\n1 1 -1.0\n", "finite"),
+    ], ids=["entries-per-row", "repeated-column", "index-range", "nonfinite-weight"])
+    def test_load_rejects_malformed_rows(self, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ValueError, match=message):
             SparseOperator.load(path)
 
     def test_non_square_rejected(self):

@@ -255,10 +255,12 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(n)
         for i in rng.integers(0, n, size=100):
             m = int(rng.integers(1, min(n, 40)))
-            a = nearest_neighbors(nodes, int(i), m, method="brute")
-            b = nearest_neighbors(nodes, int(i), m, method="kdtree")
-            np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
-            np.testing.assert_array_equal(a.neighbor_distances, b.neighbor_distances)
+            st = nearest_neighbors(nodes, int(i), m)
+            expected = brute_oracle(nodes.points, int(i), m)
+            np.testing.assert_array_equal(st.neighbor_indices, expected)
+            np.testing.assert_array_equal(
+                st.neighbor_distances,
+                np.linalg.norm(nodes.points[expected] - nodes.points[i], axis=1))
 
     def test_tie_broken_by_smaller_index(self):
         # nodes 1 and 3 are exactly equidistant from node 0
@@ -270,10 +272,7 @@ class TestNearestNeighbors:
             [0.0, 5.0, 0.0],
         ])
         nodes = NodeSet(pts)
-        st_b = nearest_neighbors(nodes, 0, 3, method="brute")
-        st_k = nearest_neighbors(nodes, 0, 3, method="kdtree")
-        assert list(st_b.neighbor_indices) == [1, 3]
-        assert list(st_k.neighbor_indices) == [1, 3]
+        assert list(nearest_neighbors(nodes, 0, 3).neighbor_indices) == [1, 3]
 
     def test_tie_crossing_the_cut(self):
         # six nodes all at distance 1 from the center: any M < 7 cuts
@@ -281,10 +280,7 @@ class TestNearestNeighbors:
         pts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
         nodes = NodeSet(pts)
         for m in range(2, 7):
-            st_b = nearest_neighbors(nodes, 0, m, method="brute")
-            st_k = nearest_neighbors(nodes, 0, m, method="kdtree")
-            assert list(st_b.neighbor_indices) == list(range(1, m))
-            assert list(st_k.neighbor_indices) == list(range(1, m))
+            assert list(nearest_neighbors(nodes, 0, m).neighbor_indices) == list(range(1, m))
 
 
 class TestKnnTable:

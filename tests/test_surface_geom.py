@@ -10,7 +10,6 @@ from rbfsurf import (
     KernelFamily,
     NodeSet,
     analytic_frames,
-    approx_normal,
     estimate_frames,
     fit_levelset,
     gen_sphere_nodes,
@@ -40,30 +39,6 @@ def sphere_nodes():
 def sphere_fit(nodes, i, m=16, kernel=GAUSS2):
     st = nearest_neighbors(nodes, i, m)
     return fit_levelset(st, nodes, kernel, h=float(st.neighbor_distances[0]))
-
-
-class TestApproxNormal:
-    def test_planar_patch(self):
-        n = approx_normal([0, 0, 1], [0.1, 0, 1], [0, 0.1, 1])
-        assert abs(abs(n[2]) - 1.0) < 1e-12
-        assert np.linalg.norm(n) == pytest.approx(1.0)
-
-    def test_collinear_rejected(self):
-        with pytest.raises(GeometryError):
-            approx_normal([0, 0, 0], [1, 0, 0], [2, 0, 0])
-
-    def test_coincident_rejected(self):
-        with pytest.raises(GeometryError):
-            approx_normal([0, 0, 0], [1, 0, 0], [1, 0, 0])
-
-    def test_sphere_points_near_pole(self):
-        # three points near (1,0,0) on the sphere: normal within 10 degrees
-        def on_sphere(y, z):
-            return np.array([np.sqrt(1 - y * y - z * z), y, z])
-
-        n = approx_normal(on_sphere(0.0, 0.0), on_sphere(0.08, 0.01), on_sphere(0.01, 0.08))
-        cos = abs(n @ [1.0, 0.0, 0.0])
-        assert cos >= np.cos(np.radians(10.0))
 
 
 class TestFitLevelset:
@@ -305,3 +280,9 @@ class TestFrameCsv:
         np.testing.assert_array_equal(points, sphere_nodes.points)
         np.testing.assert_array_equal(back.normals, frames.normals)
         np.testing.assert_array_equal(back.curvatures, frames.curvatures)
+
+    def test_nonfinite_rejected(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text("x,y,z,nx,ny,nz,kappa\n0,0,1,0,0,1,2\n1,0,0,1,0,0,nan\n")
+        with pytest.raises(ValueError, match="node 1"):
+            load_frames(path)
