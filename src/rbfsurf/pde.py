@@ -7,7 +7,8 @@ model for cardiac excitation.  Both advance the semidiscrete system
     d/dt fields = reaction(fields, t) + diag(D) * (operator @ fields)
 
 with an embedded Dormand-Prince 5(4) pair under proportional-integral step
-control.
+control.  Each right-hand side applies the operator only to the fields that
+diffuse (nonzero D): both Turing fields, the membrane voltage alone.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class SchaefferParams:
     v_crit: float = 0.13
 
     def __post_init__(self):
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if min(self.tau_open, self.tau_close, self.tau_in, self.tau_out) <= 0:
             raise ValueError("all time constants must be positive")
         if not 0 < self.v_crit < 1:
@@ -177,10 +180,11 @@ def stimulus_eval(x, t, spec: StimulusSpec):
 class RdModel:
     """A two-field reaction plus per-field diffusivities."""
 
-    diffusivities: np.ndarray
+    diffusivities: np.ndarray  # (2,), finite and >= 0; zero marks a field that does not diffuse
 
     def reaction(self, t, fields):
-        """Return the (2, N) reaction term at time t."""
+        """Return the (2, N) reaction term at time t: a fresh array, or one
+        the model keeps, which the integrator copies and never writes to."""
         raise NotImplementedError
 
 
@@ -278,6 +282,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
 
     Raises
     ------
+    ValueError
+        Before the first step, unless both diffusivities are finite and >= 0.
     StiffnessError
         If the step size underflows below 1e-12 * t_end.
     DivergenceError
@@ -292,14 +298,19 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError("snapshot_every must be positive")
 
-    diff = np.asarray(model.diffusivities, dtype=float).reshape(2, 1)
+    diff = np.asarray(model.diffusivities, dtype=float)
+    if diff.shape != (2,) or not np.all(np.isfinite(diff) & (diff >= 0)):
+        raise ValueError(f"diffusivities must be two finite values >= 0, got {diff}")
+    nonzero = np.flatnonzero(diff) if op is not None else []
+    # of two fields, those that diffuse form one range; a slice of it is a view
+    diffusing = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0)
+    d_diffusing = diff[diffusing, None]
 
-    if op is None:
-        def rhs(t, y):
-            return model.reaction(t, y)
-    else:
-        def rhs(t, y):
-            return model.reaction(t, y) + diff * op.apply(y)
+    def rhs(t, y):
+        f = np.array(model.reaction(t, y), dtype=float)  # the model may own its array
+        if d_diffusing.size:
+            f[diffusing] += d_diffusing * op.apply(y[diffusing])
+        return f
 
     t = float(state0.time)
     t_end = float(t_end)
@@ -386,13 +397,14 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
 
 @dataclass
 class TuringRun:
-    """Trajectory of a Turing simulation plus steady-state diagnostics."""
+    """Trajectory of a Turing simulation, steady-state diagnostics, accepted step count."""
 
     states: list
     steady_time: Optional[float]
     final_rate_inf: float
     op: SparseOperator
     params: TuringParams
+    steps_accepted: int
 
     @property
     def final(self):
@@ -451,11 +463,11 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringPara
     state0 = RdState(np.stack([u0, np.zeros(len(nodes))]), 0.0)
     model = TuringModel(params, form=reaction_form)
 
-    tracker = {"since": None, "steady_at": None, "rate": np.inf}
+    tracker = {"since": None, "steady_at": None, "steps": 0}
 
     def watch(t, fields, deriv):
+        tracker["steps"] += 1
         rate = float(np.abs(deriv[0]).max())
-        tracker["rate"] = rate
         if rate < steady_tol:
             if tracker["since"] is None:
                 tracker["since"] = t
@@ -470,7 +482,7 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringPara
                        snapshot_every=snapshot_every, step_callback=watch)
     final_rate = float(np.abs(model.reaction(states[-1].time, states[-1].fields)[0]
                               + params.d_u * op.apply(states[-1].fields[0])).max())
-    return TuringRun(states, tracker["steady_at"], final_rate, op, params)
+    return TuringRun(states, tracker["steady_at"], final_rate, op, params, tracker["steps"])
 
 
 def estimate_diameter(points):

@@ -60,14 +60,16 @@ class LevelSetFit:
 
 @dataclass
 class SurfaceFrame:
-    """Per-node unit normals (N, 3) and curvatures (N,), all finite."""
+    """Per-node unit normals (N, 3) and curvatures (N,), all finite; read-only copies."""
 
     normals: np.ndarray
     curvatures: np.ndarray
 
     def __post_init__(self):
-        self.normals = np.asarray(self.normals, dtype=float)
-        self.curvatures = np.asarray(self.curvatures, dtype=float)
+        self.normals = np.array(self.normals, dtype=float)
+        self.curvatures = np.array(self.curvatures, dtype=float)
+        self.normals.setflags(write=False)
+        self.curvatures.setflags(write=False)
         if self.normals.shape != (len(self.curvatures), 3):
             raise ValueError("normals must be (N, 3) matching curvatures (N,)")
         # the conditioning gate cannot see the frames: the kernel matrix

@@ -258,18 +258,22 @@ class TestSparseOperator:
         assert np.abs(op.apply(f) - op.to_dense() @ f).max() <= 1e-12 * np.abs(op.apply(f)).max()
 
     def test_apply_stacked_fields(self, small_setup):
-        _, _, op = small_setup
+        nodes, _, op = small_setup
         rng = np.random.default_rng(12)
-        fields = rng.standard_normal((2, op.n))
-        got = op.apply(fields)
-        assert got.shape == (2, op.n)
-        assert np.allclose(got[0], op.apply(fields[0]), rtol=0, atol=0)
-        assert np.allclose(got[1], op.apply(fields[1]), rtol=0, atol=0)
+        # a (2, N) state, and the strided (3, N) coordinate functions whose
+        # Laplacian is the accuracy check on the Schwarz P surface
+        for fields in (rng.standard_normal((2, op.n)), nodes.points.T):
+            got = op.apply(fields)
+            assert got.shape == fields.shape
+            for row, field in zip(got, fields):
+                assert np.array_equal(row, op.apply(field))
 
     def test_apply_length_mismatch(self, small_setup):
         _, _, op = small_setup
         with pytest.raises(ValueError):
             op.apply(np.ones(op.n - 1))
+        with pytest.raises(ValueError):
+            op.apply(np.ones((2, 2, op.n)))
 
     def test_row_sums(self, small_setup):
         # rows nearly cancel, so the two summation orders agree only to

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rbfsurf import pde
 from rbfsurf.errors import DivergenceError, StiffnessError
 from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import assemble_operator
@@ -17,8 +18,10 @@ from rbfsurf.nodesets import gen_sphere_nodes, unit_sphere
 from rbfsurf.pde import (
     RdModel,
     RdState,
+    SchaefferModel,
     SchaefferParams,
     StimulusSpec,
+    TuringModel,
     TuringParams,
     estimate_diameter,
     integrate,
@@ -75,6 +78,12 @@ class TestParams:
             SchaefferParams(tau_in=0.0)
         with pytest.raises(ValueError):
             SchaefferParams(v_crit=1.5)
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_membrane_sigma_validation(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            SchaefferParams(sigma=sigma)
+        assert SchaefferParams(sigma=0.0).sigma == 0.0
 
     def test_stimulus_validation(self):
         with pytest.raises(ValueError):
@@ -221,6 +230,19 @@ class PureDiffusion(RdModel):
         return np.zeros_like(fields)
 
 
+class SpyOperator:
+    """Wraps a SparseOperator and records the shape of every apply."""
+
+    def __init__(self, op):
+        self.op = op
+        self.n = op.n
+        self.shapes = []
+
+    def apply(self, field):
+        self.shapes.append(np.shape(field))
+        return self.op.apply(field)
+
+
 class TestIntegrate:
     def test_exponential_decay(self):
         state0 = RdState(np.array([[1.0], [2.0]]), 0.0)
@@ -304,6 +326,70 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(PureDiffusion(), op, state0, 1.0)  # size mismatch
 
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_diffusivities_validated_before_stepping(self, sphere200, bad):
+        calls = []
+
+        class BadDiffusion(PureDiffusion):
+            diffusivities = np.array([1e-3, bad])
+
+            def reaction(self, t, fields):
+                calls.append(t)
+                return super().reaction(t, fields)
+
+        nodes, _, op = sphere200
+        state0 = RdState(np.ones((2, len(nodes))), 0.0)
+        with pytest.raises(ValueError, match="diffusivities"):
+            integrate(BadDiffusion(), op, state0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("model, shape", [
+        (TuringModel(TuringParams.stripes()), (2, 200)),
+        (SchaefferModel(SchaefferParams()), (1, 200)),  # the gate does not diffuse
+        (Decay(), None),
+    ], ids=["turing", "membrane", "decay"])
+    def test_applies_only_diffusing_fields(self, sphere200, model, shape):
+        nodes, _, op = sphere200
+        spy = SpyOperator(op)
+        state0 = RdState(np.stack([nodes.points[:, 2], np.ones(len(nodes))]), 0.0)
+        states = integrate(model, spy, state0, 0.5)
+        assert len(states) == 2 and states[-1].time == pytest.approx(0.5)
+        if shape is None:
+            assert spy.shapes == []
+        else:
+            assert spy.shapes and set(spy.shapes) == {shape}
+
+    def test_diffusion_matches_full_apply(self, sphere200):
+        # every derivative is the reaction plus D times the operator, bit for
+        # bit, and a field with D = 0 gets none of the operator
+        nodes, _, op = sphere200
+        model = SchaefferModel(SchaefferParams())
+        seen = []
+        state0 = RdState(np.stack([0.5 * (1 + nodes.points[:, 2]), np.ones(len(nodes))]), 0.0)
+        integrate(model, op, state0, 0.5,
+                  step_callback=lambda t, y, f: seen.append((t, y.copy(), f.copy())))
+        for t, y, f in seen:
+            reaction = model.reaction(t, y)
+            assert np.array_equal(f[0], reaction[0] + model.params.sigma * (op.matrix @ y[0]))
+            assert np.array_equal(f[1], reaction[1])
+
+    def test_cached_reaction_left_unchanged(self, sphere200):
+        class Cached(RdModel):
+            diffusivities = np.array([1.0, 0.5])
+
+            def __init__(self, n):
+                self.cache = np.linspace(-1.0, 1.0, 2 * n).reshape(2, n)
+
+            def reaction(self, t, fields):
+                return self.cache
+
+        nodes, _, op = sphere200
+        model = Cached(len(nodes))
+        before = model.cache.copy()
+        state0 = RdState(np.stack([nodes.points[:, 2], nodes.points[:, 0]]), 0.0)
+        integrate(model, op, state0, 0.1)
+        assert np.array_equal(model.cache, before)
+
     def test_divergent_initial_state(self):
         state0 = RdState(np.array([[np.nan], [0.0]]), 0.0)
         with pytest.raises(DivergenceError):
@@ -355,6 +441,21 @@ class TestRunTuring:
                          steady_tol=1e9, steady_window=5.0)
         assert run.steady_time is not None
         assert run.final.time < 100.0
+
+    def test_steps_accepted_counts_callbacks(self, sphere200, monkeypatch):
+        calls = []
+        integrate_ = pde.integrate
+
+        def counting(*args, step_callback, **kwargs):
+            def callback(t, y, f):
+                calls.append(t)
+                return step_callback(t, y, f)
+            return integrate_(*args, step_callback=callback, **kwargs)
+
+        monkeypatch.setattr(pde, "integrate", counting)
+        nodes, frames, op = sphere200
+        run = run_turing(nodes, frames, preset="spots", t_end=5.0, op=op)
+        assert run.steps_accepted == len(calls) > 0
 
     def test_paper_form_runs(self, sphere200):
         nodes, frames, op = sphere200

@@ -238,6 +238,18 @@ class TestSurfaceFrame:
         np.testing.assert_array_equal(g.normals, -f.normals)
         np.testing.assert_array_equal(g.curvatures, -f.curvatures)
 
+    def test_read_only_copies(self):
+        # a write after construction would get past the finiteness check
+        normals, curvatures = np.eye(3)[None, 0].repeat(4, 0), np.full(4, 2.0)
+        f = SurfaceFrame(normals, curvatures)
+        with pytest.raises(ValueError):
+            f.normals[2] = np.nan
+        with pytest.raises(ValueError):
+            f.curvatures[2] = np.nan
+        normals[2] = np.nan
+        curvatures[2] = np.nan
+        assert np.isfinite(f.normals).all() and np.isfinite(f.curvatures).all()
+
 
 class TestAnalyticFrames:
     def test_sphere(self, sphere_nodes):
