@@ -17,7 +17,7 @@ from .errors import ConditioningError
 COND_ERROR_LIMIT = 1e15
 COND_WARN_LIMIT = 1e12
 # stencils per batch: bounds the (chunk, P, P) temporaries
-_CHUNK = 256
+_CHUNK = 64
 _SHOWN = 10
 
 

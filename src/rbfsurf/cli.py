@@ -21,6 +21,7 @@ from .nodesets import (
     project_radial,
     save_nodes,
     surface_by_name,
+    unit_sphere,
 )
 from .spectrum import eigenvalues, save_spectrum_csv, stability_report
 from .surface_geom import analytic_frames, estimate_frames, load_frames, save_frames
@@ -146,7 +147,7 @@ def _cmd_simulate_schaeffer(args):
     print(f"{len(run.states)} snapshots to {args.out}; probe series to {probe_path}")
 
 
-def _emit_table(table, orders, args, extra=None):
+def _emit_table(table, orders, args):
     if args.out:
         experiments.save_table_csv(table, args.out)
         if orders:
@@ -154,17 +155,13 @@ def _emit_table(table, orders, args, extra=None):
                 for m, mu in sorted(orders.items()):
                     fh.write(f"# mu[M={m}] = {mu:.6g}\n")
     if args.json:
-        report = experiments.table_report(table, orders)
-        if extra:
-            report.update(extra)
-        print(json.dumps(report, indent=2))
+        print(json.dumps(experiments.table_report(table, orders), indent=2))
     elif orders:
         for m, mu in sorted(orders.items()):
             print(f"M={m}: mu={mu:.3f}")
 
 
 def _cmd_bench_lbo_convergence(args):
-    from .nodesets import unit_sphere
     table = experiments.lbo_error_sweep(
         unit_sphere(), _parse_ints(args.n), _parse_ints(args.stencil),
         [args.eps], use_analytic_frames=not args.estimated_frames,
@@ -180,16 +177,15 @@ def _cmd_bench_frame_convergence(args):
         seed=args.seed, method=args.method)
     normal_orders = normal_table.orders()
     curvature_orders = curvature_table.orders()
+    rows = [[a.n, a.m, a.eps, a.max_error, b.max_error]
+            for a, b in zip(normal_table, curvature_table)]
     if args.out:
-        rows = np.array([[a.n, a.m, a.eps, a.max_error, b.max_error]
-                         for a, b in zip(normal_table, curvature_table)])
-        np.savetxt(args.out, rows, fmt=["%d", "%d", "%.17g", "%.17g", "%.17g"],
+        np.savetxt(args.out, np.array(rows), fmt=["%d", "%d", "%.17g", "%.17g", "%.17g"],
                    delimiter=",", header="n,m,eps,e_normal,e_kappa", comments="")
     if args.json:
         print(json.dumps({
             "columns": ["n", "m", "eps", "e_normal", "e_kappa"],
-            "rows": [[a.n, a.m, a.eps, a.max_error, b.max_error]
-                     for a, b in zip(normal_table, curvature_table)],
+            "rows": rows,
             "orders_normal": {str(m): mu for m, mu in normal_orders.items()},
             "orders_kappa": {str(m): mu for m, mu in curvature_orders.items()},
         }, indent=2))
@@ -199,7 +195,6 @@ def _cmd_bench_frame_convergence(args):
 
 
 def _cmd_bench_eps_sweep(args):
-    from .nodesets import unit_sphere
     table = experiments.lbo_error_sweep(
         unit_sphere(), args.n, args.stencil, _parse_grid(args.eps_grid),
         use_analytic_frames=not args.estimated_frames,
@@ -345,10 +340,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         args.func(args)
-    except RbfSurfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (RbfSurfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

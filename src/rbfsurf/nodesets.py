@@ -21,6 +21,8 @@ from .errors import NodeFileError, ProjectionError
 _MIN_SEPARATION = 1e-12
 # largest |F| accepted at a projected point
 _PROJECTION_RESIDUAL_TOL = 1e-10
+# rays per projection block: bounds the (block, 400, 3) sample temporaries
+_PROJECTION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class NodeSet:
     """
 
     def __init__(self, points, label=None):
-        pts = np.ascontiguousarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         if len(pts) < 4:
@@ -292,61 +294,79 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
 # radial projection onto an implicit surface
 # ---------------------------------------------------------------------------
 
-def _project_direction(direction, surface, t_lo=0.05, t_hi=1.5, samples=400):
-    """First root of F(t * direction) for t in [t_lo, t_hi], or None."""
+def _project_block(dirs, surface, t_lo=0.05, t_hi=1.5, samples=400):
+    """First root t of F(t d) on [t_lo, t_hi] along each unit ray d of ``dirs`` (B, 3), or NaN.
+
+    Every ray takes the steps of a ray-by-ray search and gets its root bit for bit.
+    """
     ts = np.linspace(t_lo, t_hi, samples)
-    vals = surface.F(ts[:, None] * direction[None, :])
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-    if len(exact) and (not len(sign_change) or exact[0] <= sign_change[0]):
-        return ts[exact[0]]
-    if not len(sign_change):
-        return None
-    a, b = ts[sign_change[0]], ts[sign_change[0] + 1]
-    fa = vals[sign_change[0]]
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        fm = float(surface.F(mid * direction))
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    # Newton polish on g(t) = F(t d), g'(t) = gradF . d
-    t = 0.5 * (a + b)
-    for _ in range(4):
-        p = t * direction
-        g = float(surface.F(p))
-        dg = float(surface.gradF(p) @ direction)
-        if dg == 0.0:
+    rows = np.arange(len(dirs))
+    vals = surface.F(ts[None, :, None] * dirs[:, None, :])
+    signs = np.sign(vals)
+    crossing = signs[:, :-1] * signs[:, 1:] < 0
+    exact = vals == 0.0
+    k, e = crossing.argmax(axis=1), exact.argmax(axis=1)
+    has_crossing = crossing[rows, k]
+    at_sample = exact[rows, e] & (~has_crossing | (e <= k))
+    t = np.where(at_sample, ts[e], np.nan)
+
+    a, b, fa = ts[k], ts[k + 1], vals[rows, k]
+    bisect = has_crossing & ~at_sample
+    polish = bisect.copy()
+    while True:
+        i = np.flatnonzero(bisect & (b - a > 1e-12))
+        if not len(i):
             break
-        t -= g / dg
+        mid = 0.5 * (a[i] + b[i])
+        fm = surface.F(mid[:, None] * dirs[i])
+        root = i[fm == 0.0]
+        t[root] = mid[fm == 0.0]
+        bisect[root] = polish[root] = False
+        # the brackets of rays that hit a root move too, but are never read again
+        lower = np.sign(fm) == np.sign(fa[i])
+        a[i] = np.where(lower, mid, a[i])
+        fa[i] = np.where(lower, fm, fa[i])
+        b[i] = np.where(lower, b[i], mid)
+
+    # Newton polish on g(t) = F(t d), g'(t) = gradF . d; a ray stops where g' = 0
+    i = np.flatnonzero(polish)
+    t[i] = 0.5 * (a[i] + b[i])
+    for _ in range(4):
+        p = t[i, None] * dirs[i]
+        # one dot per ray, rounded as gradF(p) @ d rounds it for a single ray
+        dg = (surface.gradF(p)[:, None, :] @ dirs[i, :, None])[:, 0, 0]
+        moving = dg != 0.0
+        i, p, dg = i[moving], p[moving], dg[moving]
+        t[i] -= surface.F(p) / dg
     return t
 
 
 def project_radial(nodes, surface, drop_misses=False):
     """Project each node radially (along x/||x||) onto an implicit surface.
 
-    Roots are bracketed on t in [0.05, 1.5], bisected to 1e-12 and polished
-    with one Newton sweep; the nearest root to the origin is taken.
+    The nearest root to the origin is taken: the first sign change (or an
+    earlier exact zero) among 400 samples of t in [0.05, 1.5], bisected to
+    width 1e-12 unless a midpoint is an exact zero, then polished with up to
+    four Newton steps.  Rays are searched in blocks of 256, all rays of a
+    block at once.
 
     With ``drop_misses=False`` (default) a direction whose ray never crosses
     the surface, or whose root leaves |F| above 1e-10, raises
-    :class:`ProjectionError` with the node index; with ``drop_misses=True``
-    such nodes are silently removed from the output.
+    :class:`ProjectionError` with the lowest such node index; with
+    ``drop_misses=True`` such nodes are silently removed from the output.
     """
     dirs = nodes.points / np.linalg.norm(nodes.points, axis=1, keepdims=True)
     projected = []
-    for i, d in enumerate(dirs):
-        t = _project_direction(d, surface)
-        if t is None or abs(float(surface.F(t * d))) > _PROJECTION_RESIDUAL_TOL:
-            if drop_misses:
-                continue
+    for start in range(0, len(dirs), _PROJECTION_BLOCK):
+        d = dirs[start:start + _PROJECTION_BLOCK]
+        points = _project_block(d, surface)[:, None] * d
+        hit = np.abs(surface.F(points)) <= _PROJECTION_RESIDUAL_TOL
+        if not drop_misses and not hit.all():
+            i = start + int(np.argmin(hit))
             raise ProjectionError(f"no surface crossing along ray of node {i}", node_index=i)
-        projected.append(t * d)
+        projected.append(points[hit])
     label = f"{nodes.label or 'nodes'}>{surface.kind.value}"
-    return NodeSet(np.array(projected), label=label)
+    return NodeSet(np.concatenate(projected), label=label)
 
 
 # ---------------------------------------------------------------------------

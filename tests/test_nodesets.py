@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from rbfsurf import (
     unit_sphere,
 )
 from rbfsurf.nodesets import knn_table
+
+from conftest import repulsion_nodes
 
 
 TETRA = np.array([
@@ -47,6 +50,15 @@ class TestNodeSet:
         nodes = NodeSet(TETRA)
         with pytest.raises(ValueError):
             nodes.points[0, 0] = 99.0
+
+    def test_holds_a_copy_of_a_view(self):
+        # a float64 C-contiguous slice would be taken as is without a copy,
+        # and writes through its base would then reach the validated points
+        big = np.vstack([gen_sphere_nodes(200).points, gen_sphere_nodes(300).points])
+        nodes = NodeSet(big[:200])
+        big[5] = np.nan
+        assert np.all(np.isfinite(nodes.points))
+        assert big.flags.writeable
 
 
 class TestLoadNodes:
@@ -159,6 +171,60 @@ class TestImplicitSurfaces:
             surface_by_name("torus")
 
 
+def project_direction_oracle(direction, surface, t_lo=0.05, t_hi=1.5, samples=400):
+    """Ray-by-ray reference: first root of F(t * direction) on [t_lo, t_hi], or None."""
+    ts = np.linspace(t_lo, t_hi, samples)
+    vals = surface.F(ts[:, None] * direction[None, :])
+    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    exact = np.nonzero(vals == 0.0)[0]
+    if len(exact) and (not len(sign_change) or exact[0] <= sign_change[0]):
+        return ts[exact[0]]
+    if not len(sign_change):
+        return None
+    a, b = ts[sign_change[0]], ts[sign_change[0] + 1]
+    fa = vals[sign_change[0]]
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        fm = float(surface.F(mid * direction))
+        if fm == 0.0:
+            return mid
+        if np.sign(fm) == np.sign(fa):
+            a, fa = mid, fm
+        else:
+            b = mid
+    t = 0.5 * (a + b)
+    for _ in range(4):
+        p = t * direction
+        g = float(surface.F(p))
+        dg = float(surface.gradF(p) @ direction)
+        if dg == 0.0:
+            break
+        t -= g / dg
+    return t
+
+
+def project_oracle(points, surface):
+    """Projected point of every node, ray by ray; None where the ray misses."""
+    dirs = points / np.linalg.norm(points, axis=1, keepdims=True)
+    out = []
+    for d in dirs:
+        t = project_direction_oracle(d, surface)
+        hit = t is not None and abs(float(surface.F(t * d))) <= 1e-10
+        out.append(t * d if hit else None)
+    return out
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def cube_rotations():
+    """The 24 rotations of the cube, which map the Schwarz P surface onto itself."""
+    signed = (np.diag(signs)[:, perm] for perm in itertools.permutations(range(3))
+              for signs in itertools.product((1.0, -1.0), repeat=3))
+    return [r for r in signed if np.linalg.det(r) > 0]
+
+
 class TestProjectRadial:
     def test_sphere_projection_is_identity_scale(self):
         rng = np.random.default_rng(1)
@@ -208,6 +274,49 @@ class TestProjectRadial:
                 k += 1
             assert k < len(dirs_in)
             k += 1
+
+
+class TestProjectRadialOracle:
+    """The blocked projection against the ray-by-ray reference, bit for bit."""
+
+    @pytest.mark.parametrize("r", range(24))
+    def test_cube_rotations_of_repulsion_1800(self, r):
+        # each rotation checks one third of the set (600 nodes, crossing two
+        # block boundaries), so every node is checked under eight rotations
+        # and a run stays short: the reference takes about 0.7 s per 1800 rays
+        part = slice(600 * (r % 3), 600 * (r % 3 + 1))
+        points = repulsion_nodes(1800).points[part] @ cube_rotations()[r].T
+        proj = project_radial(NodeSet(points), schwarz_p(), drop_misses=True)
+        expected = [p for p in project_oracle(points, schwarz_p()) if p is not None]
+        assert len(expected) < len(points)
+        assert_same_bits(proj.points, np.array(expected))
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_fibonacci_sphere_exact(self, n):
+        # Newton's g' is one dot per ray, taken as g @ d takes it; a summed
+        # elementwise product rounds differently in 2-3% of the rows
+        nodes = gen_sphere_nodes(n)
+        proj = project_radial(nodes, unit_sphere())
+        assert_same_bits(proj.points, np.array(project_oracle(nodes.points, unit_sphere())))
+
+    def test_misses_and_diagonals(self):
+        # the +x axis misses (F >= 1 along it); the diagonals hit at sqrt(3)/4
+        pts = np.vstack([TETRA, [[1.0, 0.0, 0.0]], [[1.0, 1.0, -1.0]] / np.sqrt(3.0)])
+        expected = project_oracle(pts, schwarz_p())
+        assert [p is None for p in expected] == [False] * 4 + [True, False]
+        proj = project_radial(NodeSet(pts), schwarz_p(), drop_misses=True)
+        assert_same_bits(proj.points, np.array([p for p in expected if p is not None]))
+
+    def test_first_miss_in_second_block(self):
+        hits = project_radial(gen_sphere_nodes(400), schwarz_p(), drop_misses=True).points[:300]
+        points = np.insert(hits, [270, 290], [[0.0, 0.0, 1.0], [0.0, -1.0, 0.0]], axis=0)
+        with pytest.raises(ProjectionError) as err:
+            project_radial(NodeSet(points), schwarz_p())
+        assert err.value.node_index == 270
+        proj = project_radial(NodeSet(points), schwarz_p(), drop_misses=True)
+        expected = [p for p in project_oracle(points, schwarz_p()) if p is not None]
+        assert len(expected) == 300
+        assert_same_bits(proj.points, np.array(expected))
 
 
 def brute_oracle(points, i, m):
