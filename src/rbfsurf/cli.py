@@ -122,8 +122,7 @@ def _cmd_simulate_turing(args):
     frames = _frames_for(nodes, args.frames, args.stencil, kernel)
     run = pde.run_turing(nodes, frames, preset=args.preset, seed=args.seed,
                          t_end=args.t_end, m=args.stencil, kernel=kernel,
-                         snapshot_every=args.snapshot_every,
-                         reaction_form=args.reaction_form)
+                         snapshot_every=args.snapshot_every)
     pde.save_snapshots(nodes, run.states, args.out, field_names=("u", "v"), vtk=args.vtk)
     steady = f"steady at t={run.steady_time:g}" if run.steady_time else "not steady"
     print(f"{len(run.states)} snapshots to {args.out}; {steady}; "
@@ -272,7 +271,6 @@ def build_parser():
     tur.add_argument("--snapshot-every", type=float, default=None)
     tur.add_argument("--stencil", type=int, default=31)
     _add_kernel_options(tur)
-    tur.add_argument("--reaction-form", choices=["canonical", "paper"], default="canonical")
     tur.add_argument("--vtk", action="store_true", help="also write legacy VTK snapshots")
     tur.add_argument("--out", required=True)
     tur.set_defaults(func=_cmd_simulate_turing)

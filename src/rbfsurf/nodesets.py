@@ -23,6 +23,11 @@ _MIN_SEPARATION = 1e-12
 _PROJECTION_RESIDUAL_TOL = 1e-10
 # rays per projection block: bounds the (block, 400, 3) sample temporaries
 _PROJECTION_BLOCK = 256
+# kNN repulsion: steps, neighbors per node, move per unit force and largest move (fractions of h)
+_REPULSION_STEPS = 400
+_REPULSION_NEIGHBORS = 12
+_REPULSION_STEP = 0.1
+_REPULSION_MAX_MOVE = 0.1
 
 
 @dataclass(frozen=True)
@@ -223,51 +228,27 @@ def _fibonacci_sphere(n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _riesz2_energy_and_forces(pts, chunk=1024):
-    """Riesz-2 energy sum(1/r^2) over pairs and its descent direction per point."""
+def _repulsion_relax(pts, rng):
+    """Relax ``pts`` on the sphere by Riesz-2 repulsion between nearest neighbors."""
     n = len(pts)
-    energy = 0.0
-    forces = np.zeros_like(pts)
-    for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        diff = block[:, None, :] - pts[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(r2[:, start:start + len(block)], np.inf)
-        inv_r2 = 1.0 / r2
-        energy += 0.5 * inv_r2.sum()
-        # -grad of energy: sum_j (x_i - x_j) / r_ij^4 (up to a positive factor)
-        forces[start:start + len(block)] = np.einsum("ij,ijk->ik", inv_r2 * inv_r2, diff)
-    return energy, forces
-
-
-def _repulsion_refine(pts, rng, max_iter=500, tol=1e-8):
-    """Descend the Riesz-2 energy on the sphere starting from ``pts``."""
-    pts = pts.copy()
-    n = len(pts)
-    # Tangential jitter breaks the lattice symmetry so descent can rearrange.
+    # Tangential jitter breaks the lattice symmetry so the relaxation can rearrange.
     jitter = rng.normal(scale=0.05 / np.sqrt(n), size=pts.shape)
-    pts += jitter - pts * np.einsum("ij,ij->i", jitter, pts)[:, None]
+    pts = pts + jitter - pts * np.einsum("ij,ij->i", jitter, pts)[:, None]
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
 
     h = np.sqrt(4.0 * np.pi / n)  # nominal spacing
-    energy, forces = _riesz2_energy_and_forces(pts)
-    step = 0.05 * h / max(np.linalg.norm(forces, axis=1).max(), 1e-30)
-    for _ in range(max_iter):
-        # keep moves tangential so the sphere projection stays small
-        tang = forces - pts * np.einsum("ij,ij->i", pts, forces)[:, None]
-        trial = pts + step * tang
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        new_energy, new_forces = _riesz2_energy_and_forces(trial)
-        if new_energy < energy:
-            moved = np.linalg.norm(trial - pts, axis=1).max()
-            pts, energy, forces = trial, new_energy, new_forces
-            if moved < tol:
-                break
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step * np.linalg.norm(forces, axis=1).max() < tol:
-                break
+    k = min(_REPULSION_NEIGHBORS, n - 1)
+    max_move = _REPULSION_MAX_MOVE * h
+    for _ in range(_REPULSION_STEPS):
+        _, nbr = cKDTree(pts).query(pts, k=k + 1)
+        diff = pts[:, None, :] - pts[nbr[:, 1:]]
+        r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        # h^3 sum_j (x_i - x_j) / r_ij^4: one neighbor at distance h pushes with unit force
+        force = h**3 * np.einsum("ij,ijk->ik", 1.0 / (r2 * r2), diff)
+        move = _REPULSION_STEP * h * (force - pts * np.einsum("ij,ij->i", pts, force)[:, None])
+        size = np.linalg.norm(move, axis=1, keepdims=True)
+        pts = pts + move * (max_move / np.maximum(size, max_move))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts
 
 
@@ -275,9 +256,11 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
     """Generate n quasi-uniform nodes on the unit sphere.
 
     ``method="fibonacci"`` is the deterministic spherical Fibonacci lattice;
-    ``method="repulsion"`` refines that lattice by seeded gradient descent on
-    the Riesz-2 energy (mutually repelling particles), stopping once the max
-    per-iteration displacement drops below 1e-8 or after 500 iterations.
+    ``method="repulsion"`` jitters that lattice (seeded) and relaxes it for
+    400 steps of Riesz-2 repulsion between each node and its 12 nearest
+    neighbors.  A step moves each node along the tangential part of its
+    force, by at most h/10 (h = sqrt(4 pi / n), the nominal spacing), then
+    back onto the sphere.  Each step costs one k-d tree query.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 nodes, got {n}")
@@ -285,7 +268,7 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
         raise ValueError(f"unknown method {method!r}; expected 'fibonacci' or 'repulsion'")
     pts = _fibonacci_sphere(n)
     if method == "repulsion":
-        pts = _repulsion_refine(pts, np.random.default_rng(seed))
+        pts = _repulsion_relax(pts, np.random.default_rng(seed))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return NodeSet(pts, label=f"sphere-{method}-{n}")
 

@@ -117,27 +117,19 @@ class RdState:
 # reaction terms
 # ---------------------------------------------------------------------------
 
-def turing_reaction(u, v, p: TuringParams, form="canonical"):
+def turing_reaction(u, v, p: TuringParams):
     """Reaction pair (du, dv) of the activator-inhibitor system.
 
-    ``form="canonical"`` is the standard cubic-coupling form matching the
-    preset parameter tables; ``form="paper"`` keeps a literature variant
-    that places the cubic nonlinearity differently, for auditing.
+    The cubic-coupling BVAM form (Barrio, Varea, Aragon & Maini, Bull. Math.
+    Biol. 61 (1999)) that the preset parameter tables belong to.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.tau1 != 0.0 and p.beta == 0.0:
         raise ValueError("beta must be nonzero when tau1 != 0 (cross-coupling divides by beta)")
-    if form == "canonical":
-        du = p.alpha * u * (1.0 - p.tau1 * v * v) + v * (1.0 - p.tau2 * u)
-        ratio = p.alpha * p.tau1 / p.beta if p.tau1 != 0.0 else 0.0
-        dv = p.beta * v * (1.0 + ratio * u * v) + u * (p.gamma + p.tau2 * v)
-    elif form == "paper":
-        du = p.alpha * u * (1.0 - p.tau1 * u * u) + v * (1.0 - p.tau2 * u)
-        coupling = (p.alpha * p.tau1 * u * v / p.beta) * p.tau1 * u * u if p.tau1 != 0.0 else 0.0
-        dv = p.beta * u * (1.0 + coupling) + u * (p.gamma - p.tau2 * v)
-    else:
-        raise ValueError(f"unknown reaction form {form!r}; expected 'canonical' or 'paper'")
+    du = p.alpha * u * (1.0 - p.tau1 * v * v) + v * (1.0 - p.tau2 * u)
+    ratio = p.alpha * p.tau1 / p.beta if p.tau1 != 0.0 else 0.0
+    dv = p.beta * v * (1.0 + ratio * u * v) + u * (p.gamma + p.tau2 * v)
     return du, dv
 
 
@@ -189,13 +181,12 @@ class RdModel:
 
 
 class TuringModel(RdModel):
-    def __init__(self, params: TuringParams, form="canonical"):
+    def __init__(self, params: TuringParams):
         self.params = params
-        self.form = form
         self.diffusivities = np.array([params.d_u, params.d_v])
 
     def reaction(self, t, fields):
-        du, dv = turing_reaction(fields[0], fields[1], self.params, self.form)
+        du, dv = turing_reaction(fields[0], fields[1], self.params)
         return np.stack([du, dv])
 
 
@@ -441,8 +432,7 @@ def _default_kernel(kernel):
 def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringParams] = None,
                preset: Optional[str] = None, seed=0, t_end=2000.0, *, m=31, kernel=None,
                op=None, rtol=1e-5, atol=1e-8, snapshot_every=None,
-               reaction_form="canonical", stop_when_steady=True,
-               steady_tol=1e-4, steady_window=10.0):
+               stop_when_steady=True, steady_tol=1e-4, steady_window=10.0):
     """Integrate the Turing system from a seeded perturbation of the activator.
 
     The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed,
@@ -461,7 +451,7 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringPara
     rng = np.random.default_rng(seed)
     u0 = rng.uniform(-0.5, 0.5, size=len(nodes))
     state0 = RdState(np.stack([u0, np.zeros(len(nodes))]), 0.0)
-    model = TuringModel(params, form=reaction_form)
+    model = TuringModel(params)
 
     tracker = {"since": None, "steady_at": None, "steps": 0}
 

@@ -17,7 +17,12 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def repulsion_nodes(n):
-    """Pregenerated repulsion node set (identical to method='repulsion', seed=0)."""
+    """Pregenerated seed-0 repulsion node set.
+
+    The files are the output of the dense all-pairs Riesz-2 descent that
+    ``gen_sphere_nodes(method="repulsion")`` ran up to commit 945629a; the
+    nearest-neighbor relaxation that replaced it gives different points.
+    """
     return load_nodes(DATA_DIR / f"sphere_repulsion_{n}.txt")
 
 

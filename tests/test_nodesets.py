@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rbfsurf import (
     NodeFileError,
@@ -17,7 +18,11 @@ from rbfsurf import (
     surface_by_name,
     unit_sphere,
 )
+from rbfsurf import nodesets
+from rbfsurf.experiments import lbo_error_sweep
+from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.nodesets import knn_table
+from rbfsurf.surface_geom import estimate_frames
 
 from conftest import repulsion_nodes
 
@@ -98,6 +103,10 @@ class TestLoadNodes:
         np.testing.assert_array_equal(back.points, nodes.points)
 
 
+def min_separation(pts):
+    return cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+
+
 class TestGenSphereNodes:
     def test_four_fibonacci_points_unit_norm(self):
         nodes = gen_sphere_nodes(4)
@@ -131,14 +140,33 @@ class TestGenSphereNodes:
         assert np.abs(np.linalg.norm(nodes.points, axis=1) - 1.0).max() <= 1e-12
 
     def test_repulsion_separation_comparable_to_fibonacci(self):
-        def min_dist(pts):
-            from scipy.spatial import cKDTree
-            return cKDTree(pts).query(pts, k=2)[0][:, 1].min()
-
-        fib = min_dist(gen_sphere_nodes(1000).points)
-        rep = min_dist(gen_sphere_nodes(1000, method="repulsion").points)
-        # refinement must not shrink the packing; observed ratio ~1.08
+        fib = min_separation(gen_sphere_nodes(1000).points)
+        rep = min_separation(gen_sphere_nodes(1000, method="repulsion").points)
+        # refinement must not shrink the packing; observed ratio 1.079 (dense descent: ~1.08)
         assert rep >= 0.8 * fib
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [4, 13, 64, 150])
+    def test_repulsion_never_collapses(self, n, seed):
+        # n = 4 relaxes over k = n - 1 = 3 neighbors, n = 13 over all 12 others
+        fib = min_separation(gen_sphere_nodes(n).points)
+        assert min_separation(gen_sphere_nodes(n, method="repulsion", seed=seed).points) >= fib
+
+    def test_move_cap_prevents_collapse(self, monkeypatch):
+        # at twice the step, pairs collapse to 0.02x Fibonacci's separation
+        # without the cap; with it the packing stays at 0.99x
+        monkeypatch.setattr(nodesets, "_REPULSION_STEP", 2 * nodesets._REPULSION_STEP)
+        fib = min_separation(gen_sphere_nodes(300).points)
+        assert min_separation(gen_sphere_nodes(300, method="repulsion").points) >= 0.8 * fib
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_repulsion_operator_accuracy_matches_shipped_set(self, n):
+        # the shipped sets come from the dense Riesz-2 descent
+        nodes = gen_sphere_nodes(n, method="repulsion")
+        estimate_frames(nodes, 31, Kernel(KernelFamily.GAUSSIAN, 2.0))
+        err = lbo_error_sweep(unit_sphere(), n, 31, [2.0], nodes=nodes).rows[0].max_error
+        ref = lbo_error_sweep(unit_sphere(), n, 31, [2.0], nodes=repulsion_nodes(n)).rows[0].max_error
+        assert err <= 1.5 * ref
 
 
 class TestImplicitSurfaces:

@@ -132,14 +132,6 @@ class TestTuringReaction:
         with pytest.raises(ValueError):
             turing_reaction(0.1, 0.1, p)
 
-    def test_forms_differ(self):
-        p = TuringParams.spots()
-        a = turing_reaction(0.4, 0.3, p, form="canonical")
-        b = turing_reaction(0.4, 0.3, p, form="paper")
-        assert a != b
-        with pytest.raises(ValueError):
-            turing_reaction(0.1, 0.1, p, form="exotic")
-
     def test_vectorized(self):
         p = TuringParams.spots()
         u = np.linspace(-0.4, 0.4, 7)
@@ -456,12 +448,6 @@ class TestRunTuring:
         nodes, frames, op = sphere200
         run = run_turing(nodes, frames, preset="spots", t_end=5.0, op=op)
         assert run.steps_accepted == len(calls) > 0
-
-    def test_paper_form_runs(self, sphere200):
-        nodes, frames, op = sphere200
-        run = run_turing(nodes, frames, preset="stripes", t_end=2.0, op=op,
-                         reaction_form="paper", stop_when_steady=False)
-        assert np.all(np.isfinite(run.final.fields))
 
 
 @pytest.fixture(scope="module")
