@@ -137,8 +137,6 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
     n = len(nodes)
     if len(frames) != n:
         raise ValueError("frames must cover every node")
-    if not 1 <= m <= n:
-        raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
 
     indices, w, cond = weight_table(nodes, frames, m, kernel)
     check_conditioning(cond, indices[:, 0])

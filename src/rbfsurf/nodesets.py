@@ -363,8 +363,11 @@ def knn_table(nodes, m, centers=None):
     first.  One k-d tree query fetches m + 8 candidates per row; everything
     strictly closer than the farthest candidate is guaranteed fetched, so a
     row whose m-th distance ties the farthest is queried again with twice as many.
+    Raises ValueError unless ``1 <= m <= len(nodes)``.
     """
     n = len(nodes)
+    if not 1 <= m <= n:
+        raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
     pts = nodes.points
     centers = np.arange(n) if centers is None else np.asarray(centers)
     indices = np.empty((len(centers), m), dtype=np.intp)
@@ -392,10 +395,7 @@ def nearest_neighbors(nodes, i, m):
 
     Ties in distance are broken by the smaller node index.
     """
-    n = len(nodes)
-    if not 1 <= m <= n:
-        raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
-    if not 0 <= i < n:
+    if not 0 <= i < len(nodes):
         raise ValueError(f"node index {i} out of range")
     indices, distances = knn_table(nodes, m, [i])
     return Stencil(i, indices[0, 1:m], distances[0, 1:m])

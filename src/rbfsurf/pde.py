@@ -9,12 +9,22 @@ model for cardiac excitation.  Both advance the semidiscrete system
 with an embedded Dormand-Prince 5(4) pair under proportional-integral step
 control.  Each right-hand side applies the operator only to the fields that
 diffuse (nonzero D): both Turing fields, the membrane voltage alone.
+
+A step works in one (8, 2, N) array: the state, then the seven stage
+derivatives.  Each stage input y + h sum_j a_sj k_j is one BLAS
+matrix-vector product over its leading rows, and so is the error estimate;
+each right-hand side is written into its own row.  The last stage's input
+is the new state itself and its derivative the next step's first (FSAL).
+BLAS picks its summation order and fused multiply-adds per CPU, so
+trajectories can differ in the last bits between machines.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,24 +127,53 @@ class RdState:
 # reaction terms
 # ---------------------------------------------------------------------------
 
+def _pair(*args):
+    """A fresh (2, ...) array over the arguments' broadcast shape, and its two rows."""
+    out = np.empty((2,) + np.broadcast(*args).shape)
+    return out, out[0, ...], out[1, ...]
+
+
 def turing_reaction(u, v, p: TuringParams):
-    """Reaction pair (du, dv) of the activator-inhibitor system.
+    """Reaction pair (du, dv) of the activator-inhibitor system, as one (2, ...) array.
 
     The cubic-coupling BVAM form (Barrio, Varea, Aragon & Maini, Bull. Math.
-    Biol. 61 (1999)) that the preset parameter tables belong to.
+    Biol. 61 (1999)) that the preset parameter tables belong to:
+
+        du = alpha u (1 - tau1 v^2) + v (1 - tau2 u)
+        dv = beta v (1 + (alpha tau1 / beta) u v) + u (gamma + tau2 v)
+
+    evaluated in place, in the order the formulas are written.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.tau1 != 0.0 and p.beta == 0.0:
         raise ValueError("beta must be nonzero when tau1 != 0 (cross-coupling divides by beta)")
-    du = p.alpha * u * (1.0 - p.tau1 * v * v) + v * (1.0 - p.tau2 * u)
     ratio = p.alpha * p.tau1 / p.beta if p.tau1 != 0.0 else 0.0
-    dv = p.beta * v * (1.0 + ratio * u * v) + u * (p.gamma + p.tau2 * v)
-    return du, dv
+    out, du, dv = _pair(u, v)
+    tmp = np.empty_like(du)
+    np.multiply(p.tau1, v, out=tmp)
+    tmp *= v
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(p.alpha, u, out=du)
+    du *= tmp
+    np.multiply(p.tau2, u, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    tmp *= v
+    du += tmp
+    np.multiply(ratio, u, out=tmp)
+    tmp *= v
+    tmp += 1.0
+    np.multiply(p.beta, v, out=dv)
+    dv *= tmp
+    np.multiply(p.tau2, v, out=tmp)
+    tmp += p.gamma
+    tmp *= u
+    dv += tmp
+    return out
 
 
 def schaeffer_reaction(v, h, p: SchaefferParams, j_stim=0.0):
-    """Reaction pair (dv, dh) of the membrane model.
+    """Reaction pair (dv, dh) of the membrane model, as one (2, ...) array.
 
     The inward current ``h(1-v)v^2/tau_in`` and outward current
     ``-v/tau_out`` drive the voltage; the gate recovers below the critical
@@ -142,11 +181,15 @@ def schaeffer_reaction(v, h, p: SchaefferParams, j_stim=0.0):
     """
     v = np.asarray(v, dtype=float)
     h = np.asarray(h, dtype=float)
-    j_in = h * (1.0 - v) * v * v / p.tau_in
-    j_out = -v / p.tau_out
-    dv = j_in + j_out + j_stim
-    dh = np.where(v <= p.v_crit, (1.0 - h) / p.tau_open, -h / p.tau_close)
-    return dv, dh
+    out, dv, dh = _pair(v, h, j_stim)
+    np.multiply(h, 1.0 - v, out=dv)
+    dv *= v
+    dv *= v
+    dv /= p.tau_in
+    dv -= v / p.tau_out  # x - y is x + (-y), bit for bit
+    dv += j_stim
+    dh[...] = np.where(v <= p.v_crit, (1.0 - h) / p.tau_open, -h / p.tau_close)
+    return out
 
 
 def stimulus_eval(x, t, spec: StimulusSpec):
@@ -186,8 +229,7 @@ class TuringModel(RdModel):
         self.diffusivities = np.array([params.d_u, params.d_v])
 
     def reaction(self, t, fields):
-        du, dv = turing_reaction(fields[0], fields[1], self.params)
-        return np.stack([du, dv])
+        return turing_reaction(fields[0], fields[1], self.params)
 
 
 class SchaefferModel(RdModel):
@@ -208,28 +250,26 @@ class SchaefferModel(RdModel):
         j = 0.0
         if self._profile is not None and t <= self.stimulus.t_stim:
             j = self._profile
-        dv, dh = schaeffer_reaction(fields[0], fields[1], self.params, j)
-        return np.stack([dv, dh])
+        return schaeffer_reaction(fields[0], fields[1], self.params, j)
 
 
 # ---------------------------------------------------------------------------
 # adaptive Dormand-Prince 5(4) integrator
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# fifth-order propagation weights equal the last A row (FSAL)
-_DP_B5 = _DP_A[6]
-_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                    -17253 / 339200, 22 / 525, -1 / 40])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Row s - 1 holds a_sj, the weights of k_0..k_{s-1} in the input of stage s
+# (s = 1..6); row 5 is also the fifth-order weights (FSAL).  Row 6 holds the
+# error weights e, fifth- minus fourth-order, of k_0..k_6.
+_DP_TABLEAU = np.array([
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+])
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -238,9 +278,18 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MIN_STEP_FRACTION = 1e-12
 
+logger = logging.getLogger(__name__)
+
 
 def _rms(x):
-    return float(np.sqrt(np.mean(x * x)))
+    x = x.ravel()
+    return math.sqrt(x @ x / x.size)
+
+
+def _log_stats(stats):
+    logger.debug("integrate: %(accepted)d accepted and %(rejected)d rejected steps, "
+                 "%(rhs_evals)d RHS evaluations, h from %(h_min)s to %(h_max)s, "
+                 "stopped at %(stop)s", stats, extra={"stats": stats})
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
@@ -269,7 +318,11 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     initial state included) plus the final state.
 
     ``step_callback(t, fields, derivative)`` fires after every accepted
-    step; returning True stops the integration early.
+    step with arrays the integrator never writes to again; returning True
+    stops the integration early.  Each call logs one DEBUG record on
+    ``rbfsurf.pde``: accepted and rejected steps, RHS evaluations, the
+    range of accepted h and the stop reason (``t_end`` or ``callback``),
+    also as the record's ``stats`` dict.
 
     Raises
     ------
@@ -297,18 +350,27 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     diffusing = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0)
     d_diffusing = diff[diffusing, None]
 
-    def rhs(t, y):
-        f = np.array(model.reaction(t, y), dtype=float)  # the model may own its array
-        if d_diffusing.size:
-            f[diffusing] += d_diffusing * op.apply(y[diffusing])
-        return f
-
     t = float(state0.time)
     t_end = float(t_end)
     y = state0.fields.astype(float, copy=True)
     snapshots = [RdState(y.copy(), t)]
+    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "h_min": None, "h_max": None,
+             "stop": "t_end"}
     if t_end <= t:
+        _log_stats(stats)
         return snapshots
+
+    work = np.empty((8,) + y.shape)
+    rows = work.reshape(8, -1)
+
+    def rhs(t, y, out=work[2]):  # row 2 is free outside a step: the initial-step probe
+        stats["rhs_evals"] += 1
+        out[...] = model.reaction(t, y)
+        if d_diffusing.size:
+            lap = op.apply(y[diffusing])
+            lap *= d_diffusing
+            out[diffusing] += lap
+        return out
 
     def next_snapshot_time(now):
         if snapshot_every is None:
@@ -316,7 +378,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
         k = np.floor(now / snapshot_every + 1e-9) + 1
         return min(k * snapshot_every, t_end)
 
-    f = rhs(t, y)
+    work[0] = y
+    f = rhs(t, y, work[1])
     if not np.all(np.isfinite(f)):
         raise DivergenceError(f"right-hand side not finite at t = {t:g}", time=t)
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol)
@@ -324,7 +387,12 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     err_prev = 1.0
     just_rejected = False
     t_stop = next_snapshot_time(t)
-    k = [None] * 7
+    # coef[s - 1] = [1, h a_s0, ..., h a_s,s-1] against rows[:s + 1];
+    # coef[6, 1:] = h e against rows[1:]
+    coef = np.zeros((7, 8))
+    coef[:6, 0] = 1.0
+    stages = [(coef[s - 1, :s + 1], rows[:s + 1], work[s + 1], _DP_C[s]) for s in range(1, 7)]
+    h_lo, h_hi = np.inf, 0.0
     steps = 0
 
     while t < t_end - 1e-14 * t_end:
@@ -335,26 +403,24 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
         if h < h_min:
             raise StiffnessError(f"step size underflow at t = {t:g}", time=t)
 
-        k[0] = f
-        for s in range(1, 7):
-            acc = _DP_A[s][0] * k[0]
-            for j in range(1, s):
-                acc = acc + _DP_A[s][j] * k[j]
-            k[s] = rhs(t + _DP_C[s] * h, y + h * acc)
-        y_new = y + h * (_DP_B5[0] * k[0] + _DP_B5[2] * k[2] + _DP_B5[3] * k[3]
-                         + _DP_B5[4] * k[4] + _DP_B5[5] * k[5])
-        err_vec = h * (_DP_ERR[0] * k[0] + _DP_ERR[2] * k[2] + _DP_ERR[3] * k[3]
-                       + _DP_ERR[4] * k[4] + _DP_ERR[5] * k[5] + _DP_ERR[6] * k[6])
+        np.multiply(h, _DP_TABLEAU, out=coef[:, 1:])
+        for c, inputs, out, frac in stages:
+            y_new = (c @ inputs).reshape(y.shape)
+            rhs(t + frac * h, y_new, out)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / sc)
+        err = _rms(coef[6, 1:] @ rows[1:] / sc.ravel())
 
         if np.isfinite(err) and err <= 1.0:
             t_new = t + h
             if not np.all(np.isfinite(y_new)):
                 raise DivergenceError(f"state not finite at t = {t_new:g}", time=t_new)
-            f = k[6]  # FSAL: last stage is rhs at the new point
-            y = y_new
+            # FSAL: the last stage's input is the new state, its rhs the next k_0
+            work[0] = y = y_new
+            work[1] = work[7]
+            f = work[7].copy()
             t = t_new
+            stats["accepted"] += 1
+            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
             stop_requested = bool(step_callback and step_callback(t, y, f))
             if t >= t_stop - 1e-12 * max(1.0, abs(t_stop)):
                 t = t_stop
@@ -362,6 +428,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
                     snapshots.append(RdState(y.copy(), t))
                 t_stop = next_snapshot_time(t)
             if stop_requested:
+                stats["stop"] = "callback"
                 break
             if err == 0.0:
                 fac = _FAC_MAX
@@ -372,12 +439,16 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
             err_prev = max(err, 1e-4)
             just_rejected = False
         else:
+            stats["rejected"] += 1
             if np.isfinite(err):
                 h *= min(1.0, max(_FAC_MIN, _SAFETY * err**-0.2))
             else:
                 h *= _FAC_MIN
             just_rejected = True
 
+    if stats["accepted"]:
+        stats["h_min"], stats["h_max"] = h_lo, h_hi
+    _log_stats(stats)
     snapshots.append(RdState(y.copy(), t))
     return snapshots
 

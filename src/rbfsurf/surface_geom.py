@@ -219,11 +219,8 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     run as one batch: a collinear stencil raises first, then the
     conditioning gate, then a vanishing gradient, each naming its node.
     """
-    n = len(nodes)
     if m < 5:
         raise ValueError(f"frame estimation needs stencils of at least 5 nodes, got M={m}")
-    if m > n:
-        raise ValueError(f"stencil size M={m} exceeds node count N={n}")
 
     indices, distances = knn_table(nodes, m)
     fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)

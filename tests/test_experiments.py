@@ -163,6 +163,10 @@ class TestLboErrorSweep:
         table = lbo_error_sweep(unit_sphere(), 100, 11, [2.0])
         assert len(table) == 1
 
+    def test_stencil_larger_than_node_set(self):
+        with pytest.raises(ValueError, match="1 <= M <= 13"):
+            lbo_error_sweep(unit_sphere(), 13, 31, [2.0])
+
     def test_single_node_restriction(self):
         full = lbo_error_sweep(unit_sphere(), 200, 11, [2.0])
         one = lbo_error_sweep(unit_sphere(), 200, 11, [2.0], node=5)

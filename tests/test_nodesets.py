@@ -441,6 +441,11 @@ class TestKnnTable:
         for i in range(60):
             np.testing.assert_array_equal(indices[i, 1:], brute_oracle(nodes.points, i, 60))
 
+    @pytest.mark.parametrize("m", [0, 61])
+    def test_stencil_size_out_of_range(self, m):
+        with pytest.raises(ValueError, match="1 <= M <= 60"):
+            knn_table(gen_sphere_nodes(60), m)
+
     def test_center_subset_matches_single_queries(self):
         nodes = gen_sphere_nodes(600)
         indices, distances = knn_table(nodes, 31, [5, 333, 599])

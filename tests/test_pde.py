@@ -6,6 +6,8 @@ same semidiscrete diffusion system, which isolates time-stepping error
 from spatial discretization error.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -235,6 +237,63 @@ class SpyOperator:
         return self.op.apply(field)
 
 
+# Dormand-Prince 5(4) as an elementwise stage chain, one array operation per
+# coefficient: an independent reference for the integrator's matrix-vector stages
+REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+REF_ERR = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+
+
+def reference_step(rhs, t, y, f, h, a=REF_A):
+    """One Dormand-Prince 5(4) step, stage by stage: (y_new, error vector, rhs at y_new)."""
+    k = [f]
+    for s in range(1, 7):
+        acc = a[s][0] * k[0]
+        for j in range(1, s):
+            acc = acc + a[s][j] * k[j]
+        k.append(rhs(t + REF_C[s] * h, y + h * acc))
+    b = a[6]
+    y_new = y + h * (b[0] * k[0] + b[2] * k[2] + b[3] * k[3] + b[4] * k[4] + b[5] * k[5])
+    err_vec = h * sum(e * kj for e, kj in zip(REF_ERR, k) if e != 0.0)
+    return y_new, err_vec, k[6]
+
+
+def reference_integrate(model, op, y0, t_end, rtol, atol, a=REF_A):
+    """Accepted (t, y) of :func:`reference_step` under the integrator's PI controller."""
+    d = np.asarray(model.diffusivities)[:, None]
+
+    def rhs(t, y):
+        return model.reaction(t, y) + d * op.apply(y)
+
+    t, y = 0.0, y0
+    f = rhs(t, y)
+    h = pde._initial_step(rhs, t, y, f, t_end, rtol, atol)
+    err_prev, just_rejected, accepted = 1.0, False, []
+    while t < t_end - 1e-14 * t_end:
+        h = min(h, t_end - t)
+        y_new, err_vec, f_new = reference_step(rhs, t, y, f, h, a)
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+        if err <= 1.0:
+            t, y, f = t + h, y_new, f_new
+            accepted.append((t, y))
+            fac = pde._SAFETY * err**-pde._PI_ALPHA * err_prev**pde._PI_BETA
+            h *= min(1.0 if just_rejected else pde._FAC_MAX, max(pde._FAC_MIN, fac))
+            err_prev, just_rejected = max(err, 1e-4), False
+        else:
+            h *= min(1.0, max(pde._FAC_MIN, pde._SAFETY * err**-0.2))
+            just_rejected = True
+    return accepted
+
+
 class TestIntegrate:
     def test_exponential_decay(self):
         state0 = RdState(np.array([[1.0], [2.0]]), 0.0)
@@ -402,6 +461,107 @@ class TestIntegrate:
         state0 = RdState(np.array([[1.0], [0.0]]), 0.0)
         with pytest.raises(StiffnessError):
             integrate(Oscillator(), None, state0, 100.0, max_steps=2)
+
+
+def stripes_start(nodes):
+    u0 = np.random.default_rng(0).uniform(-0.5, 0.5, len(nodes))
+    return np.stack([u0, np.zeros(len(nodes))])
+
+
+def agrees_with_reference(accepted, ref):
+    """Same accepted step count, and every step within 1e-7 in t and 1e-8 in the fields.
+
+    The bound is not roundoff: the error estimate cancels about seven
+    digits, so a different summation order moves the controller's step
+    sizes in the eighth digit and the states by about 1e-9.
+    """
+    return len(accepted) == len(ref) and all(
+        abs(t - t_ref) <= 1e-7 and np.abs(y - y_ref).max() <= 1e-8
+        for (t, y), (t_ref, y_ref) in zip(accepted, ref))
+
+
+class TestReferenceStepper:
+    @pytest.fixture(scope="class")
+    def stripes_run(self, sphere200):
+        nodes, _, op = sphere200
+        model = TuringModel(TuringParams.stripes())
+        y0 = stripes_start(nodes)
+        accepted = []
+        integrate(model, op, RdState(y0, 0.0), 20.0, rtol=1e-5, atol=1e-8,
+                  step_callback=lambda t, y, f: accepted.append((t, y)))
+        return model, op, y0, accepted
+
+    def test_matches_reference_at_every_step(self, stripes_run):
+        model, op, y0, accepted = stripes_run
+        ref = reference_integrate(model, op, y0, 20.0, 1e-5, 1e-8)
+        assert len(accepted) > 30
+        assert agrees_with_reference(accepted, ref)
+
+    def test_wrong_coefficient_is_detected(self, stripes_run):
+        # a_21 = 9/41 instead of 9/40: the comparison must notice
+        model, op, y0, accepted = stripes_run
+        wrong = [list(row) for row in REF_A]
+        wrong[2][1] = 9 / 41
+        assert not agrees_with_reference(
+            accepted, reference_integrate(model, op, y0, 20.0, 1e-5, 1e-8, wrong))
+
+
+class TestIntegratorBuffers:
+    def test_callback_arrays_never_overwritten(self, sphere200):
+        # the callback keeps y and f without copying; a later step must not
+        # write into them through the preallocated work array
+        nodes, _, op = sphere200
+        model = TuringModel(TuringParams.stripes())
+        kept = []
+        states = integrate(model, op, RdState(stripes_start(nodes), 0.0), 5.0,
+                           step_callback=lambda t, y, f: kept.append(
+                               (t, y, f, y.copy(), f.copy())))
+        assert len(kept) > 5
+        for t, y, f, y_then, f_then in kept:
+            assert np.array_equal(y, y_then) and np.array_equal(f, f_then)
+            fresh = model.reaction(t, y) + model.diffusivities[:, None] * op.apply(y)
+            assert np.array_equal(f, fresh)
+        assert np.array_equal(kept[-1][1], states[-1].fields)
+
+
+class TestHealthRecord:
+    @staticmethod
+    def records(caplog):
+        return [r for r in caplog.records if r.name == "rbfsurf.pde"]
+
+    def test_one_record_per_call(self, sphere200, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.pde")
+        nodes, _, op = sphere200
+        spy = SpyOperator(op)
+        steps = []
+        integrate(TuringModel(TuringParams.stripes()), spy, RdState(stripes_start(nodes), 0.0),
+                  5.0, step_callback=lambda t, y, f: steps.append(t))
+        (record,) = self.records(caplog)
+        assert record.levelno == logging.DEBUG
+        stats = record.stats
+        assert stats["rhs_evals"] == len(spy.shapes) > 0
+        assert stats["accepted"] == len(steps)
+        assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        taken = np.diff([0.0] + steps)
+        assert stats["h_min"] == pytest.approx(taken.min(), rel=1e-12)
+        assert stats["h_max"] == pytest.approx(taken.max(), rel=1e-12)
+        assert stats["stop"] == "t_end"
+        assert "RHS evaluations" in record.getMessage()
+
+    def test_callback_stop_reason(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.pde")
+        integrate(Decay(), None, RdState(np.ones((2, 1)), 0.0), 10.0,
+                  step_callback=lambda t, y, f: t >= 0.3)
+        (record,) = self.records(caplog)
+        stats = record.stats
+        assert stats["stop"] == "callback"
+        assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+
+    def test_silent_by_default(self):
+        # no handler and no level of its own: logging's default WARNING
+        # threshold drops the DEBUG record
+        log = logging.getLogger("rbfsurf.pde")
+        assert log.level == logging.NOTSET and not log.handlers
 
 
 class TestRunTuring:
