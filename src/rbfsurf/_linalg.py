@@ -19,6 +19,7 @@ COND_WARN_LIMIT = 1e12
 # stencils per batch: bounds the (chunk, P, P) temporaries
 _CHUNK = 64
 _SHOWN = 10
+_EPS = np.finfo(float).eps
 
 
 def solve_failed(cond):
@@ -51,21 +52,22 @@ def check_conditioning(cond, nodes=None):
 def solve_with_cond(A, b):
     """Solve the stacked systems ``A (K, P, P) x = b (K, P)``; return ``(x, cond)``.
 
-    LU with partial pivoting, then the 1-norm condition estimate of each
-    system from its factors, set to inf for an exact zero pivot or once the
-    reciprocal drops below machine epsilon.  One refinement step follows:
-    the residual is formed in ``np.longdouble`` and the correction solved
-    with the same factors.
+    LU with partial pivoting and the solve in one ``dgesv`` call, then the
+    1-norm condition estimate of each system from its factors, set to inf
+    for an exact zero pivot or once the reciprocal drops below machine
+    epsilon.  One refinement step follows: the residual is formed in
+    ``np.longdouble`` and the correction solved with the same factors.
     """
     anorm = np.abs(A).sum(axis=1).max(axis=1)
     x = np.empty(b.shape)
     cond = np.empty(len(A))
     factors = []
     for k in range(len(A)):
-        lu, piv, info = sla.lapack.dgetrf(A[k])
+        lu, piv, x[k], info = sla.lapack.dgesv(A[k], b[k])
+        if info:  # an exact zero pivot: dgesv skips the solve and hands back b
+            x[k] = np.nan
         rcond, _ = sla.lapack.dgecon(lu, anorm[k], norm="1")
-        cond[k] = 1.0 / rcond if info == 0 and rcond >= np.finfo(float).eps else np.inf
-        x[k] = sla.lapack.dgetrs(lu, piv, b[k])[0]
+        cond[k] = 1.0 / rcond if info == 0 and rcond >= _EPS else np.inf
         factors.append((lu, piv))
     residual = (b - (A.astype(np.longdouble) @ x[..., None])[..., 0]).astype(float)
     for k, (lu, piv) in enumerate(factors):

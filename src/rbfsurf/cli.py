@@ -12,10 +12,11 @@ import numpy as np
 
 from . import experiments, pde
 from .errors import RbfSurfError
-from .kernels import Kernel
+from .kernels import Kernel, KernelFamily
 from .lbo import SparseOperator, assemble_operator
 from .nodesets import (
     NodeSet,
+    check_node_ids,
     gen_sphere_nodes,
     load_nodes,
     project_radial,
@@ -46,11 +47,11 @@ def _kernel_from_args(args):
     return Kernel.from_name(args.kernel, args.eps)
 
 
-def _add_kernel_options(parser, default_eps=2.0):
-    parser.add_argument("--kernel", choices=["gaussian", "iq", "imq"],
+def _add_kernel_options(parser, eps=True):
+    parser.add_argument("--kernel", choices=[family.value for family in KernelFamily],
                         default="gaussian", help="radial kernel family")
-    parser.add_argument("--eps", type=float, default=default_eps,
-                        help="shape parameter")
+    if eps:
+        parser.add_argument("--eps", type=float, default=2.0, help="shape parameter")
 
 
 def _frames_for(nodes, spec_text, m, kernel):
@@ -74,8 +75,6 @@ def _frames_for(nodes, spec_text, m, kernel):
 # ---------------------------------------------------------------------------
 
 def _cmd_nodes_gen(args):
-    if args.surface != "sphere":
-        raise RbfSurfError("direct generation is spherical; project afterwards for other surfaces")
     nodes = gen_sphere_nodes(args.n, method=args.method, seed=args.seed)
     save_nodes(nodes, args.out)
     print(f"wrote {len(nodes)} nodes to {args.out}")
@@ -134,7 +133,8 @@ def _cmd_simulate_schaeffer(args):
     kernel = _kernel_from_args(args)
     frames = _frames_for(nodes, args.frames, args.stencil, kernel)
     delta = args.delta if args.delta is not None else 0.15 * pde.estimate_diameter(nodes.points)
-    stim = pde.StimulusSpec(t_stim=args.t_stim, center=nodes.points[args.stim_node],
+    stim = pde.StimulusSpec(t_stim=args.t_stim,
+                            center=nodes.points[check_node_ids(nodes, args.stim_node)],
                             delta=delta)
     run = pde.run_schaeffer(nodes, frames, stim=stim, t_end=args.t_end,
                             probe=args.probe, stim_node=args.stim_node,
@@ -164,16 +164,14 @@ def _cmd_bench_lbo_convergence(args):
     table = experiments.lbo_error_sweep(
         unit_sphere(), _parse_ints(args.n), _parse_ints(args.stencil),
         [args.eps], use_analytic_frames=not args.estimated_frames,
-        family=Kernel.from_name(args.kernel, args.eps).family,
-        seed=args.seed, method=args.method)
+        family=KernelFamily(args.kernel), seed=args.seed, method=args.method)
     _emit_table(table, table.orders(), args)
 
 
 def _cmd_bench_frame_convergence(args):
     normal_table, curvature_table = experiments.frame_error_sweep(
         _parse_ints(args.n), _parse_ints(args.stencil), [args.eps],
-        family=Kernel.from_name(args.kernel, args.eps).family,
-        seed=args.seed, method=args.method)
+        family=KernelFamily(args.kernel), seed=args.seed, method=args.method)
     normal_orders = normal_table.orders()
     curvature_orders = curvature_table.orders()
     rows = [[a.n, a.m, a.eps, a.max_error, b.max_error]
@@ -197,7 +195,7 @@ def _cmd_bench_eps_sweep(args):
     table = experiments.lbo_error_sweep(
         unit_sphere(), args.n, args.stencil, _parse_grid(args.eps_grid),
         use_analytic_frames=not args.estimated_frames,
-        family=Kernel.from_name(args.kernel, 1.0).family,
+        family=KernelFamily(args.kernel),
         node=args.node, seed=args.seed, method=args.method)
     _emit_table(table, None, args)
     if not args.json:
@@ -219,7 +217,6 @@ def build_parser():
     nodes = sub.add_parser("nodes", help="generate or project node sets")
     nodes_sub = nodes.add_subparsers(dest="subcommand", required=True)
     gen = nodes_sub.add_parser("gen", help="generate quasi-uniform sphere nodes")
-    gen.add_argument("--surface", default="sphere")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
     gen.add_argument("--seed", type=int, default=0)
@@ -319,7 +316,7 @@ def build_parser():
     esweep.add_argument("--stencil", type=int, default=16)
     esweep.add_argument("--eps-grid", default="1:8:29",
                         help="comma list or start:stop:count range")
-    esweep.add_argument("--kernel", choices=["gaussian", "iq", "imq"], default="gaussian")
+    _add_kernel_options(esweep, eps=False)
     esweep.add_argument("--estimated-frames", action="store_true")
     esweep.add_argument("--node", type=int, default=None,
                         help="report a single node's error instead of the max")

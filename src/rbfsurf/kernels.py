@@ -107,3 +107,19 @@ class Kernel:
             return -2.0 * e2 / u**2 + 8.0 * e2 * s / u**3
         u = 1.0 + s
         return -e2 * u**-1.5 + 3.0 * e2 * s * u**-2.5
+
+
+def lbo_of_rbf_rows(kernel, r_vectors, distances, normal, kappa):
+    """Closed-form surface Laplacian of phi over stencil rows (..., M).
+
+    With c = (r.n)/r, taken as 0 at r = 0, the row is
+    (1 + c^2 - kappa r.n) phi'/r + (1 - c^2) phi''.  Leading axes of ``r_vectors``
+    (..., M, 3) batch stencils, matched by ``normal`` (..., 3) and ``kappa`` (...).
+    The operator weights use it whole, level-set curvature at kappa = 0.
+    """
+    rn = (r_vectors * normal[..., None, :]).sum(axis=-1)
+    ratio = np.divide(rn, distances, out=np.zeros_like(distances), where=distances > 0)
+    q = ratio * ratio
+    return (1.0 + q - np.asarray(kappa)[..., None] * rn) * kernel.dphi_over_r(distances) + (
+        1.0 - q
+    ) * kernel.d2phi(distances)

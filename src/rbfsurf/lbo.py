@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from ._linalg import check_conditioning, solve_rbf_systems
-from .kernels import Kernel
+from .kernels import Kernel, lbo_of_rbf_rows
 from .nodesets import NodeSet, Stencil, knn_table
 from .surface_geom import SurfaceFrame
 
@@ -68,22 +68,6 @@ class StencilGeometry:
         return self.points.shape[-2]
 
 
-def _lbo_of_rbf_rows(kernel, r_vectors, distances, normal, kappa):
-    """Vectorized closed-form surface Laplacian of phi over stencil rows.
-
-    With c = (r.n)/r the row is (1 + c^2 - kappa r.n) phi'/r + (1 - c^2) phi'',
-    the ambient Laplacian minus the normal-derivative and second-normal
-    terms of a radial function.  Leading axes of ``r_vectors`` (..., M, 3)
-    batch stencils, matched by ``normal`` (..., 3) and ``kappa`` (...).
-    """
-    rn = (r_vectors * normal[..., None, :]).sum(axis=-1)
-    ratio = np.divide(rn, distances, out=np.zeros_like(distances), where=distances > 0)
-    q = ratio * ratio
-    return (1.0 + q - np.asarray(kappa)[..., None] * rn) * kernel.dphi_over_r(distances) + (
-        1.0 - q
-    ) * kernel.d2phi(distances)
-
-
 def lbo_of_rbf(kernel: Kernel, r_vec, normal, kappa):
     """Surface Laplacian of an RBF for a single displacement vector.
 
@@ -92,7 +76,7 @@ def lbo_of_rbf(kernel: Kernel, r_vec, normal, kappa):
     """
     rv = np.asarray(r_vec, dtype=float).reshape(1, 3)
     d = np.linalg.norm(rv, axis=1)
-    return float(_lbo_of_rbf_rows(kernel, rv, d, np.asarray(normal, dtype=float), kappa)[0])
+    return float(lbo_of_rbf_rows(kernel, rv, d, np.asarray(normal, dtype=float), kappa)[0])
 
 
 def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_cond=False):
@@ -105,7 +89,7 @@ def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_con
     alongside the weights.
     """
     m = geom.size
-    rows = _lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal, geom.curvature)
+    rows = lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal, geom.curvature)
     sol, cond = solve_rbf_systems(geom.points.reshape(-1, m, 3),
                                   np.pad(rows.reshape(-1, m), ((0, 0), (0, 1))), kernel)
     if gate:

@@ -55,8 +55,8 @@ class Stencil:
 class NodeSet:
     """N surface sample points in 3D with neighbor-query support.
 
-    Points are validated on construction: at least 4 nodes, and no pair
-    closer than 1e-12.  The point array is read-only afterwards.
+    Points are validated on construction, through ``kdtree``: at least 4
+    nodes, and no pair closer than 1e-12.  The points are read-only afterwards.
     """
 
     def __init__(self, points, label=None):
@@ -67,14 +67,15 @@ class NodeSet:
             raise ValueError(f"need at least 4 nodes, got {len(pts)}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        close = cKDTree(pts).query_pairs(_MIN_SEPARATION)
+        tree = cKDTree(pts)
+        close = tree.query_pairs(_MIN_SEPARATION)
         if close:
             i, j = sorted(close)[0]
             raise ValueError(f"nodes {i} and {j} coincide (separation <= {_MIN_SEPARATION:g})")
         pts.setflags(write=False)
         self.points = pts
+        self.kdtree = tree
         self.label = label
-        self._tree = None
 
     def __len__(self):
         return len(self.points)
@@ -82,13 +83,6 @@ class NodeSet:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"<NodeSet{tag} N={len(self)}>"
-
-    @property
-    def kdtree(self):
-        """Lazily built k-d tree over the points."""
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
 
 
 def load_nodes(source):
@@ -356,6 +350,15 @@ def project_radial(nodes, surface, drop_misses=False):
 # nearest-neighbor stencils
 # ---------------------------------------------------------------------------
 
+def check_node_ids(nodes, ids):
+    """``ids`` as an array; raise ValueError unless every id lies in [0, N)."""
+    ids = np.asarray(ids)
+    bad = ids[(ids < 0) | (ids >= len(nodes))]
+    if bad.size:
+        raise ValueError(f"node id {bad.flat[0]} out of range [0, {len(nodes)})")
+    return ids
+
+
 def knn_table(nodes, m, centers=None):
     """Stencils of many nodes at once: ``(indices, distances)``, (len(centers), m).
 
@@ -363,13 +366,13 @@ def knn_table(nodes, m, centers=None):
     first.  One k-d tree query fetches m + 8 candidates per row; everything
     strictly closer than the farthest candidate is guaranteed fetched, so a
     row whose m-th distance ties the farthest is queried again with twice as many.
-    Raises ValueError unless ``1 <= m <= len(nodes)``.
+    Raises ValueError unless ``1 <= m <= N`` and every center lies in [0, N).
     """
     n = len(nodes)
     if not 1 <= m <= n:
         raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
     pts = nodes.points
-    centers = np.arange(n) if centers is None else np.asarray(centers)
+    centers = np.arange(n) if centers is None else check_node_ids(nodes, centers)
     indices = np.empty((len(centers), m), dtype=np.intp)
     distances = np.empty((len(centers), m))
     todo = np.arange(len(centers))
@@ -395,7 +398,5 @@ def nearest_neighbors(nodes, i, m):
 
     Ties in distance are broken by the smaller node index.
     """
-    if not 0 <= i < len(nodes):
-        raise ValueError(f"node index {i} out of range")
     indices, distances = knn_table(nodes, m, [i])
     return Stencil(i, indices[0, 1:m], distances[0, 1:m])

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DivergenceError, StiffnessError
 from .kernels import Kernel, KernelFamily
 from .lbo import SparseOperator, assemble_operator
-from .nodesets import NodeSet
+from .nodesets import NodeSet, check_node_ids
 from .surface_geom import SurfaceFrame
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,8 @@ class TuringParams:
     def __post_init__(self):
         if not (self.d_u > 0 and self.d_v > 0):
             raise ValueError("diffusion coefficients must be positive")
+        if self.tau1 != 0.0 and self.beta == 0.0:
+            raise ValueError("beta must be nonzero when tau1 != 0 (cross-coupling divides by beta)")
 
     @classmethod
     def spots(cls):
@@ -146,8 +148,6 @@ def turing_reaction(u, v, p: TuringParams):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if p.tau1 != 0.0 and p.beta == 0.0:
-        raise ValueError("beta must be nonzero when tau1 != 0 (cross-coupling divides by beta)")
     ratio = p.alpha * p.tau1 / p.beta if p.tau1 != 0.0 else 0.0
     out, du, dv = _pair(u, v)
     tmp = np.empty_like(du)
@@ -277,6 +277,7 @@ _FAC_MAX = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MIN_STEP_FRACTION = 1e-12
+_MAX_STEPS = 10_000_000
 
 logger = logging.getLogger(__name__)
 
@@ -308,12 +309,12 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
 
 
 def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
-              t_end, rtol=1e-6, atol=1e-9, snapshot_every=None,
-              step_callback=None, max_steps=10_000_000):
+              t_end, rtol=1e-5, atol=1e-8, snapshot_every=None, step_callback=None):
     """Advance the reaction-diffusion state to ``t_end``.
 
-    Steps are accepted when the weighted RMS of the embedded error estimate
-    is at most 1; the step size follows a proportional-integral controller.
+    Steps are accepted when the RMS of the embedded error estimate over
+    ``atol + rtol * max(|y|, |y_new|)`` is at most 1, under a PI step-size
+    controller; ``run_turing`` and ``run_schaeffer`` use the default tolerances.
     Returns the snapshots taken at multiples of ``snapshot_every`` (the
     initial state included) plus the final state.
 
@@ -329,7 +330,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     ValueError
         Before the first step, unless both diffusivities are finite and >= 0.
     StiffnessError
-        If the step size underflows below 1e-12 * t_end.
+        If the step size underflows below 1e-12 * t_end, or after 10^7 steps.
     DivergenceError
         If the state stops being finite.
     """
@@ -397,7 +398,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
 
     while t < t_end - 1e-14 * t_end:
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted at t = {t:g}", time=t)
         h = min(h, t_stop - t)
         if h < h_min:
@@ -502,15 +503,16 @@ def _default_kernel(kernel):
 
 def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringParams] = None,
                preset: Optional[str] = None, seed=0, t_end=2000.0, *, m=31, kernel=None,
-               op=None, rtol=1e-5, atol=1e-8, snapshot_every=None,
-               stop_when_steady=True, steady_tol=1e-4, steady_window=10.0):
+               op=None, snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
     """Integrate the Turing system from a seeded perturbation of the activator.
 
     The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed,
-    the inhibitor starts at zero.  The quasi-steady state is declared once
-    the sup norm of du/dt stays below ``steady_tol`` for ``steady_window``
-    time units; with ``stop_when_steady`` the run then ends early.
+    the inhibitor starts at zero.  With :func:`integrate`'s tolerances the run
+    ends at ``t_end > 0``, or once the sup norm of du/dt (its last value is
+    ``final_rate_inf``) has stayed below ``steady_tol`` for ``steady_window``.
     """
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     if params is None:
         if preset is None:
             raise ValueError("give either params or a preset name")
@@ -524,26 +526,24 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringPara
     state0 = RdState(np.stack([u0, np.zeros(len(nodes))]), 0.0)
     model = TuringModel(params)
 
-    tracker = {"since": None, "steady_at": None, "steps": 0}
+    tracker = {"since": None, "steady_at": None, "steps": 0, "rate": None}
 
     def watch(t, fields, deriv):
         tracker["steps"] += 1
-        rate = float(np.abs(deriv[0]).max())
+        tracker["rate"] = rate = float(np.abs(deriv[0]).max())
         if rate < steady_tol:
             if tracker["since"] is None:
                 tracker["since"] = t
             elif t - tracker["since"] >= steady_window:
                 tracker["steady_at"] = t
-                return stop_when_steady
+                return True
         else:
             tracker["since"] = None
         return False
 
-    states = integrate(model, op, state0, t_end, rtol=rtol, atol=atol,
-                       snapshot_every=snapshot_every, step_callback=watch)
-    final_rate = float(np.abs(model.reaction(states[-1].time, states[-1].fields)[0]
-                              + params.d_u * op.apply(states[-1].fields[0])).max())
-    return TuringRun(states, tracker["steady_at"], final_rate, op, params, tracker["steps"])
+    states = integrate(model, op, state0, t_end, snapshot_every=snapshot_every,
+                       step_callback=watch)
+    return TuringRun(states, tracker["steady_at"], tracker["rate"], op, params, tracker["steps"])
 
 
 def estimate_diameter(points):
@@ -554,14 +554,16 @@ def estimate_diameter(points):
 
 def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, params: Optional[SchaefferParams] = None,
                   stim: Optional[StimulusSpec] = None, t_end=600.0, probe=0, *,
-                  stim_node=0, m=31, kernel=None, op=None, rtol=1e-5, atol=1e-8,
-                  snapshot_every=None):
+                  stim_node=0, m=31, kernel=None, op=None, snapshot_every=None):
     """Integrate the membrane model from rest (v = 0, h = 1) under a stimulus.
 
     The default stimulus lasts 5 ms, is centered at ``stim_node`` and has
     width 0.15 times the geometry diameter.  ``probe`` is a node id or list
-    of ids whose (t, v, h) history is recorded at every accepted step.
+    of ids in [0, N) whose (t, v, h) history is recorded at every accepted
+    step.  The run takes :func:`integrate`'s default tolerances.
     """
+    probes = [probe] if np.isscalar(probe) else list(probe)
+    check_node_ids(nodes, probes + [stim_node])
     params = params or SchaefferParams()
     kernel = _default_kernel(kernel)
     if op is None:
@@ -570,7 +572,6 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, params: Optional[Schaeff
         stim = StimulusSpec(t_stim=5.0, center=nodes.points[stim_node],
                             delta=0.15 * estimate_diameter(nodes.points))
 
-    probes = [probe] if np.isscalar(probe) else list(probe)
     model = SchaefferModel(params, points=nodes.points, stimulus=stim)
     n = len(nodes)
     state0 = RdState(np.stack([np.zeros(n), np.ones(n)]), 0.0)
@@ -583,8 +584,8 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, params: Optional[Schaeff
         h_hist.append(fields[1][probes].copy())
         return False
 
-    states = integrate(model, op, state0, t_end, rtol=rtol, atol=atol,
-                       snapshot_every=snapshot_every, step_callback=record)
+    states = integrate(model, op, state0, t_end, snapshot_every=snapshot_every,
+                       step_callback=record)
     return SchaefferRun(states, probes, np.array(times), np.array(v_hist),
                         np.array(h_hist), op, params, stim)
 

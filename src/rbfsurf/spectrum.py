@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.special import comb
 
 from .lbo import SparseOperator
 
@@ -56,10 +55,10 @@ def eigenvalues(op: SparseOperator):
 
 
 def sphere_multiplicity(k):
-    """Multiplicity of the sphere eigenvalue -k(k+1): C(k+2,2) - C(k,2) = 2k+1."""
+    """Multiplicity 2k + 1 of the sphere eigenvalue -k(k+1)."""
     if k < 0:
         raise ValueError(f"mode index must be nonnegative, got {k}")
-    return int(comb(k + 2, 2, exact=True) - comb(k, 2, exact=True))
+    return 2 * k + 1
 
 
 def stability_report(eigs, k_max, tol, real_part_tol=None):

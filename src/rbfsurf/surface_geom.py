@@ -23,7 +23,7 @@ from scipy.sparse import csgraph
 
 from ._linalg import check_conditioning, solve_rbf_systems
 from .errors import GeometryError
-from .kernels import Kernel
+from .kernels import Kernel, lbo_of_rbf_rows
 from .nodesets import ImplicitSurface, NodeSet, Stencil, knn_table
 
 _COLLINEAR_TOL = 1e-10
@@ -168,16 +168,13 @@ def levelset_curvature(fit: LevelSetFit, x, normal):
     """Curvature div(n) of the fitted level set at a point.
 
     ``normal`` is the unit normal at ``x`` (only its direction squared
-    enters, so the sign does not matter here).
+    enters, so the sign does not matter here).  It is the coefficients times
+    the operator weights' surface-Laplacian row at kappa = 0, over |grad Psi|.
     """
     _, grad_norm = _gradient_norm(fit, x)
     rv = np.asarray(x, dtype=float)[..., None, :] - fit.centers
-    r = np.linalg.norm(rv, axis=-1)
-    rn = np.einsum("...jd,...d->...j", rv, np.asarray(normal, dtype=float))
-    # (r.n)/r -> 0 as r -> 0: the in-surface approach direction is tangent.
-    ratio = np.divide(rn, r, out=np.zeros_like(r), where=r > 0)
-    q = ratio * ratio
-    terms = (1.0 + q) * fit.kernel.dphi_over_r(r) + (1.0 - q) * fit.kernel.d2phi(r)
+    terms = lbo_of_rbf_rows(fit.kernel, rv, np.linalg.norm(rv, axis=-1),
+                            np.asarray(normal, dtype=float), 0.0)
     return (np.einsum("...j,...j->...", fit.coefficients, terms) / grad_norm)[()]
 
 

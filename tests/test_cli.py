@@ -26,8 +26,7 @@ def run_cli(capsys, *argv):
 @pytest.fixture()
 def sphere_file(tmp_path, capsys):
     path = tmp_path / "nodes.txt"
-    code, _, _ = run_cli(capsys, "nodes", "gen", "--surface", "sphere",
-                         "--n", "200", "--out", str(path))
+    code, _, _ = run_cli(capsys, "nodes", "gen", "--n", "200", "--out", str(path))
     assert code == 0
     return path
 
@@ -63,10 +62,13 @@ class TestNodes:
         assert a.read_text() == b.read_text()
 
     def test_gen_rejects_other_surfaces(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "nodes", "gen", "--surface", "schwarz-p",
-                               "--n", "64", "--out", str(tmp_path / "x.txt"))
-        assert code == 2
-        assert "error:" in err
+        # generation is spherical: there is no --surface to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["nodes", "gen", "--surface", "schwarz-p", "--n", "64",
+                  "--out", str(tmp_path / "x.txt")])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
 
     def test_project_with_drop(self, sphere_file, tmp_path, capsys):
         out_path = tmp_path / "proj.txt"
@@ -187,6 +189,40 @@ class TestSimulate:
         header = (out_dir / "snapshot_0000.csv").read_text().splitlines()[0]
         assert header == "x,y,z,v,h"
         assert (out_dir / "snapshot_0000.vtk").exists()
+
+
+class TestNodeIds:
+    """Node ids from the command line must lie in [0, N); nothing is written otherwise."""
+
+    @pytest.mark.parametrize("probe", ["500", "-1"])
+    def test_probe(self, sphere_file, tmp_path, capsys, probe):
+        out_dir = tmp_path / "wave"
+        code, _, err = run_cli(capsys, "simulate", "schaeffer", "--nodes", str(sphere_file),
+                               "--frames", "analytic:sphere", "--t-end", "1",
+                               "--stencil", "15", "--probe", probe, "--out", str(out_dir))
+        assert code == 2
+        assert f"error: node id {probe} out of range [0, 200)" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("stim_node", ["999", "-1"])
+    def test_stim_node(self, sphere_file, tmp_path, capsys, stim_node):
+        out_dir = tmp_path / "wave"
+        code, _, err = run_cli(capsys, "simulate", "schaeffer", "--nodes", str(sphere_file),
+                               "--frames", "analytic:sphere", "--t-end", "1",
+                               "--stencil", "15", "--stim-node", stim_node,
+                               "--out", str(out_dir))
+        assert code == 2
+        assert f"error: node id {stim_node} out of range [0, 200)" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("node", ["400", "-1"])
+    def test_eps_sweep_node(self, tmp_path, capsys, node):
+        csv_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "bench", "eps-sweep", "--n", "150", "--stencil", "11",
+                               "--eps-grid", "2", "--node", node, "--out", str(csv_path))
+        assert code == 2
+        assert f"error: node id {node} out of range [0, 150)" in err
+        assert not csv_path.exists()
 
 
 class TestBench:

@@ -9,9 +9,11 @@ the production weight solve against a hand-rolled dense build solved in
 import mpmath
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
+from rbfsurf._linalg import solve_with_cond
 from rbfsurf.errors import ConditioningError
-from rbfsurf.kernels import Kernel, KernelFamily
+from rbfsurf.kernels import Kernel, KernelFamily, lbo_of_rbf_rows
 from rbfsurf.lbo import (
     SparseOperator,
     StencilGeometry,
@@ -19,7 +21,7 @@ from rbfsurf.lbo import (
     lbo_of_rbf,
     stencil_weights,
 )
-from rbfsurf.nodesets import gen_sphere_nodes, nearest_neighbors, unit_sphere
+from rbfsurf.nodesets import gen_sphere_nodes, knn_table, nearest_neighbors, unit_sphere
 from rbfsurf.surface_geom import SurfaceFrame, analytic_frames
 from rbfsurf.experiments import reference_field, reference_lbo
 
@@ -170,6 +172,47 @@ class TestStencilWeights:
         geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
         with pytest.raises(ConditioningError):
             stencil_weights(geom, Kernel(KernelFamily.GAUSSIAN, 1e-8))
+
+
+def factor_then_solve(A, b):
+    """The two-call form :func:`solve_with_cond` replaced: dgetrf, then dgetrs."""
+    anorm = np.abs(A).sum(axis=1).max(axis=1)
+    x, cond, factors = np.empty(b.shape), np.empty(len(A)), []
+    for k in range(len(A)):
+        lu, piv, info = sla.lapack.dgetrf(A[k])
+        rcond, _ = sla.lapack.dgecon(lu, anorm[k], norm="1")
+        cond[k] = 1.0 / rcond if info == 0 and rcond >= np.finfo(float).eps else np.inf
+        x[k] = sla.lapack.dgetrs(lu, piv, b[k])[0]
+        factors.append((lu, piv))
+    residual = (b - (A.astype(np.longdouble) @ x[..., None])[..., 0]).astype(float)
+    for k, (lu, piv) in enumerate(factors):
+        x[k] += sla.lapack.dgetrs(lu, piv, residual[k])[0]
+    return x, cond
+
+
+class TestLocalSolve:
+    @pytest.mark.parametrize("eps", [2.0, 1.0])
+    def test_one_call_matches_factor_then_solve(self, sphere1000, sphere1000_frames, eps):
+        # 100 weight systems per kernel, M = 31: cond 5e8-7e9 at eps = 2, 2e12-4e13 at eps = 1
+        kernel = Kernel(KernelFamily.GAUSSIAN, eps)
+        indices, _ = knn_table(sphere1000, 31, np.arange(0, 1000, 10))
+        points = sphere1000.points[indices]
+        geom = StencilGeometry.from_points(points, sphere1000_frames.normals[indices[:, 0]],
+                                           sphere1000_frames.curvatures[indices[:, 0]])
+        A = np.ones((len(points), 32, 32))
+        A[:, :31, :31] = kernel.phi(np.linalg.norm(points[:, :, None] - points[:, None], axis=-1))
+        A[:, 31, 31] = 0.0
+        b = np.pad(lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal,
+                                   geom.curvature), ((0, 0), (0, 1)))
+        x, cond = solve_with_cond(A, b)
+        x_ref, cond_ref = factor_then_solve(A, b)
+        assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
+
+    def test_exactly_singular_system_gives_nan(self):
+        A = np.array([[[1.0, 2.0], [2.0, 4.0]]])
+        with np.errstate(invalid="ignore"):
+            x, cond = solve_with_cond(A, np.array([[1.0, 1.0]]))
+        assert np.isnan(x).all() and cond[0] == np.inf
 
 
 @pytest.fixture(scope="module")

@@ -56,6 +56,24 @@ class TestNodeSet:
         with pytest.raises(ValueError):
             nodes.points[0, 0] = 99.0
 
+    def test_one_kdtree_per_nodeset(self, monkeypatch):
+        # the tree that validates the points also answers every neighbor query
+        built = []
+
+        class Counting(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(nodesets, "cKDTree", Counting)
+        nodes = gen_sphere_nodes(100)
+        built.clear()
+        nodes = NodeSet(nodes.points)
+        knn_table(nodes, 12)
+        nearest_neighbors(nodes, 5, 12)
+        estimate_frames(nodes, 12, Kernel(KernelFamily.GAUSSIAN, 2.0))
+        assert built == [100]
+
     def test_holds_a_copy_of_a_view(self):
         # a float64 C-contiguous slice would be taken as is without a copy,
         # and writes through its base would then reach the validated points
@@ -445,6 +463,16 @@ class TestKnnTable:
     def test_stencil_size_out_of_range(self, m):
         with pytest.raises(ValueError, match="1 <= M <= 60"):
             knn_table(gen_sphere_nodes(60), m)
+
+    @pytest.mark.parametrize("centers", [[0, 60], [-1], [3, 100, -5]])
+    def test_centers_out_of_range(self, centers):
+        with pytest.raises(ValueError, match=r"out of range \[0, 60\)"):
+            knn_table(gen_sphere_nodes(60), 7, centers)
+
+    @pytest.mark.parametrize("i", [60, -1])
+    def test_single_center_out_of_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            nearest_neighbors(gen_sphere_nodes(60), i, 7)
 
     def test_center_subset_matches_single_queries(self):
         nodes = gen_sphere_nodes(600)

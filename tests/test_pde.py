@@ -129,10 +129,15 @@ class TestTuringReaction:
         assert dv == pytest.approx(-0.8 * -0.2 + -0.6 * 0.3)
 
     def test_beta_zero_guard(self):
-        p = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=0.0, gamma=-0.6,
+        # the cross-coupling divides by beta: the parameters are rejected once,
+        # so the reaction never sees them
+        with pytest.raises(ValueError, match="beta"):
+            TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=0.0, gamma=-0.6,
                          tau1=0.5, tau2=0.0)
-        with pytest.raises(ValueError):
-            turing_reaction(0.1, 0.1, p)
+        p = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=0.0, gamma=-0.6,
+                         tau1=0.0, tau2=0.0)
+        du, dv = turing_reaction(0.3, -0.2, p)
+        assert dv == pytest.approx(-0.6 * 0.3)
 
     def test_vectorized(self):
         p = TuringParams.spots()
@@ -457,10 +462,11 @@ class TestIntegrate:
         with pytest.raises(StiffnessError):
             integrate(Poisoned(), None, state0, 1.0)
 
-    def test_step_budget(self):
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(pde, "_MAX_STEPS", 2)
         state0 = RdState(np.array([[1.0], [0.0]]), 0.0)
-        with pytest.raises(StiffnessError):
-            integrate(Oscillator(), None, state0, 100.0, max_steps=2)
+        with pytest.raises(StiffnessError, match="step budget"):
+            integrate(Oscillator(), None, state0, 100.0)
 
 
 def stripes_start(nodes):
@@ -568,7 +574,7 @@ class TestRunTuring:
     def test_smoke_run(self, sphere200):
         nodes, frames, op = sphere200
         run = run_turing(nodes, frames, preset="spots", t_end=50.0, op=op,
-                         snapshot_every=25.0, stop_when_steady=False)
+                         snapshot_every=25.0)
         assert [s.time for s in run.states] == pytest.approx([0.0, 25.0, 50.0])
         assert np.all(np.isfinite(run.final.fields))
         assert run.final_rate_inf > 0
@@ -608,6 +614,49 @@ class TestRunTuring:
         nodes, frames, op = sphere200
         run = run_turing(nodes, frames, preset="spots", t_end=5.0, op=op)
         assert run.steps_accepted == len(calls) > 0
+
+    def test_final_rate_is_last_callback_rate(self, sphere200, monkeypatch):
+        derivatives = []
+        integrate_ = pde.integrate
+
+        def recording(*args, step_callback, **kwargs):
+            def callback(t, y, f):
+                derivatives.append(f)
+                return step_callback(t, y, f)
+            return integrate_(*args, step_callback=callback, **kwargs)
+
+        monkeypatch.setattr(pde, "integrate", recording)
+        nodes, frames, op = sphere200
+        run = run_turing(nodes, frames, preset="stripes", t_end=5.0, op=op)
+        assert run.final_rate_inf == np.abs(derivatives[-1][0]).max()
+        # and it is du/dt of the final state, formed anew
+        fields = run.final.fields
+        fresh = (turing_reaction(fields[0], fields[1], run.params)[0]
+                 + run.params.d_u * op.apply(fields[0]))
+        assert run.final_rate_inf == np.abs(fresh).max()
+
+    def test_one_apply_per_rhs_evaluation(self, sphere200, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.pde")
+        nodes, frames, op = sphere200
+        spy = SpyOperator(op)
+        run_turing(nodes, frames, preset="stripes", t_end=5.0, op=spy)
+        (record,) = [r for r in caplog.records if r.name == "rbfsurf.pde"]
+        assert len(spy.shapes) == record.stats["rhs_evals"] > 0
+
+    def test_equals_integrate_with_its_defaults(self, sphere200):
+        nodes, frames, op = sphere200
+        run = run_turing(nodes, frames, preset="stripes", t_end=5.0, op=op, snapshot_every=2.5)
+        states = integrate(TuringModel(TuringParams.stripes()), op,
+                           RdState(stripes_start(nodes), 0.0), 5.0, snapshot_every=2.5)
+        assert run.steady_time is None and len(run.states) == len(states) == 3
+        for a, b in zip(run.states, states):
+            assert a.time == b.time and np.array_equal(a.fields, b.fields)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan])
+    def test_needs_positive_span(self, sphere200, t_end):
+        nodes, frames, op = sphere200
+        with pytest.raises(ValueError, match="t_end"):
+            run_turing(nodes, frames, preset="stripes", t_end=t_end, op=op)
 
 
 @pytest.fixture(scope="module")
@@ -660,6 +709,13 @@ class TestRunSchaeffer:
         run = run_schaeffer(nodes, frames, stim=spec, t_end=1.0, op=op, probe=5)
         assert run.stimulus is spec
 
+    @pytest.mark.parametrize("ids", [{"probe": 200}, {"probe": -1}, {"probe": [0, 500]},
+                                     {"stim_node": 999}, {"stim_node": -1}])
+    def test_node_ids_out_of_range(self, sphere200, ids):
+        nodes, frames, op = sphere200
+        with pytest.raises(ValueError, match=r"out of range \[0, 200\)"):
+            run_schaeffer(nodes, frames, t_end=1.0, op=op, **ids)
+
     def test_scalar_probe(self, sphere200):
         nodes, frames, op = sphere200
         run = run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=7)
@@ -681,8 +737,7 @@ class TestEstimateDiameter:
 @pytest.fixture(scope="module")
 def short_run(sphere200):
     nodes, frames, op = sphere200
-    run = run_turing(nodes, frames, preset="spots", t_end=1.0, op=op,
-                     snapshot_every=0.5, stop_when_steady=False)
+    run = run_turing(nodes, frames, preset="spots", t_end=1.0, op=op, snapshot_every=0.5)
     return nodes, run
 
 
