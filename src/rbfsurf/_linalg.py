@@ -7,6 +7,7 @@ interpolation system, solved many stencils at a time by :func:`solve_rbf_systems
 
 from __future__ import annotations
 
+import logging
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ _CHUNK = 64
 _SHOWN = 10
 _EPS = np.finfo(float).eps
 
+logger = logging.getLogger(__name__)
+
 
 def solve_failed(cond):
     """Which solves failed: those whose cond is not below 1e15 (NaN included)."""
@@ -31,8 +34,16 @@ def check_conditioning(cond, nodes=None):
     """Warn once about estimates (K,) above 1e12; raise once for those of 1e15 and above.
 
     ``nodes``, if given, names the node behind each estimate; the warning
-    then lists the worst nodes and the error every failed one.
+    then lists the worst nodes and the error every failed one.  Before both, one
+    DEBUG record on this module's logger (values also in its ``stats``) gives the
+    count, min, median and max cond, how many exceed 1e12 and the 10 worst nodes.
     """
+    if len(cond) and logger.isEnabledFor(logging.DEBUG):
+        stats = {"systems": len(cond), "cond_min": float(cond.min()),
+                 "cond_median": float(np.median(cond)), "cond_max": float(cond.max()),
+                 "above_warn": int((cond > COND_WARN_LIMIT).sum()), "worst_nodes": None
+                 if nodes is None else np.asarray(nodes)[np.argsort(-cond)[:_SHOWN]].tolist()}
+        logger.debug("conditioning of the local systems: %s", stats, extra={"stats": stats})
     failed = solve_failed(cond)
     poor = (cond > COND_WARN_LIMIT) & ~failed
     if poor.any():
@@ -69,7 +80,7 @@ def solve_with_cond(A, b):
         rcond, _ = sla.lapack.dgecon(lu, anorm[k], norm="1")
         cond[k] = 1.0 / rcond if info == 0 and rcond >= _EPS else np.inf
         factors.append((lu, piv))
-    residual = (b - (A.astype(np.longdouble) @ x[..., None])[..., 0]).astype(float)
+    residual = (b - np.matmul(A, x[..., None], dtype=np.longdouble)[..., 0]).astype(float)
     for k, (lu, piv) in enumerate(factors):
         x[k] += sla.lapack.dgetrs(lu, piv, residual[k])[0]
     return x, cond
@@ -81,20 +92,23 @@ def solve_rbf_systems(centers, rhs, kernel):
     System k interpolates with ``phi(|x - centers[k, j]|)``, j < P, plus a
     constant: the P x P kernel matrix bordered by a row and a column of
     ones, right-hand side ``rhs[k]`` of length P + 1.  No gate is applied.
+
+    Built in place, ``_CHUNK`` at a time: squared distances summed coordinate
+    by coordinate (cdist's roundoff) from a (K, 3, P) copy of the centers into
+    one buffer, rooted in place, then phi written into one bordered matrix.
     """
     n_sys, p, _ = centers.shape
-    sol = np.empty((n_sys, p + 1))
-    cond = np.empty(n_sys)
+    sol, cond = np.empty((n_sys, p + 1)), np.empty(n_sys)
+    size = min(n_sys, _CHUNK)
+    matrices, (r2, delta) = np.empty((size, p + 1, p + 1)), np.empty((2, size, p, p))
+    matrices[:, p], matrices[:, :, p], matrices[:, p, p] = 1.0, 1.0, 0.0
     for start in range(0, n_sys, _CHUNK):
         part = slice(start, start + _CHUNK)
-        c = centers[part]
-        # squares summed coordinate by coordinate: the same roundoff as scipy's cdist
-        r2 = np.zeros((len(c), p, p))
-        for d in range(3):
-            delta = c[:, :, None, d] - c[:, None, :, d]
-            r2 += delta * delta
-        A = np.ones((len(c), p + 1, p + 1))
-        A[:, :p, :p] = kernel.phi(np.sqrt(r2))
-        A[:, p, p] = 0.0
+        c = np.ascontiguousarray(centers[part].transpose(0, 2, 1))
+        A, r, d = matrices[:len(c)], r2[:len(c)], delta[:len(c)]
+        np.square(np.subtract(c[:, 0, :, None], c[:, 0, None, :], out=r), out=r)
+        for axis in (1, 2):
+            r += np.square(np.subtract(c[:, axis, :, None], c[:, axis, None, :], out=d), out=d)
+        kernel._phi_into(np.sqrt(r, out=r), A[:, :p, :p])
         sol[part], cond[part] = solve_with_cond(A, rhs[part])
     return sol, cond

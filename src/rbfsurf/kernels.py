@@ -71,13 +71,18 @@ class Kernel:
 
     def phi(self, r):
         """Evaluate ``phi(r)``. Accepts scalars or arrays; requires ``r >= 0``."""
-        r = _check_radius(r)
-        s = (self.epsilon * r) ** 2
+        r = np.array(_check_radius(r))
+        return self._phi_into(r, r)[()]
+
+    def _phi_into(self, r, out):
+        """Write ``phi(r)`` into ``out`` and return it, using ``r`` (float, >= 0) as scratch."""
+        s = np.square(np.multiply(r, self.epsilon, out=r), out=r)
         if self.family is KernelFamily.GAUSSIAN:
-            return np.exp(-s)
-        if self.family is KernelFamily.INVERSE_QUADRATIC:
-            return 1.0 / (1.0 + s)
-        return 1.0 / np.sqrt(1.0 + s)
+            return np.exp(np.negative(s, out=s), out=out)
+        s += 1.0
+        if self.family is KernelFamily.INVERSE_MULTIQUADRIC:
+            np.sqrt(s, out=s)
+        return np.divide(1.0, s, out=out)
 
     def dphi_over_r(self, r):
         """Evaluate ``phi'(r) / r``, finite for all ``r >= 0``.

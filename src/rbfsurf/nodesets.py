@@ -56,7 +56,8 @@ class NodeSet:
     """N surface sample points in 3D with neighbor-query support.
 
     Points are validated on construction, through ``kdtree``: at least 4
-    nodes, and no pair closer than 1e-12.  The points are read-only afterwards.
+    nodes, and no pair closer than 1e-12.  The points are read-only afterwards, so
+    the tree and the kNN tables stored by :func:`knn_table` (16 N M bytes) never go stale.
     """
 
     def __init__(self, points, label=None):
@@ -75,6 +76,7 @@ class NodeSet:
         pts.setflags(write=False)
         self.points = pts
         self.kdtree = tree
+        self._knn_tables = {}
         self.label = label
 
     def __len__(self):
@@ -351,8 +353,10 @@ def project_radial(nodes, surface, drop_misses=False):
 # ---------------------------------------------------------------------------
 
 def check_node_ids(nodes, ids):
-    """``ids`` as an array; raise ValueError unless every id lies in [0, N)."""
+    """``ids`` as an array; raise ValueError unless every id is an integer in [0, N)."""
     ids = np.asarray(ids)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"node ids must be integers, got {ids.flat[0]!r}")
     bad = ids[(ids < 0) | (ids >= len(nodes))]
     if bad.size:
         raise ValueError(f"node id {bad.flat[0]} out of range [0, {len(nodes)})")
@@ -363,33 +367,38 @@ def knn_table(nodes, m, centers=None):
     """Stencils of many nodes at once: ``(indices, distances)``, (len(centers), m).
 
     Rows are ordered by (exact distance, node index), so the center comes
-    first.  One k-d tree query fetches m + 8 candidates per row; everything
-    strictly closer than the farthest candidate is guaranteed fetched, so a
-    row whose m-th distance ties the farthest is queried again with twice as many.
-    Raises ValueError unless ``1 <= m <= N`` and every center lies in [0, N).
+    first.  One k-d tree query fetches m + 8 candidates per row, in distance
+    order, with the tree's distances (bit for bit the norms of the differences
+    on the shipped sets); only rows holding an exact tie are sorted again, by
+    index.  All points closer than the farthest candidate are fetched, so a
+    row whose m-th distance ties the farthest is queried again with twice as
+    many.  The all-node table (``centers=None``) is stored read-only on the
+    NodeSet, one per M, and returned by later calls.
+    Raises ValueError unless ``1 <= m <= N`` and every center is an integer in [0, N).
     """
     n = len(nodes)
     if not 1 <= m <= n:
         raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
-    pts = nodes.points
-    centers = np.arange(n) if centers is None else check_node_ids(nodes, centers)
-    indices = np.empty((len(centers), m), dtype=np.intp)
-    distances = np.empty((len(centers), m))
-    todo = np.arange(len(centers))
+    if centers is None and m in nodes._knn_tables:
+        return nodes._knn_tables[m]
+    rows = np.arange(n) if centers is None else check_node_ids(nodes, centers)
+    indices, distances = np.empty((len(rows), m), dtype=np.intp), np.empty((len(rows), m))
+    todo = np.arange(len(rows))
     k = min(n, m + 8)
     while len(todo):
-        c = centers[todo]
-        _, cand = nodes.kdtree.query(pts[c], k=k)
-        cand = cand.reshape(len(c), k)
-        d = np.linalg.norm(pts[cand] - pts[c, None], axis=2)
-        order = np.lexsort((cand, d))
-        cand = np.take_along_axis(cand, order, axis=1)
-        d = np.take_along_axis(d, order, axis=1)
+        d, cand = nodes.kdtree.query(nodes.points[rows[todo]], k=k)  # k >= 4: (len(todo), k) each
+        # d is sorted already, so reordering a tie leaves it as it is
+        tied = np.flatnonzero((d[:, 1:] == d[:, :-1]).any(axis=1))
+        cand[tied] = np.take_along_axis(cand[tied], np.lexsort((cand[tied], d[tied])), axis=1)
         done = (d[:, m - 1] < d[:, -1]) | (k == n)
         indices[todo[done]] = cand[done, :m]
         distances[todo[done]] = d[done, :m]
         todo = todo[~done]
         k = min(n, 2 * k)
+    if centers is None:
+        nodes._knn_tables[m] = indices, distances
+        for table in (indices, distances):
+            table.setflags(write=False)
     return indices, distances
 
 

@@ -49,7 +49,8 @@ def eigenvalues(op: SparseOperator):
             f"operator size {op.n} exceeds the dense-eigensolver cap {DENSE_EIG_MAX_N}; "
             "partial spectra are out of scope"
         )
-    eigs = sla.eigvals(op.to_dense())
+    # a Fortran-ordered copy the solver may overwrite: no second dense copy
+    eigs = sla.eigvals(op.matrix.toarray(order="F"), overwrite_a=True)
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]
 

@@ -6,6 +6,7 @@ scoped; tests must not mutate them.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbfsurf.kernels import Kernel, KernelFamily
@@ -14,6 +15,17 @@ from rbfsurf.nodesets import gen_sphere_nodes, load_nodes, unit_sphere
 from rbfsurf.surface_geom import analytic_frames
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def closed_form_phi(kernel, r):
+    """phi as one expression per family, each step a fresh array: the oracle
+    for the in-place evaluation that ``Kernel.phi`` and the local solves use."""
+    s = (kernel.epsilon * r) ** 2
+    if kernel.family is KernelFamily.GAUSSIAN:
+        return np.exp(-s)
+    if kernel.family is KernelFamily.INVERSE_QUADRATIC:
+        return 1.0 / (1.0 + s)
+    return 1.0 / np.sqrt(1.0 + s)
 
 
 def repulsion_nodes(n):

@@ -5,6 +5,8 @@ import pytest
 
 from rbfsurf import Kernel, KernelFamily
 
+from conftest import closed_form_phi
+
 ALL_FAMILIES = list(KernelFamily)
 
 
@@ -84,6 +86,33 @@ class TestPhi:
         k = Kernel(KernelFamily.INVERSE_QUADRATIC, 1.3)
         r = np.array([0.0, 0.4, 1.7])
         np.testing.assert_allclose(k.phi(r), [k.phi(v) for v in r])
+
+
+class TestPhiInPlace:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_matches_closed_form_bit_for_bit(self, family):
+        k = Kernel(family, 2.7)
+        r = np.random.default_rng(3).uniform(0.0, 3.0, (50, 40))
+        r[0, 0] = 0.0
+        assert np.array_equal(k.phi(r), closed_form_phi(k, r))
+        assert np.array_equal(k.phi(r[:, 3]), closed_form_phi(k, r[:, 3]))
+        assert k.phi(0.75) == closed_form_phi(k, np.array([0.75]))[0]
+        assert np.ndim(k.phi(0.75)) == 0
+
+    def test_phi_leaves_input_alone(self):
+        r = np.linspace(0.0, 2.0, 9)
+        Kernel(KernelFamily.INVERSE_MULTIQUADRIC, 1.5).phi(r)
+        assert np.array_equal(r, np.linspace(0.0, 2.0, 9))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_into_strided_block(self, family):
+        # the local solves write phi into the leading block of a bordered matrix
+        k = Kernel(family, 1.3)
+        r = np.random.default_rng(4).uniform(0.0, 2.0, (4, 6, 6))
+        out = np.full((4, 7, 7), -1.0)
+        k._phi_into(r.copy(), out[:, :6, :6])
+        assert np.array_equal(out[:, :6, :6], k.phi(r))
+        assert np.all(out[:, 6] == -1.0) and np.all(out[:, :, 6] == -1.0)
 
 
 class TestDphiOverR:

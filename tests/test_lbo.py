@@ -6,12 +6,15 @@ the production weight solve against a hand-rolled dense build solved in
 50-digit arithmetic.
 """
 
+import logging
+
 import mpmath
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from rbfsurf._linalg import solve_with_cond
+from rbfsurf import lbo, surface_geom
+from rbfsurf._linalg import check_conditioning, solve_rbf_systems, solve_with_cond
 from rbfsurf.errors import ConditioningError
 from rbfsurf.kernels import Kernel, KernelFamily, lbo_of_rbf_rows
 from rbfsurf.lbo import (
@@ -24,6 +27,8 @@ from rbfsurf.lbo import (
 from rbfsurf.nodesets import gen_sphere_nodes, knn_table, nearest_neighbors, unit_sphere
 from rbfsurf.surface_geom import SurfaceFrame, analytic_frames
 from rbfsurf.experiments import reference_field, reference_lbo
+
+from conftest import closed_form_phi
 
 GAUSS2 = Kernel(KernelFamily.GAUSSIAN, 2.0)
 ALL_FAMILIES = list(KernelFamily)
@@ -190,7 +195,59 @@ def factor_then_solve(A, b):
     return x, cond
 
 
+def fresh_rbf_systems(centers, rhs, kernel):
+    """The form :func:`solve_rbf_systems` replaced: each chunk of 64 builds its
+    squared distances from strided views into fresh arrays, copies phi into a
+    matrix of ones, and solves as :func:`factor_then_solve` (which equals
+    :func:`solve_with_cond` bit for bit) with its longdouble copy of A."""
+    n_sys, p, _ = centers.shape
+    sol, cond = np.empty((n_sys, p + 1)), np.empty(n_sys)
+    for start in range(0, n_sys, 64):
+        part = slice(start, start + 64)
+        c = centers[part]
+        r2 = np.zeros((len(c), p, p))
+        for d in range(3):
+            delta = c[:, :, None, d] - c[:, None, :, d]
+            r2 += delta * delta
+        A = np.ones((len(c), p + 1, p + 1))
+        A[:, :p, :p] = closed_form_phi(kernel, np.sqrt(r2))
+        A[:, p, p] = 0.0
+        sol[part], cond[part] = factor_then_solve(A, rhs[part])
+    return sol, cond
+
+
+def captured_systems(monkeypatch, module, run):
+    """The (centers, rhs, kernel) that ``run`` hands to ``module.solve_rbf_systems``."""
+    calls, real = [], module.solve_rbf_systems
+    monkeypatch.setattr(module, "solve_rbf_systems",
+                        lambda *args: calls.append(args) or real(*args))
+    run()
+    (args,) = calls
+    return args
+
+
 class TestLocalSolve:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("kind", ["weights", "levelset"])
+    @pytest.mark.parametrize("count", [100, 1])
+    def test_in_place_build_matches_fresh_form(self, sphere1000, sphere1000_frames, monkeypatch,
+                                               family, kind, count):
+        # 100 systems make a full chunk of 64 and a partial one
+        kernel = Kernel(family, 3.0)
+        centers = np.arange(0, 1000, 10)[:count]
+        if kind == "weights":
+            args = captured_systems(monkeypatch, lbo, lambda: lbo.weight_table(
+                sphere1000, sphere1000_frames, 31, kernel, centers))
+        else:
+            indices, distances = knn_table(sphere1000, 31, centers)
+            args = captured_systems(monkeypatch, surface_geom, lambda: surface_geom._fit_levelsets(
+                sphere1000.points[indices], distances[:, 1], indices[:, 0], kernel))
+        assert args[0].shape == (count, 31 if kind == "weights" else 33, 3)
+        sol, cond = solve_rbf_systems(*args)
+        sol_ref, cond_ref = fresh_rbf_systems(*args)
+        assert np.all(cond < 1e15)
+        assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
+
     @pytest.mark.parametrize("eps", [2.0, 1.0])
     def test_one_call_matches_factor_then_solve(self, sphere1000, sphere1000_frames, eps):
         # 100 weight systems per kernel, M = 31: cond 5e8-7e9 at eps = 2, 2e12-4e13 at eps = 1
@@ -213,6 +270,48 @@ class TestLocalSolve:
         with np.errstate(invalid="ignore"):
             x, cond = solve_with_cond(A, np.array([[1.0, 1.0]]))
         assert np.isnan(x).all() and cond[0] == np.inf
+
+
+class TestConditioningRecord:
+    @staticmethod
+    def records(caplog):
+        return [r for r in caplog.records if r.name == "rbfsurf._linalg"]
+
+    def test_one_record_per_assembly(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf._linalg")
+        nodes = gen_sphere_nodes(200)
+        frames = analytic_frames(unit_sphere(), nodes.points)
+        assemble_operator(nodes, frames, 15, GAUSS2)
+        (record,) = self.records(caplog)
+        assert record.levelno == logging.DEBUG
+        _, _, cond = lbo.weight_table(nodes, frames, 15, GAUSS2)
+        assert record.stats == {
+            "systems": 200, "cond_min": cond.min(), "cond_median": np.median(cond),
+            "cond_max": cond.max(), "above_warn": 0,
+            "worst_nodes": np.argsort(-cond)[:10].tolist()}
+        assert "'systems': 200" in record.getMessage()
+
+    def test_failing_batch_logs_before_raising(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf._linalg")
+        cond = np.array([1e3, 5e12, np.inf, 2e15])
+        with pytest.warns(UserWarning, match="1 of 4 above"), pytest.raises(ConditioningError):
+            check_conditioning(cond, [7, 8, 9, 10])
+        (record,) = self.records(caplog)
+        assert record.stats == {"systems": 4, "cond_min": 1e3, "cond_median": (5e12 + 2e15) / 2,
+                                "cond_max": np.inf, "above_warn": 3, "worst_nodes": [9, 10, 8, 7]}
+
+    def test_without_nodes(self, sphere1000, sphere1000_frames, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf._linalg")
+        st = nearest_neighbors(sphere1000, 0, 15)
+        _, cond = stencil_weights(StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames),
+                                  GAUSS2, return_cond=True)
+        (record,) = self.records(caplog)
+        assert record.stats["systems"] == 1 and record.stats["worst_nodes"] is None
+        assert record.stats["cond_min"] == record.stats["cond_max"] == cond
+
+    def test_silent_by_default(self):
+        log = logging.getLogger("rbfsurf._linalg")
+        assert log.level == logging.NOTSET and not log.handlers
 
 
 @pytest.fixture(scope="module")

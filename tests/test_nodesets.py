@@ -21,6 +21,7 @@ from rbfsurf import (
 from rbfsurf import nodesets
 from rbfsurf.experiments import lbo_error_sweep
 from rbfsurf.kernels import Kernel, KernelFamily
+from rbfsurf.lbo import assemble_operator
 from rbfsurf.nodesets import knn_table
 from rbfsurf.surface_geom import estimate_frames
 
@@ -481,3 +482,73 @@ class TestKnnTable:
             st = nearest_neighbors(nodes, i, 31)
             np.testing.assert_array_equal(indices[row], st.all_indices())
             np.testing.assert_array_equal(distances[row, 1:], st.neighbor_distances)
+
+
+class CountingTree:
+    """Stands in for ``NodeSet.kdtree``: records the size and k of every query."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, []
+
+    def query(self, x, k):
+        self.queries.append((len(x), k))
+        return self.tree.query(x, k=k)
+
+
+class TestStoredTables:
+    def test_one_query_per_nodeset_and_m(self):
+        nodes = gen_sphere_nodes(300)
+        nodes.kdtree = CountingTree(nodes.kdtree)
+        kernel = Kernel(KernelFamily.GAUSSIAN, 2.0)
+        frames = estimate_frames(nodes, 31, kernel)
+        assemble_operator(nodes, frames, 31, kernel)
+        assert nodes.kdtree.queries == [(300, 39)]
+        assemble_operator(nodes, frames, 15, kernel)
+        knn_table(nodes, 15)
+        assert nodes.kdtree.queries == [(300, 39), (300, 23)]
+
+    def test_stored_table_read_only(self):
+        nodes = gen_sphere_nodes(100)
+        indices, distances = knn_table(nodes, 12)
+        again = knn_table(nodes, 12)
+        assert again[0] is indices and again[1] is distances
+        with pytest.raises(ValueError):
+            indices[0, 0] = 1
+        with pytest.raises(ValueError):
+            distances[0, 0] = 1.0
+
+    def test_explicit_centers_match_stored_rows(self):
+        nodes = gen_sphere_nodes(600)
+        nodes.kdtree = CountingTree(nodes.kdtree)
+        centers = [599, 5, 333, 5]
+        indices, distances = knn_table(nodes, 31, centers)
+        stored = knn_table(nodes, 31)
+        # an explicit-centers call is computed afresh and stores nothing
+        assert nodes.kdtree.queries == [(4, 39), (600, 39)]
+        assert indices.flags.writeable
+        np.testing.assert_array_equal(indices, stored[0][centers])
+        np.testing.assert_array_equal(distances, stored[1][centers])
+
+    @pytest.mark.parametrize("n", [1000, 2000, 4000, "schwarz"])
+    def test_tree_distances_equal_norms(self, n):
+        # the table keeps the distances the tree returned; on the shipped
+        # sets they are the norms of the differences bit for bit
+        if n == "schwarz":
+            nodes = project_radial(repulsion_nodes(1800), schwarz_p(), drop_misses=True)
+        else:
+            nodes = repulsion_nodes(n)
+        indices, distances = knn_table(nodes, 31)
+        pts = nodes.points
+        np.testing.assert_array_equal(
+            distances, np.linalg.norm(pts[indices] - pts[:, None], axis=2))
+
+
+class TestNodeIdTypes:
+    @pytest.mark.parametrize("centers", [[1.5], [True, False], np.array([2.0])])
+    def test_knn_table_rejects_non_integer_ids(self, centers):
+        with pytest.raises(ValueError, match="must be integers"):
+            knn_table(gen_sphere_nodes(60), 7, centers)
+
+    def test_nearest_neighbors_rejects_float_id(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            nearest_neighbors(gen_sphere_nodes(60), 3.0, 7)

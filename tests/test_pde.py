@@ -716,6 +716,11 @@ class TestRunSchaeffer:
         with pytest.raises(ValueError, match=r"out of range \[0, 200\)"):
             run_schaeffer(nodes, frames, t_end=1.0, op=op, **ids)
 
+    def test_non_integer_probe_rejected(self, sphere200):
+        nodes, frames, op = sphere200
+        with pytest.raises(ValueError, match="must be integers"):
+            run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=2.5)
+
     def test_scalar_probe(self, sphere200):
         nodes, frames, op = sphere200
         run = run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=7)

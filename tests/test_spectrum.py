@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 from scipy import sparse
 
 from rbfsurf.kernels import Kernel, KernelFamily
@@ -42,6 +43,16 @@ class TestEigenvalues:
         eigs = eigenvalues(SparseOperator(rot, stencil_size=2))
         assert eigs[0] == pytest.approx(1j)
         assert eigs[1] == pytest.approx(-1j)
+
+    def test_matches_dense_eigvals(self):
+        # the Fortran-ordered copy the solver overwrites gives the same spectrum
+        nodes = gen_sphere_nodes(200)
+        op = assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 15,
+                               Kernel(KernelFamily.GAUSSIAN, 2.0))
+        dense = op.to_dense()
+        ref = sla.eigvals(dense)
+        assert np.array_equal(eigenvalues(op), ref[np.lexsort((-ref.imag, -ref.real))])
+        assert np.array_equal(dense, op.to_dense())
 
     def test_size_cap(self):
         big = sparse.identity(DENSE_EIG_MAX_N + 1, format="csr")
