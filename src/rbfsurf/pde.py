@@ -9,6 +9,8 @@ model for cardiac excitation.  Both advance the semidiscrete system
 with an embedded Dormand-Prince 5(4) pair under proportional-integral step
 control.  Each right-hand side applies the operator only to the fields that
 diffuse (nonzero D): both Turing fields, the membrane voltage alone.
+The Turing reaction is du = alpha u + v - g, dv = gamma u + beta v + g with
+g = u v (alpha tau1 v + tau2): g enters with opposite signs, so du + dv is linear.
 
 A step works in one (8, 2, N) array: the state, then the seven stage
 derivatives.  Each stage input y + h sum_j a_sj k_j is one BLAS
@@ -139,36 +141,27 @@ def turing_reaction(u, v, p: TuringParams):
     """Reaction pair (du, dv) of the activator-inhibitor system, as one (2, ...) array.
 
     The cubic-coupling BVAM form (Barrio, Varea, Aragon & Maini, Bull. Math.
-    Biol. 61 (1999)) that the preset parameter tables belong to:
+    Biol. 61 (1999)) that the preset parameter tables belong to, expanded around
+    its nonlinear term g, which enters the two rates with opposite signs.  It is
+    evaluated in place in 11 ufunc calls and divides no coefficient by another:
 
-        du = alpha u (1 - tau1 v^2) + v (1 - tau2 u)
-        dv = beta v (1 + (alpha tau1 / beta) u v) + u (gamma + tau2 v)
-
-    evaluated in place, in the order the formulas are written.
+        g  = u v (alpha tau1 v + tau2)
+        du = alpha u + v - g
+        dv = gamma u + beta v + g
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    ratio = p.alpha * p.tau1 / p.beta if p.tau1 != 0.0 else 0.0
     out, du, dv = _pair(u, v)
-    tmp = np.empty_like(du)
-    np.multiply(p.tau1, v, out=tmp)
-    tmp *= v
-    np.subtract(1.0, tmp, out=tmp)
-    np.multiply(p.alpha, u, out=du)
-    du *= tmp
-    np.multiply(p.tau2, u, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    tmp *= v
-    du += tmp
-    np.multiply(ratio, u, out=tmp)
-    tmp *= v
-    tmp += 1.0
-    np.multiply(p.beta, v, out=dv)
-    dv *= tmp
-    np.multiply(p.tau2, v, out=tmp)
-    tmp += p.gamma
-    tmp *= u
-    dv += tmp
+    np.multiply(p.gamma, u, out=dv)
+    np.multiply(p.beta, v, out=du)
+    dv += du
+    np.multiply(p.alpha * p.tau1, v, out=du)
+    du += p.tau2
+    du *= u
+    du *= v  # du = g
+    dv += du
+    np.subtract(v, du, out=du)
+    du += p.alpha * u
     return out
 
 
@@ -337,9 +330,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
     if op is not None and state0.fields.shape[1] != op.n:
-        raise ValueError(
-            f"state has {state0.fields.shape[1]} nodes but operator has {op.n}"
-        )
+        raise ValueError(f"state has {state0.fields.shape[1]} nodes but operator has {op.n}")
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError("snapshot_every must be positive")
 

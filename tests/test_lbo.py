@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy import sparse
 
 from rbfsurf import lbo, surface_geom
 from rbfsurf._linalg import check_conditioning, solve_rbf_systems, solve_with_cond
@@ -314,6 +315,38 @@ class TestConditioningRecord:
         assert log.level == logging.NOTSET and not log.handlers
 
 
+class TestOperatorHealthRecord:
+    @staticmethod
+    def records(caplog):
+        return [r for r in caplog.records if r.name == "rbfsurf.lbo"]
+
+    def test_one_record_per_assembly(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.lbo")
+        nodes = gen_sphere_nodes(200)
+        op = assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 15, GAUSS2)
+        (record,) = self.records(caplog)
+        assert record.levelno == logging.DEBUG
+        # row sums nearly cancel: two summation orders agree to roundoff of the weights
+        sums, tol = np.abs(op.to_dense().sum(axis=1)), 1e-13 * np.abs(op.matrix.data).max()
+        radii = [np.sort(np.linalg.norm(nodes.points - x, axis=1))[14] for x in nodes.points]
+        stats = record.stats
+        assert stats["rowsum_max"] == pytest.approx(sums.max(), abs=tol)
+        assert sums[stats["rowsum_argmax"]] == pytest.approx(sums.max(), abs=tol)
+        assert [stats["radius_min"], stats["radius_median"], stats["radius_max"]] == pytest.approx(
+            [min(radii), np.median(radii), max(radii)], rel=1e-14)
+        assert "rowsum_max" in record.getMessage()
+
+    def test_silent_and_free_by_default(self, caplog, monkeypatch):
+        log = logging.getLogger("rbfsurf.lbo")
+        assert log.level == logging.NOTSET and not log.handlers
+        # below DEBUG the stats are not even computed
+        caplog.set_level(logging.INFO, logger="rbfsurf.lbo")
+        monkeypatch.setattr(SparseOperator, "row_sums", lambda self: pytest.fail("computed"))
+        nodes = gen_sphere_nodes(60)
+        assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 7, GAUSS2)
+        assert not self.records(caplog)
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     nodes = gen_sphere_nodes(200)
@@ -410,6 +443,25 @@ class TestSparseOperator:
             for row, field in zip(got, fields):
                 assert np.array_equal(row, op.apply(field))
 
+    def test_apply_is_matmul_bit_for_bit(self, small_setup):
+        # the kernel call behind `matrix @ row`, on every field layout the
+        # package applies and on 64-bit index arrays
+        nodes, _, op = small_setup
+        rng = np.random.default_rng(13)
+        wide = sparse.csr_matrix(op.matrix, copy=True)
+        wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+        wide_op = SparseOperator(wide, stencil_size=op.stencil_size)
+        assert wide_op.matrix.indices.dtype == wide_op.matrix.indptr.dtype == np.int64
+        state = rng.standard_normal((2, op.n))
+        cases = [(op, state[0]), (op, state), (op, nodes.points.T), (op, nodes.points[:, 1]),
+                 (wide_op, state), (op, rng.integers(-5, 5, op.n))]
+        for operator, field in cases:
+            got = operator.apply(field)
+            assert got.shape == field.shape and got.dtype == np.float64
+            assert not np.shares_memory(got, field)
+            rows = np.atleast_2d(field)
+            assert np.array_equal(np.atleast_2d(got), [operator.matrix @ row for row in rows])
+
     def test_apply_length_mismatch(self, small_setup):
         _, _, op = small_setup
         with pytest.raises(ValueError):
@@ -440,6 +492,14 @@ class TestSparseOperator:
         with pytest.raises(ValueError):
             SparseOperator.load(path)
 
+    @pytest.mark.parametrize("header", ["3 0", "-2 3", "2 3"],
+                             ids=["no-entries-per-row", "negative-size", "stencil-above-size"])
+    def test_load_rejects_bad_sizes(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="N >= 1 and 1 <= M <= N"):
+            SparseOperator.load(path)
+
     @pytest.mark.parametrize("body, message", [
         ("0 0 1.0\n0 1 -1.0\n1 1 1.0\n", "row 1 has 1 entries"),
         ("0 0 1.0\n0 0 2.0\n1 0 1.0\n1 1 -1.0\n", "row 0 repeats a column"),
@@ -453,7 +513,5 @@ class TestSparseOperator:
             SparseOperator.load(path)
 
     def test_non_square_rejected(self):
-        from scipy import sparse
-
         with pytest.raises(ValueError):
             SparseOperator(sparse.csr_matrix(np.ones((2, 3))), stencil_size=3)

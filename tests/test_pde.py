@@ -8,6 +8,7 @@ from spatial discretization error.
 
 import logging
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -148,6 +149,46 @@ class TestTuringReaction:
         du0, dv0 = turing_reaction(u[2], v[2], p)
         assert du[2] == pytest.approx(du0)
         assert dv[2] == pytest.approx(dv0)
+
+
+LINEAR = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=-0.8, gamma=-0.6, tau1=0.0, tau2=0.0)
+BVAM_CASES = pytest.mark.parametrize(
+    "p", [TuringParams.stripes(), TuringParams.spots(), LINEAR], ids=["stripes", "spots", "linear"])
+
+
+class TestTuringReactionOracle:
+    """The BVAM rates against 50-digit evaluations of the same double inputs."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(21)
+        return rng.uniform(-2.0, 2.0, 300), rng.uniform(-2.0, 2.0, 300)
+
+    @BVAM_CASES
+    def test_matches_mpmath(self, p):
+        u, v = self.inputs()
+        du, dv = turing_reaction(u, v, p)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            a, b, c, t1, t2 = map(mpmath.mpf, (p.alpha, p.beta, p.gamma, p.tau1, p.tau2))
+            for k, (x, y) in enumerate(zip(map(mpmath.mpf, u), map(mpmath.mpf, v))):
+                g = x * y * (a * t1 * y + t2)
+                g_scale = abs(x * y) * (abs(a * t1 * y) + abs(t2))
+                # a few roundings, each relative to the size of the terms it combines
+                du_scale = abs(a * x) + abs(y) + g_scale
+                dv_scale = abs(c * x) + abs(b * y) + g_scale
+                assert abs(mpmath.mpf(du[k]) - (a * x + y - g)) <= 4 * eps * du_scale
+                assert abs(mpmath.mpf(dv[k]) - (c * x + b * y + g)) <= 4 * eps * dv_scale
+
+    @BVAM_CASES
+    def test_nonlinear_term_cancels_in_sum(self, p):
+        u, v = self.inputs()
+        du, dv = turing_reaction(u, v, p)
+        linear = (p.alpha + p.gamma) * u + (1.0 + p.beta) * v
+        g_scale = np.abs(u * v) * (np.abs(p.alpha * p.tau1 * v) + abs(p.tau2))
+        scale = (np.abs(p.alpha * u) + np.abs(v) + np.abs(p.gamma * u) + np.abs(p.beta * v)
+                 + 2 * g_scale)
+        assert np.all(np.abs(du + dv - linear) <= 8 * np.finfo(float).eps * scale)
 
 
 class TestSchaefferReaction:
