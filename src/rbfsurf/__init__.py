@@ -22,7 +22,6 @@ from .nodesets import (
     ImplicitSurface,
     NodeSet,
     Stencil,
-    SurfaceKind,
     gen_sphere_nodes,
     load_nodes,
     nearest_neighbors,
@@ -48,7 +47,6 @@ from .lbo import (
     SparseOperator,
     StencilGeometry,
     assemble_operator,
-    lbo_of_rbf,
     stencil_weights,
 )
 from .spectrum import (
@@ -88,14 +86,13 @@ __all__ = [
     "ConditioningError", "DivergenceError", "GeometryError", "NodeFileError",
     "ProjectionError", "RbfSurfError", "StiffnessError",
     "Kernel", "KernelFamily",
-    "ImplicitSurface", "NodeSet", "Stencil", "SurfaceKind",
+    "ImplicitSurface", "NodeSet", "Stencil",
     "gen_sphere_nodes", "load_nodes", "nearest_neighbors", "project_radial",
     "save_nodes", "schwarz_p", "surface_by_name", "unit_sphere",
     "LevelSetFit", "SurfaceFrame", "analytic_frames",
     "estimate_frames", "fit_levelset", "levelset_curvature",
     "levelset_gradient", "levelset_normal", "load_frames", "save_frames",
-    "SparseOperator", "StencilGeometry", "assemble_operator",
-    "lbo_of_rbf", "stencil_weights",
+    "SparseOperator", "StencilGeometry", "assemble_operator", "stencil_weights",
     "SpectrumReport", "eigenvalues", "save_spectrum_csv",
     "sphere_multiplicity", "stability_report",
     "RdState", "SchaefferModel", "SchaefferParams", "StimulusSpec",

@@ -10,7 +10,7 @@ in the output rather than fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import solve_failed
 from .kernels import Kernel, KernelFamily
 from .lbo import weight_table
-from .nodesets import ImplicitSurface, NodeSet, SurfaceKind, gen_sphere_nodes, unit_sphere
+from .nodesets import ImplicitSurface, NodeSet, gen_sphere_nodes, unit_sphere
 from .surface_geom import analytic_frames, estimate_frames
 
 _MIN_FIT_POINTS = 3
@@ -43,7 +43,7 @@ def reference_lbo(points):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (N, M, eps) cell of a sweep."""
+    """One (N, M, eps) cell of a sweep; the fields are the output columns, in order."""
 
     n: int
     m: int
@@ -58,10 +58,6 @@ class ConvergenceTable:
     """Sweep rows plus the least-squares order fits they support."""
 
     rows: list
-    columns = ("n", "m", "eps", "max_error", "max_cond", "failures")
-
-    def column(self, name):
-        return np.array([getattr(row, name) for row in self.rows])
 
     def orders(self):
         """Fitted order mu for each stencil size present in the table."""
@@ -132,7 +128,7 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
     are re-estimated per cell with the same stencil size and kernel.
     ``node`` restricts the error to a single node id.
     """
-    if surface.kind is not SurfaceKind.UNIT_SPHERE:
+    if surface.name != "sphere":
         raise ValueError("the analytic reference field lives on the unit sphere")
     ns = [n] if np.isscalar(n) else list(n)
     ms = [m] if np.isscalar(m) else list(m)
@@ -182,18 +178,16 @@ def frame_error_sweep(n, m, eps_grid, *, family=KernelFamily.GAUSSIAN,
 
 def save_table_csv(table: ConvergenceTable, path):
     """Write sweep rows as CSV, one header row naming every column."""
-    data = np.array([[row.n, row.m, row.eps, row.max_error, row.max_cond, row.failures]
-                     for row in table.rows])
-    np.savetxt(path, data, fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%d"],
-               delimiter=",", header=",".join(table.columns), comments="")
+    np.savetxt(path, np.array([astuple(row) for row in table.rows]),
+               fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%d"],
+               delimiter=",", header=",".join(f.name for f in fields(SweepRow)), comments="")
 
 
 def table_report(table: ConvergenceTable, orders: Optional[dict] = None):
     """Plain dict view of a table (rows plus optional fitted orders)."""
     report = {
-        "columns": list(table.columns),
-        "rows": [[row.n, row.m, row.eps, row.max_error, row.max_cond, row.failures]
-                 for row in table.rows],
+        "columns": [f.name for f in fields(SweepRow)],
+        "rows": [list(astuple(row)) for row in table.rows],
     }
     if orders is not None:
         report["orders"] = {str(m): mu for m, mu in orders.items()}

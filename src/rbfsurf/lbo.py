@@ -72,17 +72,6 @@ class StencilGeometry:
         return self.points.shape[-2]
 
 
-def lbo_of_rbf(kernel: Kernel, r_vec, normal, kappa):
-    """Surface Laplacian of an RBF for a single displacement vector.
-
-    At ``r = 0`` the tangential-approach limit applies: ``(r.n)/r := 0``, so
-    the value reduces to ``phi'(r)/r|_0 + phi''(0)``.
-    """
-    rv = np.asarray(r_vec, dtype=float).reshape(1, 3)
-    d = np.linalg.norm(rv, axis=1)
-    return float(lbo_of_rbf_rows(kernel, rv, d, np.asarray(normal, dtype=float), kappa)[0])
-
-
 def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_cond=False):
     """Solve the augmented weight system for one stencil, or a batch of them.
 
@@ -152,6 +141,8 @@ class SparseOperator:
         matrix = sparse.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator must be square")
+        if np.iscomplexobj(matrix.data):
+            raise ValueError(f"operator must be real, got dtype {matrix.dtype}")
         self.matrix = matrix
         self.n = matrix.shape[0]
         self.stencil_size = int(stencil_size)
@@ -170,9 +161,6 @@ class SparseOperator:
 
     def row_sums(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def to_dense(self):
-        return self.matrix.toarray()
 
     def save(self, path):
         """Text format: header ``N M``, then 0-based ``row col weight`` triplets."""

@@ -8,7 +8,6 @@ broken by node index.
 
 from __future__ import annotations
 
-import enum
 import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -139,22 +138,16 @@ def save_nodes(nodes, path):
 # implicit surfaces
 # ---------------------------------------------------------------------------
 
-class SurfaceKind(enum.Enum):
-    UNIT_SPHERE = "sphere"
-    SCHWARZ_P = "schwarz-p"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class ImplicitSurface:
     """A surface given as the zero set of a scalar field F.
 
-    ``F`` maps points of shape (..., 3) to scalars; ``gradF`` to (..., 3).
-    ``hessF`` (optional, (..., 3, 3)) enables analytic curvature; both
-    built-in surfaces supply it.
+    ``name`` is the surface's CLI name.  ``F`` maps points of shape (..., 3)
+    to scalars; ``gradF`` to (..., 3).  ``hessF`` (optional, (..., 3, 3))
+    enables analytic curvature; both built-in surfaces supply it.
     """
 
-    kind: SurfaceKind
+    name: str
     F: Callable[[np.ndarray], np.ndarray]
     gradF: Callable[[np.ndarray], np.ndarray]
     hessF: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -175,7 +168,7 @@ def unit_sphere():
         eye = 2.0 * np.eye(3)
         return np.broadcast_to(eye, p.shape[:-1] + (3, 3)).copy()
 
-    return ImplicitSurface(SurfaceKind.UNIT_SPHERE, F, gradF, hessF)
+    return ImplicitSurface("sphere", F, gradF, hessF)
 
 
 def schwarz_p():
@@ -198,14 +191,14 @@ def schwarz_p():
             out[..., a, a] = diag[..., a]
         return out
 
-    return ImplicitSurface(SurfaceKind.SCHWARZ_P, F, gradF, hessF)
+    return ImplicitSurface("schwarz-p", F, gradF, hessF)
 
 
 def surface_by_name(name):
     """Look up a built-in surface by its CLI name."""
-    surfaces = {"sphere": unit_sphere, "schwarz-p": schwarz_p}
+    surfaces = {s.name: s for s in (unit_sphere(), schwarz_p())}
     try:
-        return surfaces[name]()
+        return surfaces[name]
     except KeyError:
         raise ValueError(f"unknown surface {name!r}; expected one of {sorted(surfaces)}") from None
 
@@ -344,7 +337,7 @@ def project_radial(nodes, surface, drop_misses=False):
             i = start + int(np.argmin(hit))
             raise ProjectionError(f"no surface crossing along ray of node {i}", node_index=i)
         projected.append(points[hit])
-    label = f"{nodes.label or 'nodes'}>{surface.kind.value}"
+    label = f"{nodes.label or 'nodes'}>{surface.name}"
     return NodeSet(np.concatenate(projected), label=label)
 
 

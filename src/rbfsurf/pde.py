@@ -56,8 +56,6 @@ class TuringParams:
     def __post_init__(self):
         if not (self.d_u > 0 and self.d_v > 0):
             raise ValueError("diffusion coefficients must be positive")
-        if self.tau1 != 0.0 and self.beta == 0.0:
-            raise ValueError("beta must be nonzero when tau1 != 0 (cross-coupling divides by beta)")
 
     @classmethod
     def spots(cls):
@@ -488,14 +486,11 @@ class SchaefferRun:
         return float(self.probe_t[above[0]]) if len(above) else None
 
 
-def _default_kernel(kernel):
-    return kernel if kernel is not None else Kernel(KernelFamily.GAUSSIAN, 2.0)
-
-
-def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringParams] = None,
-               preset: Optional[str] = None, seed=0, t_end=2000.0, *, m=31, kernel=None,
-               op=None, snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
-    """Integrate the Turing system from a seeded perturbation of the activator.
+def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: Optional[str] = None, seed=0,
+               t_end=2000.0, *, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0), op=None,
+               snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
+    """Integrate the Turing system with ``TuringParams.preset(preset)`` from a seeded
+    perturbation of the activator.
 
     The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed,
     the inhibitor starts at zero.  With :func:`integrate`'s tolerances the run
@@ -504,11 +499,7 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, params: Optional[TuringPara
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if params is None:
-        if preset is None:
-            raise ValueError("give either params or a preset name")
-        params = TuringParams.preset(preset)
-    kernel = _default_kernel(kernel)
+    params = TuringParams.preset(preset)
     if op is None:
         op = assemble_operator(nodes, frames, m, kernel)
 
@@ -543,10 +534,11 @@ def estimate_diameter(points):
     return 2.0 * float(np.linalg.norm(points - points.mean(axis=0), axis=1).max())
 
 
-def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, params: Optional[SchaefferParams] = None,
-                  stim: Optional[StimulusSpec] = None, t_end=600.0, probe=0, *,
-                  stim_node=0, m=31, kernel=None, op=None, snapshot_every=None):
-    """Integrate the membrane model from rest (v = 0, h = 1) under a stimulus.
+def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, stim: Optional[StimulusSpec] = None,
+                  t_end=600.0, probe=0, *, stim_node=0, m=31,
+                  kernel=Kernel(KernelFamily.GAUSSIAN, 2.0), op=None, snapshot_every=None):
+    """Integrate the membrane model, default :class:`SchaefferParams`, from rest
+    (v = 0, h = 1) under a stimulus.
 
     The default stimulus lasts 5 ms, is centered at ``stim_node`` and has
     width 0.15 times the geometry diameter.  ``probe`` is a node id or list
@@ -555,8 +547,7 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, params: Optional[Schaeff
     """
     probes = [probe] if np.isscalar(probe) else list(probe)
     check_node_ids(nodes, probes + [stim_node])
-    params = params or SchaefferParams()
-    kernel = _default_kernel(kernel)
+    params = SchaefferParams()
     if op is None:
         op = assemble_operator(nodes, frames, m, kernel)
     if stim is None:

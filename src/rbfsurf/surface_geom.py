@@ -82,10 +82,6 @@ class SurfaceFrame:
     def __len__(self):
         return len(self.curvatures)
 
-    def flipped(self):
-        """Frames with every normal (and hence curvature) sign-flipped."""
-        return SurfaceFrame(-self.normals, -self.curvatures)
-
 
 def _fit_levelsets(points, h, nodes, kernel):
     """Batched :class:`LevelSetFit` of K stencils ``points`` (K, M, 3), center first.

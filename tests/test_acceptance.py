@@ -66,7 +66,7 @@ def test_02_shape_parameter_sweep_has_interior_minimum(capsys):
     # error on the right, best accuracy strictly inside
     eps_grid = np.geomspace(0.1, 8.0, 14)
     table = lbo_error_sweep(unit_sphere(), 1000, 16, eps_grid)
-    err = table.column("max_error")
+    err = np.array([row.max_error for row in table.rows])
     err = np.where(np.isfinite(err), err, np.inf)
     k = int(np.argmin(err))
     elapsed = time.perf_counter() - t0
@@ -261,7 +261,7 @@ def test_08_weights_match_dense_solve_and_sparse_apply(capsys, sphere1000,
             ref = _dense_oracle_weights(geom, GAUSS2)
             worst = max(worst, np.abs(w - ref).max() / np.abs(ref).max())
     field = rng.standard_normal(len(sphere1000))
-    dense = sphere1000_op.to_dense() @ field
+    dense = sphere1000_op.matrix.toarray() @ field
     apply_err = np.abs(sphere1000_op.apply(field) - dense).max() / np.abs(dense).max()
     elapsed = time.perf_counter() - t0
     _finish(capsys, 8, "production weights against an exact dense solve",

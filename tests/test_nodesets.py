@@ -212,8 +212,8 @@ class TestImplicitSurfaces:
                 np.testing.assert_allclose(s.gradF(x), fd, rtol=1e-6, atol=1e-8)
 
     def test_surface_by_name(self):
-        assert surface_by_name("sphere").kind is unit_sphere().kind
-        assert surface_by_name("schwarz-p").kind is schwarz_p().kind
+        assert surface_by_name("sphere").name == unit_sphere().name == "sphere"
+        assert surface_by_name("schwarz-p").name == schwarz_p().name == "schwarz-p"
         with pytest.raises(ValueError):
             surface_by_name("torus")
 

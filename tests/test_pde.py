@@ -130,15 +130,14 @@ class TestTuringReaction:
         assert dv == pytest.approx(-0.8 * -0.2 + -0.6 * 0.3)
 
     def test_beta_zero_guard(self):
-        # the cross-coupling divides by beta: the parameters are rejected once,
-        # so the reaction never sees them
-        with pytest.raises(ValueError, match="beta"):
-            TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=0.0, gamma=-0.6,
-                         tau1=0.5, tau2=0.0)
+        # no rate divides by beta, so beta = 0 with the cubic coupling on is a valid model
         p = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=0.0, gamma=-0.6,
-                         tau1=0.0, tau2=0.0)
-        du, dv = turing_reaction(0.3, -0.2, p)
-        assert dv == pytest.approx(-0.6 * 0.3)
+                         tau1=0.5, tau2=0.1)
+        u, v = 0.3, -0.2
+        du, dv = turing_reaction(u, v, p)
+        g = u * v * (0.7 * 0.5 * v + 0.1)
+        assert du == pytest.approx(0.7 * u + v - g)
+        assert dv == pytest.approx(-0.6 * u + g)
 
     def test_vectorized(self):
         p = TuringParams.spots()
@@ -359,7 +358,7 @@ class TestIntegrate:
         z = nodes.points[:, 2]
         state0 = RdState(np.stack([z, np.zeros_like(z)]), 0.0)
         states = integrate(PureDiffusion(), op, state0, 0.5, rtol=1e-8, atol=1e-11)
-        ref = expm(0.5 * op.to_dense()) @ z
+        ref = expm(0.5 * op.matrix.toarray()) @ z
         assert np.abs(states[-1].fields[0] - ref).max() <= 1e-8
 
     def test_tolerance_ordering(self):
@@ -628,7 +627,7 @@ class TestRunTuring:
         assert np.array_equal(a.final.fields, b.final.fields)
         assert not np.array_equal(a.final.fields, c.final.fields)
 
-    def test_needs_params_or_preset(self, sphere200):
+    def test_needs_preset(self, sphere200):
         nodes, frames, op = sphere200
         with pytest.raises(ValueError):
             run_turing(nodes, frames, op=op)

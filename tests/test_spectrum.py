@@ -49,10 +49,10 @@ class TestEigenvalues:
         nodes = gen_sphere_nodes(200)
         op = assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 15,
                                Kernel(KernelFamily.GAUSSIAN, 2.0))
-        dense = op.to_dense()
+        dense = op.matrix.toarray()
         ref = sla.eigvals(dense)
         assert np.array_equal(eigenvalues(op), ref[np.lexsort((-ref.imag, -ref.real))])
-        assert np.array_equal(dense, op.to_dense())
+        assert np.array_equal(dense, op.matrix.toarray())
 
     def test_size_cap(self):
         big = sparse.identity(DENSE_EIG_MAX_N + 1, format="csr")

@@ -232,12 +232,6 @@ class TestSurfaceFrame:
         with pytest.raises(ValueError):
             SurfaceFrame(np.zeros((5, 3)), np.zeros(4))
 
-    def test_flipped(self):
-        f = SurfaceFrame(np.eye(3)[None, 0].repeat(4, 0), np.full(4, 2.0))
-        g = f.flipped()
-        np.testing.assert_array_equal(g.normals, -f.normals)
-        np.testing.assert_array_equal(g.curvatures, -f.curvatures)
-
     def test_read_only_copies(self):
         # a write after construction would get past the finiteness check
         normals, curvatures = np.eye(3)[None, 0].repeat(4, 0), np.full(4, 2.0)
