@@ -24,7 +24,7 @@ from .nodesets import (
     surface_by_name,
     unit_sphere,
 )
-from .spectrum import eigenvalues, save_spectrum_csv, stability_report
+from .spectrum import SHIFT, eigenvalues, save_spectrum_csv, stability_report
 from .surface_geom import analytic_frames, estimate_frames, load_frames, save_frames
 
 
@@ -106,9 +106,11 @@ def _cmd_lbo_build(args):
 
 def _cmd_spectrum(args):
     op = SparseOperator.load(args.operator)
-    eigs = eigenvalues(op)
-    report = stability_report(eigs, k_max=args.kmax, tol=args.tol)
-    save_spectrum_csv(report, args.out)
+    # the disc reaches the far corner of the last cluster's box (real part within
+    # tol of -kmax(kmax+1), imaginary part within tol), so every cluster is complete
+    radius = float(np.hypot(args.kmax * (args.kmax + 1) + args.tol + SHIFT, args.tol))
+    report = stability_report(eigenvalues(op, radius=radius), k_max=args.kmax, tol=args.tol)
+    save_spectrum_csv(report, args.out, op.n, radius)
     print(f"max real part {report.max_real_part:.3e} "
           f"({'unstable' if report.unstable else 'stable'})")
     for row in report.cluster_table:
@@ -250,7 +252,7 @@ def build_parser():
     build.add_argument("--out", required=True)
     build.set_defaults(func=_cmd_lbo_build)
 
-    spec = sub.add_parser("spectrum", help="dense spectrum and stability report")
+    spec = sub.add_parser("spectrum", help="partial sparse spectrum (ARPACK) and stability report")
     spec.add_argument("--operator", required=True)
     spec.add_argument("--kmax", type=int, default=4)
     spec.add_argument("--tol", type=float, default=0.5)

@@ -5,18 +5,36 @@ needs every eigenvalue of the differentiation matrix in the left half-plane.
 On the unit sphere the exact surface-Laplacian spectrum is known
 (``-k(k+1)`` with multiplicity ``2k+1``), which gives a sharp correctness
 check for the low modes.
+
+Both checks need only a few eigenvalues, so ``eigenvalues`` computes a
+partial spectrum with sparse ARPACK (Lehoucq, Sorensen & Yang, *ARPACK
+Users' Guide*, SIAM 1998) and never forms the dense matrix: every eigenvalue
+in a disc around ``SHIFT``, the rightmost ones outside it, and the one of
+largest magnitude, which keeps the operator's scale for the roundoff
+tolerance of ``stability_report``.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
+from .errors import RbfSurfError
 from .lbo import SparseOperator
 
-DENSE_EIG_MAX_N = 5000
+# center of the disc and shift-invert pole, just right of the stable half-plane
+SHIFT = 0.5
+# covers the sphere clusters k <= 6 (down to -42) at cluster tolerance 0.5
+DISC_RADIUS = 50.0
+_FIRST_K = 64
+_FAR_K = 6
+_FAR_TOL = 1e-6
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -38,21 +56,56 @@ class SpectrumReport:
     unstable: bool
 
 
-def eigenvalues(op: SparseOperator):
-    """Full spectrum of the operator, sorted by real part descending.
+def _arpack(matrix, k, **options):
+    """k eigenvalues from ARPACK's ``eigs``, started from a fixed random vector."""
+    n = matrix.shape[0]
+    # a vector of ones is an exact eigenvector of these operators (zero row sums)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        return eigs(matrix, k=k, v0=v0, return_eigenvectors=False, **options)
+    except ArpackNoConvergence as exc:
+        call = ", ".join(f"{key}={value!r}" for key, value in {"k": k, **options}.items())
+        raise RbfSurfError(f"ARPACK eigs({call}) did not converge on the N = {n} operator: "
+                           f"{exc}") from exc
 
-    Uses a dense general eigensolver; capped at N = 5000 since the
-    stability check is a once-per-configuration diagnostic.
+
+def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
+    """Partial spectrum of the operator, sorted by real part descending.
+
+    Holds every eigenvalue within ``radius`` of ``SHIFT``, found by
+    shift-invert: k starts at 64 and doubles until the farthest eigenvalue
+    returned lies outside the disc, so the disc is complete.  Outside the disc
+    it adds the 6 rightmost eigenvalues and the largest in magnitude, both
+    to relative tolerance 1e-6.  Ties in the real part sort by imaginary part
+    descending.  Raises ``ValueError`` when the disc needs k >= N - 1, which
+    ARPACK cannot do, and ``RbfSurfError`` when ARPACK does not converge.
+    With DEBUG on, one record on this module's logger (values also in its
+    ``stats``) gives N, the eigenvalue count, the radius, the final k, the
+    largest real part, the largest magnitude and the seconds taken.
     """
-    if op.n > DENSE_EIG_MAX_N:
-        raise ValueError(
-            f"operator size {op.n} exceeds the dense-eigensolver cap {DENSE_EIG_MAX_N}; "
-            "partial spectra are out of scope"
-        )
-    # a Fortran-ordered copy the solver may overwrite: no second dense copy
-    eigs = sla.eigvals(op.matrix.toarray(order="F"), overwrite_a=True)
-    order = np.lexsort((-eigs.imag, -eigs.real))
-    return eigs[order]
+    started = time.perf_counter()
+    n, matrix = op.n, op.matrix
+    k = 0
+    while k == 0 or np.abs(near - SHIFT).max() <= radius:
+        if k >= n - 2:
+            raise ValueError(
+                f"the disc of radius {radius:g} around {SHIFT:g} holds more than {k} of the "
+                f"N = {n} eigenvalues, and ARPACK needs k < N - 1; solve densely instead")
+        k = min(max(2 * k, _FIRST_K), n - 2)
+        near = _arpack(matrix, k, sigma=SHIFT)
+    right = _arpack(matrix, min(_FAR_K, n - 2), which="LR", tol=_FAR_TOL)
+    largest = _arpack(matrix, 1, which="LM", tol=_FAR_TOL)
+    # the largest is new only when it lies left of every rightmost one
+    far = np.concatenate([right, largest[largest.real < right.real.min()]])
+    found = np.concatenate([near[np.abs(near - SHIFT) <= radius],
+                            far[np.abs(far - SHIFT) > radius]])
+    found = found[np.lexsort((-found.imag, -found.real))]
+    if logger.isEnabledFor(logging.DEBUG):
+        stats = {"n": n, "eigenvalues": len(found), "radius": float(radius), "k": k,
+                 "abscissa": float(found.real.max()), "abs_max": float(np.abs(found).max()),
+                 "seconds": time.perf_counter() - started}
+        logger.debug("partial spectrum: %s", stats, extra={"stats": stats})
+    return found
 
 
 def sphere_multiplicity(k):
@@ -68,11 +121,20 @@ def stability_report(eigs, k_max, tol, real_part_tol=None):
     For each k up to ``k_max``, counts eigenvalues with real part within
     ``tol`` of ``-k(k+1)`` and imaginary part at most ``tol`` in magnitude.
     ``unstable`` flags any real part above ``real_part_tol``, by default
-    the roundoff level ``len(eigs) * eps * max|lambda|`` of a dense solve.
+    ``len(eigs) * eps * max|lambda|``.  Over the partial spectrum of
+    ``eigenvalues`` that count is K, not N: the largest-magnitude eigenvalue
+    it holds keeps the operator's scale, and the tolerance is N / K times
+    tighter than the roundoff level of a dense solve.  Raises ``ValueError``
+    on an empty or non-finite spectrum and on a negative ``k_max``.
     """
     if not tol > 0:
         raise ValueError(f"cluster tolerance must be positive, got {tol}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     eigs = np.asarray(eigs, dtype=complex)
+    if eigs.size == 0 or not np.isfinite(eigs).all():
+        raise ValueError(f"need a nonempty, finite spectrum, got {eigs.size} eigenvalues "
+                         f"of which {int((~np.isfinite(eigs)).sum())} are not finite")
     if real_part_tol is None:
         real_part_tol = len(eigs) * np.finfo(float).eps * float(np.abs(eigs).max())
     table = []
@@ -90,12 +152,16 @@ def stability_report(eigs, k_max, tol, real_part_tol=None):
     )
 
 
-def save_spectrum_csv(report: SpectrumReport, path):
-    """Write ``re,im`` rows followed by a commented cluster-table summary."""
+def save_spectrum_csv(report: SpectrumReport, path, n, radius):
+    """Write ``re,im`` rows, then commented lines: what part of the N
+    eigenvalues they are (``eigenvalues`` with this ``radius``) and the report."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re,im\n")
         for lam in report.eigenvalues:
             fh.write(f"{lam.real:.17g},{lam.imag:.17g}\n")
+        fh.write(f"# partial spectrum: {len(report.eigenvalues)} of {n} eigenvalues, every one "
+                 f"within {radius:g} of {SHIFT:g}, then those of the {_FAR_K} rightmost and of the "
+                 "largest in magnitude that lie outside that disc\n")
         fh.write(f"# max_real_part = {report.max_real_part:.6e}\n")
         fh.write(f"# max_imag_abs = {report.max_imag_abs:.6e}\n")
         fh.write(f"# unstable = {report.unstable}\n")

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rbfsurf.cli import _parse_grid, _parse_ints, main
 from rbfsurf.lbo import SparseOperator
@@ -156,8 +157,34 @@ class TestGeomAndOperator:
                                "--kmax", "2", "--out", str(spec_path))
         assert code == 0
         assert "stable" in out
-        assert "k=2" in out
-        assert spec_path.read_text().startswith("re,im")
+        assert "k=2 target=-6 matched=5 expected=5" in out
+        text = spec_path.read_text()
+        assert text.startswith("re,im")
+        # radius hypot(2 * 3 + 0.5 + 0.5, 0.5): the far corner of the k = 2 cluster box
+        assert " of 200 eigenvalues, every one within 7.01783 of 0.5," in text
+
+    def test_spectrum_above_old_dense_cap(self, tmp_path, capsys):
+        # upper bidiagonal, so its eigenvalues are its diagonal 0, -1, ..., -5000;
+        # the last row stores a zero so that every row holds M = 2 entries
+        n = 5001
+        rows = np.repeat(np.arange(n), 2)
+        cols = np.column_stack([np.arange(n), (np.arange(n) + 1) % n]).ravel()
+        vals = np.column_stack([-np.arange(n, dtype=float),
+                                np.r_[np.full(n - 1, 0.5), 0.0]]).ravel()
+        op_path, spec_path = tmp_path / "op.txt", tmp_path / "spec.csv"
+        SparseOperator(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)), 2).save(op_path)
+        code, out, _ = run_cli(capsys, "spectrum", "--operator", str(op_path),
+                               "--kmax", "2", "--out", str(spec_path))
+        assert code == 0
+        assert "(stable)" in out
+        lines = spec_path.read_text().splitlines()
+        eigs = np.array([complex(*map(float, ln.split(",")))
+                         for ln in lines[1:] if not ln.startswith("#")])
+        # the disc for kmax = 2 at tol 0.5 holds 0, -1, ..., -6, the rest of the
+        # six rightmost lie in it too, and the largest magnitude comes last
+        assert np.allclose(eigs[:7], -np.arange(7.0), rtol=0, atol=1e-9)
+        assert len(eigs) == 8 and eigs[-1] == pytest.approx(-5000.0, rel=1e-6)
+        assert any(ln.startswith(f"# partial spectrum: 8 of {n} eigenvalues") for ln in lines)
 
 
 class TestSimulate:

@@ -1,15 +1,23 @@
-"""Eigenvalue diagnostics: sorting, sphere clusters, stability flags."""
+"""Eigenvalue diagnostics: the partial spectrum against a dense oracle,
+sorting, sphere clusters, stability flags."""
+
+import logging
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 from scipy import sparse
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from rbfsurf import spectrum
+from rbfsurf.errors import RbfSurfError
 from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import SparseOperator, assemble_operator
 from rbfsurf.nodesets import gen_sphere_nodes, unit_sphere
 from rbfsurf.spectrum import (
-    DENSE_EIG_MAX_N,
+    DISC_RADIUS,
+    SHIFT,
     eigenvalues,
     save_spectrum_csv,
     sphere_multiplicity,
@@ -17,9 +25,32 @@ from rbfsurf.spectrum import (
 )
 from rbfsurf.surface_geom import analytic_frames
 
+# eigenvalues inside the disc come from shift-invert at ARPACK's default
+# (machine-precision) tolerance; on the sphere operators they agree with the
+# dense solve to about 1e-12
+DISC_BOUND = 1e-9
+# the largest magnitude comes from eigs(which="LM", tol=1e-6)
+FAR_RTOL = 1e-6
+# far eigenvalues of the synthetic operators below: outside the default disc
+FAR = -60.0 - np.arange(97)
 
-def diag_operator(values):
-    return SparseOperator(sparse.diags(values).tocsr(), stencil_size=1)
+
+def dense_eigenvalues(op):
+    """The full spectrum by a dense general eigensolve, sorted as ``eigenvalues``
+    sorts: the oracle for the partial spectrum."""
+    eigs = sla.eigvals(op.matrix.toarray())
+    return eigs[np.lexsort((-eigs.imag, -eigs.real))]
+
+
+def sphere_op(n, m):
+    nodes = gen_sphere_nodes(n)
+    return assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), m,
+                             Kernel(KernelFamily.GAUSSIAN, 2.0))
+
+
+def block_operator(*blocks):
+    matrix = sparse.block_diag(blocks, format="csr")
+    return SparseOperator(matrix, stencil_size=max(np.diff(matrix.indptr)))
 
 
 class TestSphereMultiplicity:
@@ -33,31 +64,114 @@ class TestSphereMultiplicity:
 
 class TestEigenvalues:
     def test_sorted_by_real_part(self):
-        eigs = eigenvalues(diag_operator([-3.0, -1.0, -2.0]))
-        assert np.allclose(eigs, [-1.0, -2.0, -3.0])
+        eigs = eigenvalues(block_operator(sparse.diags(np.r_[-3.0, -1.0, -2.0, FAR])))
+        # the disc part, then the six rightmost and the largest magnitude outside it
+        assert np.allclose(eigs, [-1.0, -2.0, -3.0, -60.0, -61.0, -62.0, -156.0])
 
     def test_complex_pair_order(self):
         # rotation block: eigenvalues +-i share the real part, the positive
         # imaginary one sorts first
-        rot = sparse.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        eigs = eigenvalues(SparseOperator(rot, stencil_size=2))
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        eigs = eigenvalues(block_operator(rot, sparse.diags(FAR)))
         assert eigs[0] == pytest.approx(1j)
         assert eigs[1] == pytest.approx(-1j)
 
-    def test_matches_dense_eigvals(self):
-        # the Fortran-ordered copy the solver overwrites gives the same spectrum
-        nodes = gen_sphere_nodes(200)
-        op = assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 15,
-                               Kernel(KernelFamily.GAUSSIAN, 2.0))
-        dense = op.matrix.toarray()
-        ref = sla.eigvals(dense)
-        assert np.array_equal(eigenvalues(op), ref[np.lexsort((-ref.imag, -ref.real))])
-        assert np.array_equal(dense, op.matrix.toarray())
+    def test_disc_grows_until_complete(self, caplog):
+        # 100 eigenvalues in the disc: k = 64 ends inside it, k = 128 beyond
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.spectrum")
+        inside = -0.4 * np.arange(100.0)
+        eigs = eigenvalues(block_operator(sparse.diags(np.r_[inside, FAR])))
+        assert np.allclose(eigs, np.r_[inside, -156.0], rtol=0, atol=DISC_BOUND)
+        assert caplog.records[-1].stats["k"] == 128
 
-    def test_size_cap(self):
-        big = sparse.identity(DENSE_EIG_MAX_N + 1, format="csr")
-        with pytest.raises(ValueError):
-            eigenvalues(SparseOperator(big, stencil_size=1))
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        sparse.diags([-3.0, -1.0, -2.0]),
+        # every eigenvalue in the disc: it needs k = N, and ARPACK k < N - 1
+        sparse.diags(-0.1 * np.arange(100.0)),
+    ], ids=["2x2", "3x3", "all-in-disc"])
+    def test_too_small_for_arpack(self, matrix):
+        with pytest.raises(ValueError, match="ARPACK needs k < N - 1"):
+            eigenvalues(block_operator(matrix))
+
+    def test_far_growing_mode_found_once(self):
+        # a growing mode far outside the disc is both the rightmost and the
+        # largest eigenvalue: the LR part finds it, and it is kept once
+        op = sphere_op(200, 15)
+        eigs = eigenvalues(block_operator(op.matrix, np.array([[1000.0]])))
+        assert np.sum(np.abs(eigs - 1000.0) < 1000.0 * FAR_RTOL) == 1
+        report = stability_report(eigs, 2, 0.5)
+        assert report.unstable and report.max_real_part == pytest.approx(1000.0)
+        assert [row.matched for row in report.cluster_table] == [1, 3, 5]
+
+    def test_reruns_bit_identical(self):
+        op = sphere_op(200, 15)
+        first, second = eigenvalues(op), eigenvalues(op)
+        assert first.tobytes() == second.tobytes()
+
+    def test_no_convergence_is_one_clear_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr(spectrum, "eigs", stalled)
+        with pytest.raises(RbfSurfError, match=r"ARPACK eigs\(k=64, sigma=0.5\) did not "
+                                               r"converge on the N = 200 operator"):
+            eigenvalues(sphere_op(200, 15))
+
+
+@pytest.fixture(scope="module", params=[(200, 15), (400, 21), (1000, 31)],
+                ids=["sphere200", "sphere400", "sphere1000"])
+def sphere_pair(request):
+    op = sphere_op(*request.param)
+    return eigenvalues(op), dense_eigenvalues(op)
+
+
+class TestAgainstDenseOracle:
+    def test_disc_eigenvalues_found_exactly_once(self, sphere_pair):
+        eigs, dense = sphere_pair
+        dist = np.abs(dense - SHIFT)
+        # no dense eigenvalue so near the circle that the bound decides its side
+        assert np.abs(dist - DISC_RADIUS).min() > DISC_BOUND
+        inside = dense[dist <= DISC_RADIUS]
+        found = eigs[np.abs(eigs - SHIFT) <= DISC_RADIUS]
+        assert len(found) == len(inside)
+        gap = np.abs(inside[:, None] - found[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= DISC_BOUND
+
+    def test_largest_magnitude(self, sphere_pair):
+        eigs, dense = sphere_pair
+        assert np.abs(eigs).max() == pytest.approx(np.abs(dense).max(), rel=FAR_RTOL)
+
+    def test_clusters_and_verdict_equal(self, sphere_pair):
+        eigs, dense = sphere_pair
+        for real_part_tol in (None, 1e-6):
+            sparse_rep = stability_report(eigs, 6, 0.5, real_part_tol)
+            dense_rep = stability_report(dense, 6, 0.5, real_part_tol)
+            assert sparse_rep.cluster_table == dense_rep.cluster_table
+            assert sparse_rep.unstable == dense_rep.unstable
+
+
+class TestDebugRecord:
+    @staticmethod
+    def records(caplog):
+        return [r for r in caplog.records if r.name == "rbfsurf.spectrum"]
+
+    def test_one_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.spectrum")
+        eigs = eigenvalues(sphere_op(200, 15))
+        (record,) = self.records(caplog)
+        assert record.levelno == logging.DEBUG
+        stats = record.stats
+        assert stats.pop("seconds") > 0
+        assert stats == {"n": 200, "eigenvalues": len(eigs), "radius": DISC_RADIUS, "k": 64,
+                         "abscissa": eigs.real.max(), "abs_max": np.abs(eigs).max()}
+        assert "'n': 200" in record.getMessage()
+
+    def test_silent_by_default(self):
+        log = logging.getLogger("rbfsurf.spectrum")
+        assert log.level == logging.NOTSET and not log.handlers
 
 
 class TestStabilityReport:
@@ -89,13 +203,25 @@ class TestStabilityReport:
         with pytest.raises(ValueError):
             stability_report(np.array([0.0]), 1, 0.0)
 
+    @pytest.mark.parametrize("eigs", [np.array([np.nan, -2.0]), np.array([-2.0, np.inf]),
+                                      np.array([-2.0, complex(0.0, np.nan)])],
+                             ids=["nan", "inf", "nan-imag"])
+    def test_nonfinite_rejected(self, eigs):
+        with pytest.raises(ValueError, match="not finite"):
+            stability_report(eigs, 1, 0.5)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            stability_report(np.array([]), 1, 0.5)
+
+    def test_negative_kmax_rejected(self):
+        with pytest.raises(ValueError, match="k_max"):
+            stability_report(np.array([0.0, -2.0]), -1, 0.5)
+
 
 @pytest.fixture(scope="module")
 def report():
-    nodes = gen_sphere_nodes(400)
-    frames = analytic_frames(unit_sphere(), nodes.points)
-    op = assemble_operator(nodes, frames, 21, Kernel(KernelFamily.GAUSSIAN, 2.0))
-    return stability_report(eigenvalues(op), 3, 0.5)
+    return stability_report(eigenvalues(sphere_op(400, 21)), 3, 0.5)
 
 
 class TestSphereOperatorSpectrum:
@@ -109,7 +235,7 @@ class TestSphereOperatorSpectrum:
 
     def test_csv_round_trip(self, report, tmp_path):
         path = tmp_path / "spec.csv"
-        save_spectrum_csv(report, path)
+        save_spectrum_csv(report, path, 400, DISC_RADIUS)
         lines = path.read_text().splitlines()
         assert lines[0] == "re,im"
         data = np.array(
@@ -118,6 +244,8 @@ class TestSphereOperatorSpectrum:
         eigs = data[:, 0] + 1j * data[:, 1]
         assert np.array_equal(eigs, report.eigenvalues)
         comments = [ln for ln in lines if ln.startswith("#")]
+        assert comments[0].startswith(
+            f"# partial spectrum: {len(eigs)} of 400 eigenvalues, every one within 50 of 0.5")
         assert any("max_real_part" in ln for ln in comments)
         # one commented table row per cluster
         assert sum("," in ln for ln in comments) >= len(report.cluster_table)
