@@ -21,7 +21,6 @@ from .kernels import Kernel, KernelFamily
 from .nodesets import (
     ImplicitSurface,
     NodeSet,
-    Stencil,
     gen_sphere_nodes,
     load_nodes,
     nearest_neighbors,
@@ -32,13 +31,11 @@ from .nodesets import (
     unit_sphere,
 )
 from .surface_geom import (
-    LevelSetFit,
     SurfaceFrame,
     analytic_frames,
     estimate_frames,
     fit_levelset,
     levelset_curvature,
-    levelset_gradient,
     levelset_normal,
     load_frames,
     save_frames,
@@ -86,12 +83,11 @@ __all__ = [
     "ConditioningError", "DivergenceError", "GeometryError", "NodeFileError",
     "ProjectionError", "RbfSurfError", "StiffnessError",
     "Kernel", "KernelFamily",
-    "ImplicitSurface", "NodeSet", "Stencil",
+    "ImplicitSurface", "NodeSet",
     "gen_sphere_nodes", "load_nodes", "nearest_neighbors", "project_radial",
     "save_nodes", "schwarz_p", "surface_by_name", "unit_sphere",
-    "LevelSetFit", "SurfaceFrame", "analytic_frames",
-    "estimate_frames", "fit_levelset", "levelset_curvature",
-    "levelset_gradient", "levelset_normal", "load_frames", "save_frames",
+    "SurfaceFrame", "analytic_frames", "estimate_frames", "fit_levelset",
+    "levelset_curvature", "levelset_normal", "load_frames", "save_frames",
     "SparseOperator", "StencilGeometry", "assemble_operator", "stencil_weights",
     "SpectrumReport", "eigenvalues", "save_spectrum_csv",
     "sphere_multiplicity", "stability_report",

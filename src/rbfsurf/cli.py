@@ -24,7 +24,8 @@ from .nodesets import (
     surface_by_name,
     unit_sphere,
 )
-from .spectrum import SHIFT, eigenvalues, save_spectrum_csv, stability_report
+from .spectrum import (SHIFT, check_cluster_options, eigenvalues, save_spectrum_csv,
+                       stability_report)
 from .surface_geom import analytic_frames, estimate_frames, load_frames, save_frames
 
 
@@ -105,6 +106,7 @@ def _cmd_lbo_build(args):
 
 
 def _cmd_spectrum(args):
+    check_cluster_options(args.kmax, args.tol)  # before the load and the ARPACK solve
     op = SparseOperator.load(args.operator)
     # the disc reaches the far corner of the last cluster's box (real part within
     # tol of -kmax(kmax+1), imaginary part within tol), so every cluster is complete

@@ -6,10 +6,12 @@ a point with unit normal ``n`` and curvature ``kappa``, has the closed form
     (1 + (r.n)^2/r^2 - kappa*(r.n)) * phi'(r)/r
     + (1 - (r.n)^2/r^2) * phi''(r)
 
-with ``r`` the vector from the evaluation point to ``x_i``.  Per-stencil
+with ``r`` the vector from the evaluation point to ``x_i``.  Each stencil's
 weights come from the augmented interpolation system (constant term
-included, which forces every weight row to sum to zero); rows are stacked
-into a sparse N x N differentiation matrix.
+included, which forces every weight row to sum to zero), all stencils solved
+as one batch; rows are stacked into a sparse N x N differentiation matrix.
+``StencilGeometry`` and ``stencil_weights`` are one-stencil entry points to
+the same batched solve, kept for the benchmark's per-layer probes.
 """
 
 from __future__ import annotations
@@ -31,64 +33,38 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class StencilGeometry:
-    """Geometry of one weight solve: stencil points plus the center's frame.
+    """One stencil's points (M, 3), center first, and the center's normal and curvature."""
 
-    ``r_vectors[j] = center - points[j]`` (so the first row is zero), and
-    ``distances`` are their norms.  Leading axes of every field, before the
-    stencil and coordinate axes, index a batch of stencils.
-    """
-
-    center: np.ndarray
     points: np.ndarray
-    r_vectors: np.ndarray
-    distances: np.ndarray
     normal: np.ndarray
     curvature: float
 
     @classmethod
-    def from_points(cls, points, normal, curvature):
-        """Build from stencil points (center first) and the center's frame."""
-        points = np.asarray(points, dtype=float)
-        center = points[..., 0, :]
-        r_vectors = center[..., None, :] - points
-        return cls(
-            center=center,
-            points=points,
-            r_vectors=r_vectors,
-            distances=np.linalg.norm(r_vectors, axis=-1),
-            normal=np.asarray(normal, dtype=float),
-            curvature=np.asarray(curvature, dtype=float)[()],
-        )
-
-    @classmethod
     def from_stencil(cls, nodes: NodeSet, stencil: Stencil, frames: SurfaceFrame):
         i = stencil.center_index
-        return cls.from_points(
-            nodes.points[stencil.all_indices()], frames.normals[i], frames.curvatures[i]
-        )
+        return cls(nodes.points[stencil.all_indices()], frames.normals[i], frames.curvatures[i])
 
-    @property
-    def size(self):
-        return self.points.shape[-2]
+
+def _weight_rows(points, normals, curvatures, kernel):
+    """Weight rows (K, M) and cond (K,) of K stencils ``points`` (K, M, 3), center first.
+
+    The unknown of the constant basis function is solved for and discarded;
+    its constraint row makes each row sum to zero.  No gate is applied.
+    """
+    r = points[:, :1] - points
+    rows = lbo_of_rbf_rows(kernel, r, np.linalg.norm(r, axis=-1), normals, curvatures)
+    sol, cond = solve_rbf_systems(points, np.pad(rows, ((0, 0), (0, 1))), kernel)
+    return sol[:, :-1], cond
 
 
 def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_cond=False):
-    """Solve the augmented weight system for one stencil, or a batch of them.
-
-    Returns the M weights; the extra unknown attached to the constant basis
-    function is solved for and discarded.  The constraint row makes the
-    weights sum to zero, which is exactness on constants.  With
-    ``return_cond`` the estimated condition number of the system comes back
-    alongside the weights.
-    """
-    m = geom.size
-    rows = lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal, geom.curvature)
-    sol, cond = solve_rbf_systems(geom.points.reshape(-1, m, 3),
-                                  np.pad(rows.reshape(-1, m), ((0, 0), (0, 1))), kernel)
+    """The M weights of one stencil (a batch of one), gated by default, and its cond
+    with ``return_cond``."""
+    w, cond = _weight_rows(geom.points[None], geom.normal[None], np.array([geom.curvature]),
+                           kernel)
     if gate:
         check_conditioning(cond)
-    w, cond = sol[:, :-1].reshape(rows.shape), cond.reshape(rows.shape[:-1])[()]
-    return (w, cond) if return_cond else w
+    return (w[0], cond[0]) if return_cond else w[0]
 
 
 def weight_table(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel, centers=None):
@@ -98,9 +74,8 @@ def weight_table(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel, c
     """
     indices, _ = knn_table(nodes, m, centers)
     ctr = indices[:, 0]
-    geom = StencilGeometry.from_points(nodes.points[indices], frames.normals[ctr],
-                                       frames.curvatures[ctr])
-    return (indices, *stencil_weights(geom, kernel, gate=False, return_cond=True))
+    return (indices, *_weight_rows(nodes.points[indices], frames.normals[ctr],
+                                   frames.curvatures[ctr], kernel))
 
 
 def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel):

@@ -41,11 +41,6 @@ class Stencil:
     neighbor_indices: np.ndarray
     neighbor_distances: np.ndarray
 
-    @property
-    def size(self):
-        """Stencil size M (center included)."""
-        return len(self.neighbor_indices) + 1
-
     def all_indices(self):
         """Center index followed by the neighbor indices."""
         return np.concatenate(([self.center_index], self.neighbor_indices))
@@ -396,7 +391,8 @@ def knn_table(nodes, m, centers=None):
 
 
 def nearest_neighbors(nodes, i, m):
-    """Stencil of node i and its m-1 nearest neighbors.
+    """Stencil of node i and its m-1 nearest neighbors: its row of :func:`knn_table`,
+    kept for the benchmark probes.
 
     Ties in distance are broken by the smaller node index.
     """

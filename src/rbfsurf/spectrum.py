@@ -115,6 +115,14 @@ def sphere_multiplicity(k):
     return 2 * k + 1
 
 
+def check_cluster_options(k_max, tol):
+    """Raise ValueError unless the cluster tolerance is positive and ``k_max`` nonnegative."""
+    if not tol > 0:
+        raise ValueError(f"cluster tolerance must be positive, got {tol}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+
+
 def stability_report(eigs, k_max, tol, real_part_tol=None):
     """Cluster the spectrum around the exact sphere eigenvalues.
 
@@ -125,12 +133,9 @@ def stability_report(eigs, k_max, tol, real_part_tol=None):
     ``eigenvalues`` that count is K, not N: the largest-magnitude eigenvalue
     it holds keeps the operator's scale, and the tolerance is N / K times
     tighter than the roundoff level of a dense solve.  Raises ``ValueError``
-    on an empty or non-finite spectrum and on a negative ``k_max``.
+    on an empty or non-finite spectrum and as :func:`check_cluster_options` does.
     """
-    if not tol > 0:
-        raise ValueError(f"cluster tolerance must be positive, got {tol}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    check_cluster_options(k_max, tol)
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.size == 0 or not np.isfinite(eigs).all():
         raise ValueError(f"need a nonempty, finite spectrum, got {eigs.size} eigenvalues "

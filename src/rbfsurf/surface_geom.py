@@ -52,11 +52,6 @@ class LevelSetFit:
     kernel: Kernel
     cond: float
 
-    def __call__(self, x):
-        """Evaluate Psi at a point."""
-        r = np.linalg.norm(np.asarray(x, dtype=float) - self.centers, axis=1)
-        return float(self.coefficients @ self.kernel.phi(r) + self.constant)
-
 
 @dataclass
 class SurfaceFrame:
@@ -90,8 +85,13 @@ def _fit_levelsets(points, h, nodes, kernel):
     along a rough normal: nearest neighbor cross the first later point whose
     pair subtends a healthy angle at the center (sine above the selection
     threshold), else the widest pair unless collinear, which raises
-    :class:`GeometryError` for the first such node of ``nodes``.
+    :class:`GeometryError` for the first such node of ``nodes``.  Raises
+    ValueError for stencils of fewer than 5 nodes or an offset that is not positive.
     """
+    if points.shape[1] < 5:
+        raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {points.shape[1]}")
+    if not np.all(h > 0):
+        raise ValueError(f"off-surface offset must be positive, got {h[~(h > 0)][0]}")
     u = points[:, :1] - points[:, 1:2]
     v = points[:, :1] - points[:, 2:]
     cross = np.cross(u, v)
@@ -117,16 +117,13 @@ def _fit_levelsets(points, h, nodes, kernel):
 
 
 def fit_levelset(stencil: Stencil, nodes: NodeSet, kernel: Kernel, h: float):
-    """Fit the local level-set interpolant for one stencil.
+    """Fit the local level-set interpolant for one stencil, gated: a batch of one
+    through :func:`_fit_levelsets`, kept for the benchmark probes.
 
     The augmented (M+3) x (M+3) system enforces Psi = 0 at the M stencil
     nodes, Psi = +1 / -1 at the two points offset by ``h`` along the rough
     normal, and a zero-sum constraint on the RBF coefficients.
     """
-    if stencil.size < 5:
-        raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {stencil.size}")
-    if not h > 0:
-        raise ValueError(f"off-surface offset must be positive, got {h}")
     fit = _fit_levelsets(nodes.points[stencil.all_indices()][None], np.array([h]),
                          [stencil.center_index], kernel)
     check_conditioning(fit.cond)
@@ -212,9 +209,6 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     run as one batch: a collinear stencil raises first, then the
     conditioning gate, then a vanishing gradient, each naming its node.
     """
-    if m < 5:
-        raise ValueError(f"frame estimation needs stencils of at least 5 nodes, got M={m}")
-
     indices, distances = knn_table(nodes, m)
     fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
     check_conditioning(fit.cond, indices[:, 0])

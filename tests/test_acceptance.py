@@ -16,10 +16,11 @@ from scipy import stats
 from scipy.spatial import cKDTree
 
 from conftest import repulsion_nodes
+from rbfsurf._linalg import check_conditioning
 from rbfsurf.experiments import ConvergenceTable, frame_error_sweep, lbo_error_sweep
 from rbfsurf.kernels import Kernel, KernelFamily
-from rbfsurf.lbo import StencilGeometry, assemble_operator, stencil_weights
-from rbfsurf.nodesets import nearest_neighbors, project_radial, schwarz_p, unit_sphere
+from rbfsurf.lbo import assemble_operator, weight_table
+from rbfsurf.nodesets import project_radial, schwarz_p, unit_sphere
 from rbfsurf.pde import run_schaeffer, run_turing
 from rbfsurf.spectrum import eigenvalues, stability_report
 from rbfsurf.surface_geom import analytic_frames
@@ -41,15 +42,20 @@ def _finish(capsys, index, label, checks, elapsed, budget):
     assert elapsed < budget, f"{label}: {elapsed:.1f} s exceeds {budget:.0f} s"
 
 
+def _gated_weight_rows(nodes, frames, m, centers):
+    """The weight rows that assembly stores for ``centers``, through its conditioning gate."""
+    indices, w, cond = weight_table(nodes, frames, m, GAUSS2, centers=centers)
+    check_conditioning(cond, indices[:, 0])
+    return indices, w
+
+
 def test_01_stencil_row_sums_vanish(capsys, sphere1000, sphere1000_frames):
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     worst = 0.0
     for m in (11, 31):
-        for i in rng.choice(len(sphere1000), 50, replace=False):
-            st = nearest_neighbors(sphere1000, int(i), m)
-            geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-            w = stencil_weights(geom, GAUSS2)
+        centers = rng.choice(len(sphere1000), 50, replace=False)
+        for w in _gated_weight_rows(sphere1000, sphere1000_frames, m, centers)[1]:
             worst = max(worst, abs(w.sum()) / np.abs(w).max())
     elapsed = time.perf_counter() - t0
     _finish(capsys, 1, "constants annihilated on 100 random stencils",
@@ -221,27 +227,28 @@ def test_07_membrane_wave_activates_and_repolarizes(capsys, sphere1000,
             elapsed, 300.0)
 
 
-def _dense_oracle_weights(geom, kernel):
-    """Entry-by-entry dense build of the augmented system, solved in 50 digits.
+def _dense_oracle_weights(points, normal, curvature, kernel):
+    """Entry-by-entry dense build of the augmented system of stencil ``points``
+    (center first) and the center's frame, solved in 50 digits.
 
     Distances and dot products are plain sums of products, the textbook
     formulas; the exact solve leaves only the production solve's error.
     """
-    m = geom.size
+    m = len(points)
     A = np.zeros((m + 1, m + 1))
     rhs = np.zeros(m + 1)
     for a in range(m):
         for b in range(m):
-            A[a, b] = kernel.phi(np.sqrt(np.sum((geom.points[a] - geom.points[b]) ** 2)))
+            A[a, b] = kernel.phi(np.sqrt(np.sum((points[a] - points[b]) ** 2)))
         A[a, m] = A[m, a] = 1.0
-        rv = geom.center - geom.points[a]
+        rv = points[0] - points[a]
         r = np.sqrt(np.sum(rv * rv))
         if r == 0.0:
             rhs[a] = kernel.dphi_over_r(0.0) + kernel.d2phi(0.0)
         else:
-            rn = np.sum(rv * geom.normal)
+            rn = np.sum(rv * normal)
             c = rn / r
-            rhs[a] = ((1 + c * c - geom.curvature * rn)
+            rhs[a] = ((1 + c * c - curvature * rn)
                       * kernel.dphi_over_r(r) + (1 - c * c) * kernel.d2phi(r))
     with mpmath.workdps(50):
         x = mpmath.lu_solve(mpmath.matrix(A.tolist()), mpmath.matrix(rhs.tolist()))
@@ -254,11 +261,10 @@ def test_08_weights_match_dense_solve_and_sparse_apply(capsys, sphere1000,
     rng = np.random.default_rng(0)
     worst = 0.0
     for m in (11, 31):
-        for i in rng.choice(len(sphere1000), 25, replace=False):
-            st = nearest_neighbors(sphere1000, int(i), m)
-            geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-            w = stencil_weights(geom, GAUSS2)
-            ref = _dense_oracle_weights(geom, GAUSS2)
+        centers = rng.choice(len(sphere1000), 25, replace=False)
+        for idx, w in zip(*_gated_weight_rows(sphere1000, sphere1000_frames, m, centers)):
+            ref = _dense_oracle_weights(sphere1000.points[idx], sphere1000_frames.normals[idx[0]],
+                                        sphere1000_frames.curvatures[idx[0]], GAUSS2)
             worst = max(worst, np.abs(w - ref).max() / np.abs(ref).max())
     field = rng.standard_normal(len(sphere1000))
     dense = sphere1000_op.matrix.toarray() @ field

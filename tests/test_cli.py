@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from rbfsurf import cli
 from rbfsurf.cli import _parse_grid, _parse_ints, main
 from rbfsurf.lbo import SparseOperator
 from rbfsurf.nodesets import load_nodes, schwarz_p
@@ -185,6 +186,21 @@ class TestGeomAndOperator:
         assert np.allclose(eigs[:7], -np.arange(7.0), rtol=0, atol=1e-9)
         assert len(eigs) == 8 and eigs[-1] == pytest.approx(-5000.0, rel=1e-6)
         assert any(ln.startswith(f"# partial spectrum: 8 of {n} eigenvalues") for ln in lines)
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--tol", "-1", "cluster tolerance must be positive, got -1.0"),
+        ("--kmax", "-3", "k_max must be nonnegative, got -3"),
+    ])
+    def test_spectrum_options_checked_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                       option, value, message):
+        op_path = tmp_path / "op.txt"
+        SparseOperator(sparse.diags(-np.arange(1.0, 7.0)).tocsr(), 1).save(op_path)
+        monkeypatch.setattr(cli, "eigenvalues", lambda *a, **k: pytest.fail("solve started"))
+        code, _, err = run_cli(capsys, "spectrum", "--operator", str(op_path), option, value,
+                               "--out", str(tmp_path / "spec.csv"))
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "spec.csv").exists()
 
 
 class TestSimulate:

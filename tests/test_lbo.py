@@ -23,12 +23,13 @@ from rbfsurf.lbo import (
     StencilGeometry,
     assemble_operator,
     stencil_weights,
+    weight_table,
 )
 from rbfsurf.nodesets import gen_sphere_nodes, knn_table, nearest_neighbors, unit_sphere
-from rbfsurf.surface_geom import SurfaceFrame, analytic_frames
+from rbfsurf.surface_geom import SurfaceFrame, _fit_levelsets, analytic_frames, fit_levelset
 from rbfsurf.experiments import reference_field, reference_lbo
 
-from conftest import closed_form_phi
+from conftest import closed_form_phi, repulsion_nodes
 
 GAUSS2 = Kernel(KernelFamily.GAUSSIAN, 2.0)
 ALL_FAMILIES = list(KernelFamily)
@@ -91,24 +92,50 @@ class TestLboOfRbf:
         assert got == pytest.approx(angular_lbo(ker, center, theta, phi), abs=1e-7)
 
 
-class TestStencilGeometry:
-    def test_from_points(self):
-        pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        geom = StencilGeometry.from_points(pts, [1.0, 0.0, 0.0], 2.0)
-        assert np.array_equal(geom.center, pts[0])
-        assert np.array_equal(geom.r_vectors[0], np.zeros(3))
-        assert np.array_equal(geom.r_vectors[1], [1.0, -1.0, 0.0])
-        assert geom.distances[0] == 0.0
-        assert geom.distances[2] == pytest.approx(np.sqrt(5.0))
-        assert geom.size == 3
+@pytest.fixture(scope="module")
+def shipped1000():
+    nodes = repulsion_nodes(1000)
+    return nodes, surface_geom.estimate_frames(nodes, 31, GAUSS2)
+
+
+class TestSingleStencilEntryPoints:
+    """The one-stencil names the benchmark probes call, against the batched engine."""
 
     def test_from_stencil_uses_center_frame(self, sphere1000, sphere1000_frames):
         st = nearest_neighbors(sphere1000, 7, 12)
         geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-        assert np.array_equal(geom.center, sphere1000.points[7])
+        assert np.array_equal(geom.points, sphere1000.points[knn_table(sphere1000, 12, [7])[0][0]])
         assert np.array_equal(geom.normal, sphere1000_frames.normals[7])
         assert geom.curvature == sphere1000_frames.curvatures[7]
-        assert geom.size == 12
+
+    @pytest.mark.parametrize("m", [7, 15, 31])
+    def test_equal_the_batched_rows(self, shipped1000, m):
+        # shipped sphere with the frames sphere-sweep estimates (M = 31)
+        nodes, frames = shipped1000
+        indices, distances = knn_table(nodes, m)
+        fits = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], GAUSS2)
+        for i in (0, 123, 500, 999):
+            st = nearest_neighbors(nodes, i, m)
+            assert np.array_equal(st.all_indices(), knn_table(nodes, m, [i])[0][0])
+            w, cond = stencil_weights(StencilGeometry.from_stencil(nodes, st, frames), GAUSS2,
+                                      gate=False, return_cond=True)
+            _, w_table, cond_table = weight_table(nodes, frames, m, GAUSS2, centers=[i])
+            assert np.array_equal(w, w_table[0]) and np.array_equal(cond, cond_table[0])
+            fit = fit_levelset(st, nodes, GAUSS2, h=float(st.neighbor_distances[0]))
+            assert np.array_equal(fit.coefficients, fits.coefficients[i])
+            assert np.array_equal(fit.cond, fits.cond[i])
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_gate_and_return_cond(self, sphere1000, sphere1000_frames):
+        geom = StencilGeometry.from_stencil(sphere1000, nearest_neighbors(sphere1000, 0, 15),
+                                            sphere1000_frames)
+        w, cond = stencil_weights(geom, GAUSS2, return_cond=True)
+        assert cond > 1.0
+        assert np.array_equal(w, stencil_weights(geom, GAUSS2))
+        flat = StencilGeometry.from_stencil(sphere1000, nearest_neighbors(sphere1000, 0, 31),
+                                            sphere1000_frames)
+        with pytest.raises(ConditioningError):
+            stencil_weights(flat, Kernel(KernelFamily.GAUSSIAN, 1e-8))
 
 
 def exact_solve(A, rhs):
@@ -118,8 +145,9 @@ def exact_solve(A, rhs):
         return np.array([float(v) for v in x])
 
 
-def dense_weights(geom, kernel):
-    """Independent build of the augmented system, entry by entry, solved exactly.
+def dense_weights(points, normal, curvature, kernel):
+    """Independent build of the augmented system of stencil ``points`` (center
+    first) and the center's frame, entry by entry, solved exactly.
 
     Distances and dot products are plain sums of products.  At cond ~ 1e9
     a last-bit change in the entries alone (a BLAS dot instead of a sum)
@@ -127,60 +155,61 @@ def dense_weights(geom, kernel):
     textbook formulas and the 50-digit solve removes the oracle's own
     solve error.
     """
-    m = geom.size
+    m = len(points)
     A = np.zeros((m + 1, m + 1))
     for a in range(m):
         for b in range(m):
-            A[a, b] = kernel.phi(np.sqrt(np.sum((geom.points[a] - geom.points[b]) ** 2)))
+            A[a, b] = kernel.phi(np.sqrt(np.sum((points[a] - points[b]) ** 2)))
         A[a, m] = 1.0
         A[m, a] = 1.0
     rhs = np.zeros(m + 1)
     for a in range(m):
-        rv = geom.center - geom.points[a]
+        rv = points[0] - points[a]
         r = np.sqrt(np.sum(rv * rv))
         if r == 0.0:
             rhs[a] = kernel.dphi_over_r(0.0) + kernel.d2phi(0.0)
         else:
-            rn = np.sum(rv * geom.normal)
+            rn = np.sum(rv * normal)
             c = rn / r
-            rhs[a] = (1 + c * c - geom.curvature * rn) * kernel.dphi_over_r(r) + (
+            rhs[a] = (1 + c * c - curvature * rn) * kernel.dphi_over_r(r) + (
                 1 - c * c
             ) * kernel.d2phi(r)
     return exact_solve(A, rhs)[:m]
 
 
+def table_rows(nodes, frames, m, kernel, centers):
+    """The production weight rows of ``centers``, through the conditioning gate."""
+    indices, w, cond = weight_table(nodes, frames, m, kernel, centers=centers)
+    check_conditioning(cond, indices[:, 0])
+    return indices, w
+
+
+def dense_rows(nodes, frames, indices, kernel):
+    """:func:`dense_weights` of each stencil row of ``indices``."""
+    return [dense_weights(nodes.points[idx], frames.normals[idx[0]], frames.curvatures[idx[0]],
+                          kernel) for idx in indices]
+
+
 class TestStencilWeights:
     def test_row_sum_zero(self, sphere1000, sphere1000_frames):
         rng = np.random.default_rng(3)
-        for i in rng.integers(0, 1000, size=10):
-            st = nearest_neighbors(sphere1000, int(i), 21)
-            geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-            w = stencil_weights(geom, GAUSS2)
+        _, rows = table_rows(sphere1000, sphere1000_frames, 21, GAUSS2,
+                             rng.integers(0, 1000, size=10))
+        for w in rows:
             assert abs(w.sum()) <= 1e-8 * np.abs(w).max()
 
     @pytest.mark.parametrize("m", [11, 31])
     def test_matches_dense_solve(self, sphere1000, sphere1000_frames, m):
         rng = np.random.default_rng(17)
-        for i in rng.integers(0, 1000, size=5):
-            st = nearest_neighbors(sphere1000, int(i), m)
-            geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-            w = stencil_weights(geom, GAUSS2)
-            w2 = dense_weights(geom, GAUSS2)
+        indices, rows = table_rows(sphere1000, sphere1000_frames, m, GAUSS2,
+                                   rng.integers(0, 1000, size=5))
+        for w, w2 in zip(rows, dense_rows(sphere1000, sphere1000_frames, indices, GAUSS2)):
             assert np.abs(w - w2).max() <= 1e-10 * np.abs(w2).max()
-
-    def test_return_cond(self, sphere1000, sphere1000_frames):
-        st = nearest_neighbors(sphere1000, 0, 15)
-        geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-        w, cond = stencil_weights(geom, GAUSS2, return_cond=True)
-        assert cond > 1.0
-        assert np.array_equal(w, stencil_weights(geom, GAUSS2))
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_flat_kernel_trips_gate(self, sphere1000, sphere1000_frames):
-        st = nearest_neighbors(sphere1000, 0, 31)
-        geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
         with pytest.raises(ConditioningError):
-            stencil_weights(geom, Kernel(KernelFamily.GAUSSIAN, 1e-8))
+            table_rows(sphere1000, sphere1000_frames, 31, Kernel(KernelFamily.GAUSSIAN, 1e-8), [0])
 
 
 def factor_then_solve(A, b):
@@ -258,13 +287,13 @@ class TestLocalSolve:
         kernel = Kernel(KernelFamily.GAUSSIAN, eps)
         indices, _ = knn_table(sphere1000, 31, np.arange(0, 1000, 10))
         points = sphere1000.points[indices]
-        geom = StencilGeometry.from_points(points, sphere1000_frames.normals[indices[:, 0]],
-                                           sphere1000_frames.curvatures[indices[:, 0]])
+        r = points[:, :1] - points
         A = np.ones((len(points), 32, 32))
         A[:, :31, :31] = kernel.phi(np.linalg.norm(points[:, :, None] - points[:, None], axis=-1))
         A[:, 31, 31] = 0.0
-        b = np.pad(lbo_of_rbf_rows(kernel, geom.r_vectors, geom.distances, geom.normal,
-                                   geom.curvature), ((0, 0), (0, 1)))
+        b = np.pad(lbo_of_rbf_rows(kernel, r, np.linalg.norm(r, axis=-1),
+                                   sphere1000_frames.normals[indices[:, 0]],
+                                   sphere1000_frames.curvatures[indices[:, 0]]), ((0, 0), (0, 1)))
         x, cond = solve_with_cond(A, b)
         x_ref, cond_ref = factor_then_solve(A, b)
         assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
@@ -306,9 +335,8 @@ class TestConditioningRecord:
 
     def test_without_nodes(self, sphere1000, sphere1000_frames, caplog):
         caplog.set_level(logging.DEBUG, logger="rbfsurf._linalg")
-        st = nearest_neighbors(sphere1000, 0, 15)
-        _, cond = stencil_weights(StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames),
-                                  GAUSS2, return_cond=True)
+        _, _, cond = weight_table(sphere1000, sphere1000_frames, 15, GAUSS2, centers=[0])
+        check_conditioning(cond)
         (record,) = self.records(caplog)
         assert record.stats["systems"] == 1 and record.stats["worst_nodes"] is None
         assert record.stats["cond_min"] == record.stats["cond_max"] == cond
@@ -365,9 +393,8 @@ class TestAssembleOperator:
         assert op.stencil_size == 15
         assert op.matrix.nnz == 200 * 15
         for i in (0, 57, 199):
-            st = nearest_neighbors(nodes, i, 15)
             row = op.matrix.getrow(i)
-            assert np.array_equal(np.sort(row.indices), np.sort(st.all_indices()))
+            assert np.array_equal(np.sort(row.indices), np.sort(knn_table(nodes, 15, [i])[0][0]))
 
     def test_constants_annihilated(self, small_setup):
         _, _, op = small_setup
@@ -384,12 +411,10 @@ class TestAssembleOperator:
         assert np.abs(sphere1000_op.apply(z) + 2.0 * z).max() <= 2e-2
 
     def test_rows_match_exact_solve(self, sphere1000, sphere1000_frames, sphere1000_op):
-        # the batched rows that assembly stores, not the single-stencil call
-        for i in (0, 123, 500, 999):
-            st = nearest_neighbors(sphere1000, i, 31)
-            geom = StencilGeometry.from_stencil(sphere1000, st, sphere1000_frames)
-            ref = dense_weights(geom, GAUSS2)
-            row = sphere1000_op.matrix[i].toarray()[0, st.all_indices()]
+        # the batched rows that assembly stores
+        indices, _ = knn_table(sphere1000, 31, [0, 123, 500, 999])
+        for idx, ref in zip(indices, dense_rows(sphere1000, sphere1000_frames, indices, GAUSS2)):
+            row = sphere1000_op.matrix[idx[0]].toarray()[0, idx]
             assert np.abs(row - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_orientation_invariance(self, small_setup):

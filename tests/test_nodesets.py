@@ -11,7 +11,6 @@ from rbfsurf import (
     ProjectionError,
     gen_sphere_nodes,
     load_nodes,
-    nearest_neighbors,
     project_radial,
     save_nodes,
     schwarz_p,
@@ -71,7 +70,7 @@ class TestNodeSet:
         built.clear()
         nodes = NodeSet(nodes.points)
         knn_table(nodes, 12)
-        nearest_neighbors(nodes, 5, 12)
+        knn_table(nodes, 12, [5])
         estimate_frames(nodes, 12, Kernel(KernelFamily.GAUSSIAN, 2.0))
         assert built == [100]
 
@@ -374,36 +373,41 @@ def brute_oracle(points, i, m):
     return order[1:m]
 
 
+def knn_row(nodes, i, m):
+    """Row of node i in a one-center :func:`knn_table`: (indices, distances), center first."""
+    indices, distances = knn_table(nodes, m, [i])
+    return indices[0], distances[0]
+
+
 class TestNearestNeighbors:
     def test_tetra_closest(self):
         nodes = NodeSet(TETRA)
-        st = nearest_neighbors(nodes, 0, 2)
-        assert st.center_index == 0
-        assert list(st.neighbor_indices) == list(brute_oracle(TETRA, 0, 2))
+        indices, _ = knn_row(nodes, 0, 2)
+        assert indices[0] == 0
+        assert list(indices[1:]) == list(brute_oracle(TETRA, 0, 2))
 
     def test_m_equals_one(self):
         nodes = NodeSet(TETRA)
-        st = nearest_neighbors(nodes, 2, 1)
-        assert st.center_index == 2
-        assert len(st.neighbor_indices) == 0
-        assert st.size == 1
+        indices, distances = knn_row(nodes, 2, 1)
+        assert list(indices) == [2]
+        assert list(distances) == [0.0]
 
     def test_m_equals_n_sorted(self):
         nodes = gen_sphere_nodes(60)
-        st = nearest_neighbors(nodes, 7, 60)
-        np.testing.assert_array_equal(st.neighbor_indices, brute_oracle(nodes.points, 7, 60))
-        assert np.all(np.diff(st.neighbor_distances) >= 0)
+        indices, distances = knn_row(nodes, 7, 60)
+        np.testing.assert_array_equal(indices[1:], brute_oracle(nodes.points, 7, 60))
+        assert np.all(np.diff(distances) >= 0)
 
     def test_m_too_large_rejected(self):
         nodes = NodeSet(TETRA)
         with pytest.raises(ValueError):
-            nearest_neighbors(nodes, 0, 5)
+            knn_row(nodes, 0, 5)
 
     def test_center_never_among_neighbors(self):
         nodes = gen_sphere_nodes(100)
         for i in [0, 13, 99]:
-            st = nearest_neighbors(nodes, i, 12)
-            assert i not in st.neighbor_indices
+            indices, _ = knn_row(nodes, i, 12)
+            assert i not in indices[1:]
 
     @pytest.mark.parametrize("n", [50, 600, 2000])
     def test_kdtree_and_brute_agree(self, n):
@@ -411,11 +415,11 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(n)
         for i in rng.integers(0, n, size=100):
             m = int(rng.integers(1, min(n, 40)))
-            st = nearest_neighbors(nodes, int(i), m)
+            indices, distances = knn_row(nodes, int(i), m)
             expected = brute_oracle(nodes.points, int(i), m)
-            np.testing.assert_array_equal(st.neighbor_indices, expected)
+            np.testing.assert_array_equal(indices[1:], expected)
             np.testing.assert_array_equal(
-                st.neighbor_distances,
+                distances[1:],
                 np.linalg.norm(nodes.points[expected] - nodes.points[i], axis=1))
 
     def test_tie_broken_by_smaller_index(self):
@@ -428,7 +432,7 @@ class TestNearestNeighbors:
             [0.0, 5.0, 0.0],
         ])
         nodes = NodeSet(pts)
-        assert list(nearest_neighbors(nodes, 0, 3).neighbor_indices) == [1, 3]
+        assert list(knn_row(nodes, 0, 3)[0][1:]) == [1, 3]
 
     def test_tie_crossing_the_cut(self):
         # six nodes all at distance 1 from the center: any M < 7 cuts
@@ -436,7 +440,7 @@ class TestNearestNeighbors:
         pts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
         nodes = NodeSet(pts)
         for m in range(2, 7):
-            assert list(nearest_neighbors(nodes, 0, m).neighbor_indices) == list(range(1, m))
+            assert list(knn_row(nodes, 0, m)[0][1:]) == list(range(1, m))
 
 
 class TestKnnTable:
@@ -473,15 +477,15 @@ class TestKnnTable:
     @pytest.mark.parametrize("i", [60, -1])
     def test_single_center_out_of_range(self, i):
         with pytest.raises(ValueError, match="out of range"):
-            nearest_neighbors(gen_sphere_nodes(60), i, 7)
+            knn_row(gen_sphere_nodes(60), i, 7)
 
     def test_center_subset_matches_single_queries(self):
         nodes = gen_sphere_nodes(600)
         indices, distances = knn_table(nodes, 31, [5, 333, 599])
         for row, i in enumerate((5, 333, 599)):
-            st = nearest_neighbors(nodes, i, 31)
-            np.testing.assert_array_equal(indices[row], st.all_indices())
-            np.testing.assert_array_equal(distances[row, 1:], st.neighbor_distances)
+            single, single_distances = knn_row(nodes, i, 31)
+            np.testing.assert_array_equal(indices[row], single)
+            np.testing.assert_array_equal(distances[row, 1:], single_distances[1:])
 
 
 class CountingTree:
@@ -544,11 +548,7 @@ class TestStoredTables:
 
 
 class TestNodeIdTypes:
-    @pytest.mark.parametrize("centers", [[1.5], [True, False], np.array([2.0])])
+    @pytest.mark.parametrize("centers", [[1.5], [True, False], np.array([2.0]), [3.0]])
     def test_knn_table_rejects_non_integer_ids(self, centers):
         with pytest.raises(ValueError, match="must be integers"):
             knn_table(gen_sphere_nodes(60), 7, centers)
-
-    def test_nearest_neighbors_rejects_float_id(self):
-        with pytest.raises(ValueError, match="must be integers"):
-            nearest_neighbors(gen_sphere_nodes(60), 3.0, 7)

@@ -11,20 +11,18 @@ from rbfsurf import (
     NodeSet,
     analytic_frames,
     estimate_frames,
-    fit_levelset,
     gen_sphere_nodes,
     levelset_curvature,
-    levelset_gradient,
     levelset_normal,
     load_frames,
-    nearest_neighbors,
     project_radial,
     save_frames,
     schwarz_p,
     unit_sphere,
 )
+from rbfsurf._linalg import check_conditioning
 from rbfsurf.nodesets import knn_table
-from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame
+from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame, _fit_levelsets, levelset_gradient
 
 from conftest import repulsion_nodes
 
@@ -36,45 +34,53 @@ def sphere_nodes():
     return gen_sphere_nodes(1000)
 
 
-def sphere_fit(nodes, i, m=16, kernel=GAUSS2):
-    st = nearest_neighbors(nodes, i, m)
-    return fit_levelset(st, nodes, kernel, h=float(st.neighbor_distances[0]))
+def node_fit(nodes, i, m=16, kernel=GAUSS2):
+    """The batched level-set fit of node i as estimate_frames runs it: a batch
+    of one row, offset by the nearest-neighbor distance, through the gate."""
+    indices, distances = knn_table(nodes, m, [i])
+    fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
+    check_conditioning(fit.cond, indices[:, 0])
+    return fit
+
+
+def psi(fit, x):
+    """The fitted Psi of batch row 0 at a point."""
+    r = np.linalg.norm(np.asarray(x, dtype=float) - fit.centers[0], axis=1)
+    return float(fit.coefficients[0] @ fit.kernel.phi(r) + fit.constant[0])
 
 
 class TestFitLevelset:
     def test_residuals_on_sphere_stencil(self, sphere_nodes):
-        fit = sphere_fit(sphere_nodes, 123)
-        pts = fit.centers[:-2]
+        fit = node_fit(sphere_nodes, 123)
+        pts = fit.centers[0, :-2]
         for p in pts:
-            assert abs(fit(p)) <= 1e-8
-        assert fit(fit.centers[-2]) == pytest.approx(1.0, abs=1e-8)
-        assert fit(fit.centers[-1]) == pytest.approx(-1.0, abs=1e-8)
+            assert abs(psi(fit, p)) <= 1e-8
+        assert psi(fit, fit.centers[0, -2]) == pytest.approx(1.0, abs=1e-8)
+        assert psi(fit, fit.centers[0, -1]) == pytest.approx(-1.0, abs=1e-8)
 
     def test_coefficients_sum_to_zero(self, sphere_nodes):
-        fit = sphere_fit(sphere_nodes, 7)
+        fit = node_fit(sphere_nodes, 7)
         assert abs(fit.coefficients.sum()) <= 1e-10 * np.abs(fit.coefficients).max()
 
     def test_small_stencil_rejected(self, sphere_nodes):
-        st = nearest_neighbors(sphere_nodes, 0, 4)
-        with pytest.raises(ValueError):
-            fit_levelset(st, sphere_nodes, GAUSS2, h=0.1)
+        indices, _ = knn_table(sphere_nodes, 4, [0])
+        with pytest.raises(ValueError, match="at least 5 nodes, got 4"):
+            _fit_levelsets(sphere_nodes.points[indices], np.array([0.1]), [0], GAUSS2)
 
     def test_nonpositive_offset_rejected(self, sphere_nodes):
-        st = nearest_neighbors(sphere_nodes, 0, 16)
-        with pytest.raises(ValueError):
-            fit_levelset(st, sphere_nodes, GAUSS2, h=0.0)
+        indices, _ = knn_table(sphere_nodes, 16, [0])
+        with pytest.raises(ValueError, match="offset must be positive, got 0.0"):
+            _fit_levelsets(sphere_nodes.points[indices], np.array([0.0]), [0], GAUSS2)
 
     def test_planar_stencil_normal(self):
         # regular grid in the z=0 plane; fitted normal must be +-e_z
         xs, ys = np.meshgrid(np.arange(4) * 0.1, np.arange(4) * 0.1)
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(16)])
         nodes = NodeSet(pts)
-        st = nearest_neighbors(nodes, 5, 9)
-        fit = fit_levelset(st, nodes, Kernel(KernelFamily.GAUSSIAN, 1.0),
-                           h=float(st.neighbor_distances[0]))
-        n = levelset_normal(fit, nodes.points[5])
+        fit = node_fit(nodes, 5, m=9, kernel=Kernel(KernelFamily.GAUSSIAN, 1.0))
+        n = levelset_normal(fit, nodes.points[[5]])[0]
         assert abs(abs(n[2]) - 1.0) <= 1e-6
-        assert abs(levelset_curvature(fit, nodes.points[5], n)) <= 1e-3
+        assert abs(levelset_curvature(fit, nodes.points[[5]], n[None])[0]) <= 1e-3
 
 
 class TestLevelsetDerivatives:
@@ -87,20 +93,20 @@ class TestLevelsetDerivatives:
         np.testing.assert_allclose(levelset_gradient(fit, [0.2, 0.3, 0.4]), np.zeros(3))
 
     def test_gradient_matches_finite_differences(self, sphere_nodes):
-        fit = sphere_fit(sphere_nodes, 321)
+        fit = node_fit(sphere_nodes, 321)
         x = sphere_nodes.points[321]
         fd = np.empty(3)
         for a in range(3):
             e = np.zeros(3)
             e[a] = 1e-6
-            fd[a] = (fit(x + e) - fit(x - e)) / 2e-6
-        np.testing.assert_allclose(levelset_gradient(fit, x), fd, rtol=1e-6, atol=1e-9)
+            fd[a] = (psi(fit, x + e) - psi(fit, x - e)) / 2e-6
+        np.testing.assert_allclose(levelset_gradient(fit, x[None])[0], fd, rtol=1e-6, atol=1e-9)
 
     def test_sphere_normal_is_radial(self, sphere_nodes):
         # fixed equatorial node: the one nearest (1,0,0)
         i = int(np.argmax(sphere_nodes.points @ np.array([1.0, 0.0, 0.0])))
-        fit = sphere_fit(sphere_nodes, i)
-        n = levelset_normal(fit, sphere_nodes.points[i])
+        fit = node_fit(sphere_nodes, i)
+        n = levelset_normal(fit, sphere_nodes.points[[i]])[0]
         x = sphere_nodes.points[i]
         assert min(np.abs(n - x).max(), np.abs(n + x).max()) <= 1e-3
 
@@ -112,33 +118,32 @@ class TestLevelsetDerivatives:
             levelset_curvature(fit, [0.1, 0.2, 0.3], [0.0, 0.0, 1.0])
 
     def test_sphere_curvature_close_to_two(self, sphere_nodes):
-        st = nearest_neighbors(sphere_nodes, 42, 31)
-        fit = fit_levelset(st, sphere_nodes, GAUSS2, h=float(st.neighbor_distances[0]))
-        x = sphere_nodes.points[42]
+        fit = node_fit(sphere_nodes, 42, m=31)
+        x = sphere_nodes.points[[42]]
         n = levelset_normal(fit, x)
         # the raw fit's sign convention follows its internal normal guess,
         # so only the magnitude is pinned down here
-        kappa = levelset_curvature(fit, x, n)
+        kappa = levelset_curvature(fit, x, n)[0]
         assert 1.9 <= abs(kappa) <= 2.1
 
     def test_curvature_sign_tracks_normal(self, sphere_nodes):
-        fit = sphere_fit(sphere_nodes, 55, m=31)
-        x = sphere_nodes.points[55]
+        fit = node_fit(sphere_nodes, 55, m=31)
+        x = sphere_nodes.points[[55]]
         n = levelset_normal(fit, x)
-        k_plus = levelset_curvature(fit, x, n)
-        k_minus = levelset_curvature(fit, x, -n)
+        k_plus = levelset_curvature(fit, x, n)[0]
+        k_minus = levelset_curvature(fit, x, -n)[0]
         # the formula sees n only through (r.n)^2, so flipping n must be
         # compensated by the caller; the estimator flips kappa with n
         assert k_plus == pytest.approx(k_minus)
 
     def test_curvature_against_fd_divergence(self, sphere_nodes):
         # oracle: divergence of the unit gradient field by central differences
-        fit = sphere_fit(sphere_nodes, 17, m=31)
+        fit = node_fit(sphere_nodes, 17, m=31)
         x = sphere_nodes.points[17]
-        n = levelset_normal(fit, x)
+        n = levelset_normal(fit, x[None])
 
         def unit_normal(p):
-            g = levelset_gradient(fit, p)
+            g = levelset_gradient(fit, p[None])[0]
             return g / np.linalg.norm(g)
 
         step = 1e-5
@@ -147,7 +152,7 @@ class TestLevelsetDerivatives:
             e = np.zeros(3)
             e[a] = step
             div += (unit_normal(x + e)[a] - unit_normal(x - e)[a]) / (2 * step)
-        assert levelset_curvature(fit, x, n) == pytest.approx(div, abs=1e-6)
+        assert levelset_curvature(fit, x[None], n)[0] == pytest.approx(div, abs=1e-6)
 
 
 class TestEstimateFrames:
