@@ -64,9 +64,6 @@ from .pde import (
     run_schaeffer,
     run_turing,
     save_snapshots,
-    schaeffer_reaction,
-    stimulus_eval,
-    turing_reaction,
 )
 from .experiments import (
     ConvergenceTable,
@@ -93,7 +90,7 @@ __all__ = [
     "sphere_multiplicity", "stability_report",
     "RdState", "SchaefferModel", "SchaefferParams", "StimulusSpec",
     "TuringModel", "TuringParams", "integrate", "run_schaeffer", "run_turing",
-    "save_snapshots", "schaeffer_reaction", "stimulus_eval", "turing_reaction",
+    "save_snapshots",
     "ConvergenceTable", "fit_order", "frame_error_sweep", "lbo_error_sweep",
     "reference_field", "reference_lbo",
     "__version__",

@@ -55,8 +55,12 @@ def _add_kernel_options(parser, eps=True):
         parser.add_argument("--eps", type=float, default=2.0, help="shape parameter")
 
 
+_FRAMES_HELP = ("frame CSV, analytic:sphere / analytic:schwarz-p, or estimate "
+                "(fit from the nodes with --stencil and the kernel)")
+
+
 def _frames_for(nodes, spec_text, m, kernel):
-    """Frame source: 'analytic:<surface>' or a frame CSV path."""
+    """Frame source: a frame CSV path, 'analytic:<surface>' or 'estimate'."""
     if spec_text.startswith("analytic:"):
         surface = surface_by_name(spec_text.split(":", 1)[1])
         return analytic_frames(surface, nodes.points)
@@ -247,8 +251,7 @@ def build_parser():
     lbo_sub = lbo.add_subparsers(dest="subcommand", required=True)
     build = lbo_sub.add_parser("build", help="build and save the sparse operator")
     build.add_argument("--nodes", required=True)
-    build.add_argument("--frames", required=True,
-                       help="frame CSV, or analytic:sphere / analytic:schwarz-p")
+    build.add_argument("--frames", required=True, help=_FRAMES_HELP)
     build.add_argument("--stencil", type=int, required=True)
     _add_kernel_options(build)
     build.add_argument("--out", required=True)
@@ -265,7 +268,7 @@ def build_parser():
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
     tur = sim_sub.add_parser("turing", help="activator-inhibitor patterns")
     tur.add_argument("--nodes", required=True)
-    tur.add_argument("--frames", required=True)
+    tur.add_argument("--frames", required=True, help=_FRAMES_HELP)
     tur.add_argument("--preset", choices=["spots", "stripes"], required=True)
     tur.add_argument("--seed", type=int, default=0)
     tur.add_argument("--t-end", type=float, default=2000.0)
@@ -277,7 +280,7 @@ def build_parser():
     tur.set_defaults(func=_cmd_simulate_turing)
     sch = sim_sub.add_parser("schaeffer", help="two-variable cardiac excitation")
     sch.add_argument("--nodes", required=True)
-    sch.add_argument("--frames", required=True)
+    sch.add_argument("--frames", required=True, help=_FRAMES_HELP)
     sch.add_argument("--stim-node", type=int, default=0)
     sch.add_argument("--t-stim", type=float, default=5.0)
     sch.add_argument("--delta", type=float, default=None,

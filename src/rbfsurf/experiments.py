@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import solve_failed
+from .errors import RbfSurfError
 from .kernels import Kernel, KernelFamily
 from .lbo import weight_table
 from .nodesets import ImplicitSurface, NodeSet, gen_sphere_nodes, unit_sphere
@@ -117,6 +118,26 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
     return worst_err, float(cond.max()), failures
 
 
+def _node_sets(n, nodes, method, seed):
+    """The node set of each count in ``n``: ``nodes`` itself, whose size every
+    count must name, or a generated sphere set."""
+    ns = [n] if np.isscalar(n) else list(n)
+    if nodes is None:
+        return (gen_sphere_nodes(n_i, method=method, seed=seed) for n_i in ns)
+    if any(n_i != len(nodes) for n_i in ns):
+        raise ValueError(f"n = {n} names node counts other than the {len(nodes)} given nodes")
+    return [nodes] * len(ns)
+
+
+def _cell_frames(nodeset, m, kernel):
+    """Estimated frames of one sweep cell; a failure names the cell in its message."""
+    try:
+        return estimate_frames(nodeset, m, kernel)
+    except (RbfSurfError, ValueError) as exc:
+        exc.args = (f"N={len(nodeset)}, M={m}, eps={kernel.epsilon:g}: {exc}",) + exc.args[1:]
+        raise
+
+
 def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
                     use_analytic_frames=True, *, family=KernelFamily.GAUSSIAN,
                     nodes: Optional[NodeSet] = None, node: Optional[int] = None,
@@ -126,15 +147,15 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
     Scalar or iterable ``n``, ``m`` are accepted; the grid is the cartesian
     product in the given order.  With ``use_analytic_frames`` off, frames
     are re-estimated per cell with the same stencil size and kernel.
-    ``node`` restricts the error to a single node id.
+    ``node`` restricts the error to a single node id.  Given ``nodes``,
+    every count in ``n`` must be their number.  A frame estimate that fails
+    is re-raised with ``N=..., M=..., eps=...: `` before its message.
     """
     if surface.name != "sphere":
         raise ValueError("the analytic reference field lives on the unit sphere")
-    ns = [n] if np.isscalar(n) else list(n)
     ms = [m] if np.isscalar(m) else list(m)
     rows = []
-    for n_i in ns:
-        nodeset = nodes if nodes is not None else gen_sphere_nodes(n_i, method=method, seed=seed)
+    for nodeset in _node_sets(n, nodes, method, seed):
         f = reference_field(nodeset.points)
         lf = reference_lbo(nodeset.points)
         if use_analytic_frames:
@@ -143,7 +164,7 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
             for eps in eps_grid:
                 kernel = Kernel(family, float(eps))
                 if not use_analytic_frames:
-                    frames = estimate_frames(nodeset, m_i, kernel)
+                    frames = _cell_frames(nodeset, m_i, kernel)
                 err, cond, failures = _max_lbo_error(nodeset, frames, m_i, kernel, f, lf, node)
                 rows.append(SweepRow(len(nodeset), m_i, float(eps), err, cond, failures))
     return ConvergenceTable(rows)
@@ -157,18 +178,17 @@ def frame_error_sweep(n, m, eps_grid, *, family=KernelFamily.GAUSSIAN,
     For each (N, M, eps) cell, E_n is the worst infinity-norm deviation of
     the oriented unit normal from the exact outward normal (the position
     itself on the unit sphere), and E_kappa the worst |kappa - 2|.  Returns
-    two tables with max_error = E_n and E_kappa respectively.
+    two tables with max_error = E_n and E_kappa respectively.  ``nodes`` and
+    a failed estimate are treated as in :func:`lbo_error_sweep`.
     """
-    ns = [n] if np.isscalar(n) else list(n)
     ms = [m] if np.isscalar(m) else list(m)
     normal_rows = []
     curvature_rows = []
-    for n_i in ns:
-        nodeset = nodes if nodes is not None else gen_sphere_nodes(n_i, method=method, seed=seed)
+    for nodeset in _node_sets(n, nodes, method, seed):
         for m_i in ms:
             for eps in eps_grid:
                 kernel = Kernel(family, float(eps))
-                frames = estimate_frames(nodeset, m_i, kernel)
+                frames = _cell_frames(nodeset, m_i, kernel)
                 e_n = float(np.abs(frames.normals - nodeset.points).max())
                 e_k = float(np.abs(frames.curvatures - 2.0).max())
                 normal_rows.append(SweepRow(len(nodeset), m_i, float(eps), e_n, 0.0))

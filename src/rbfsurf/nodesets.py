@@ -20,8 +20,12 @@ from .errors import NodeFileError, ProjectionError
 _MIN_SEPARATION = 1e-12
 # largest |F| accepted at a projected point
 _PROJECTION_RESIDUAL_TOL = 1e-10
-# rays per projection block: bounds the (block, 400, 3) sample temporaries
+# rays per projection block: bounds the (block, samples, 3) sample temporaries
 _PROJECTION_BLOCK = 256
+# each ray is sampled at this many t in [T_LO, T_HI] to bracket its first root
+_PROJECTION_T_LO = 0.05
+_PROJECTION_T_HI = 1.5
+_PROJECTION_SAMPLES = 400
 # kNN repulsion: steps, neighbors per node, move per unit force and largest move (fractions of h)
 _REPULSION_STEPS = 400
 _REPULSION_NEIGHBORS = 12
@@ -261,12 +265,13 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
 # radial projection onto an implicit surface
 # ---------------------------------------------------------------------------
 
-def _project_block(dirs, surface, t_lo=0.05, t_hi=1.5, samples=400):
-    """First root t of F(t d) on [t_lo, t_hi] along each unit ray d of ``dirs`` (B, 3), or NaN.
+def _project_block(dirs, surface):
+    """First root t of F(t d) on [_PROJECTION_T_LO, _PROJECTION_T_HI] along each
+    unit ray d of ``dirs`` (B, 3), or NaN.
 
     Every ray takes the steps of a ray-by-ray search and gets its root bit for bit.
     """
-    ts = np.linspace(t_lo, t_hi, samples)
+    ts = np.linspace(_PROJECTION_T_LO, _PROJECTION_T_HI, _PROJECTION_SAMPLES)
     rows = np.arange(len(dirs))
     vals = surface.F(ts[None, :, None] * dirs[:, None, :])
     signs = np.sign(vals)

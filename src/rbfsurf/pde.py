@@ -9,8 +9,11 @@ model for cardiac excitation.  Both advance the semidiscrete system
 with an embedded Dormand-Prince 5(4) pair under proportional-integral step
 control.  Each right-hand side applies the operator only to the fields that
 diffuse (nonzero D): both Turing fields, the membrane voltage alone.
-The Turing reaction is du = alpha u + v - g, dv = gamma u + beta v + g with
+Each model's ``reaction`` method is its one reaction path.  The Turing
+reaction is du = alpha u + v - g, dv = gamma u + beta v + g with
 g = u v (alpha tau1 v + tau2): g enters with opposite signs, so du + dv is linear.
+The membrane model computes its stimulus profile once, at construction, and
+its ``reaction`` adds it to dv while t <= t_stim.
 
 A step works in one (8, 2, N) array: the state, then the seven stage
 derivatives.  Each stage input y + h sum_j a_sj k_j is one BLAS
@@ -126,80 +129,6 @@ class RdState:
 
 
 # ---------------------------------------------------------------------------
-# reaction terms
-# ---------------------------------------------------------------------------
-
-def _pair(*args):
-    """A fresh (2, ...) array over the arguments' broadcast shape, and its two rows."""
-    out = np.empty((2,) + np.broadcast(*args).shape)
-    return out, out[0, ...], out[1, ...]
-
-
-def turing_reaction(u, v, p: TuringParams):
-    """Reaction pair (du, dv) of the activator-inhibitor system, as one (2, ...) array.
-
-    The cubic-coupling BVAM form (Barrio, Varea, Aragon & Maini, Bull. Math.
-    Biol. 61 (1999)) that the preset parameter tables belong to, expanded around
-    its nonlinear term g, which enters the two rates with opposite signs.  It is
-    evaluated in place in 11 ufunc calls and divides no coefficient by another:
-
-        g  = u v (alpha tau1 v + tau2)
-        du = alpha u + v - g
-        dv = gamma u + beta v + g
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out, du, dv = _pair(u, v)
-    np.multiply(p.gamma, u, out=dv)
-    np.multiply(p.beta, v, out=du)
-    dv += du
-    np.multiply(p.alpha * p.tau1, v, out=du)
-    du += p.tau2
-    du *= u
-    du *= v  # du = g
-    dv += du
-    np.subtract(v, du, out=du)
-    du += p.alpha * u
-    return out
-
-
-def schaeffer_reaction(v, h, p: SchaefferParams, j_stim=0.0):
-    """Reaction pair (dv, dh) of the membrane model, as one (2, ...) array.
-
-    The inward current ``h(1-v)v^2/tau_in`` and outward current
-    ``-v/tau_out`` drive the voltage; the gate recovers below the critical
-    voltage and closes above it (the tie ``v == v_crit`` recovers).
-    """
-    v = np.asarray(v, dtype=float)
-    h = np.asarray(h, dtype=float)
-    out, dv, dh = _pair(v, h, j_stim)
-    np.multiply(h, 1.0 - v, out=dv)
-    dv *= v
-    dv *= v
-    dv /= p.tau_in
-    dv -= v / p.tau_out  # x - y is x + (-y), bit for bit
-    dv += j_stim
-    dh[...] = np.where(v <= p.v_crit, (1.0 - h) / p.tau_open, -h / p.tau_close)
-    return out
-
-
-def stimulus_eval(x, t, spec: StimulusSpec):
-    """Stimulus value at point(s) x and time t: a Gaussian bump gated in time.
-
-    Active while ``t <= t_stim`` (Heaviside with H(0) = 1), with spatial
-    profile ``exp(-|x - center|^2 / delta^2)``.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    x = np.asarray(x, dtype=float)
-    if t > spec.t_stim:
-        return np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
-    d2 = np.sum((x - spec.center) ** 2, axis=-1)
-    out = np.exp(-d2 / spec.delta**2)
-    return out if x.ndim > 1 else float(out)
-
-
-# ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
 
@@ -215,33 +144,77 @@ class RdModel:
 
 
 class TuringModel(RdModel):
+    """Activator-inhibitor system on (u, v); both fields diffuse."""
+
     def __init__(self, params: TuringParams):
         self.params = params
         self.diffusivities = np.array([params.d_u, params.d_v])
 
     def reaction(self, t, fields):
-        return turing_reaction(fields[0], fields[1], self.params)
+        """Rates (du, dv) as one fresh (2, N) array.
+
+        The cubic-coupling BVAM form (Barrio, Varea, Aragon & Maini, Bull. Math.
+        Biol. 61 (1999)) that the preset parameter tables belong to, expanded around
+        its nonlinear term g, which enters the two rates with opposite signs.  It is
+        evaluated in place in 11 ufunc calls and divides no coefficient by another:
+
+            g  = u v (alpha tau1 v + tau2)
+            du = alpha u + v - g
+            dv = gamma u + beta v + g
+        """
+        p = self.params
+        u, v = fields
+        out = np.empty(fields.shape)
+        du, dv = out
+        np.multiply(p.gamma, u, out=dv)
+        np.multiply(p.beta, v, out=du)
+        dv += du
+        np.multiply(p.alpha * p.tau1, v, out=du)
+        du += p.tau2
+        du *= u
+        du *= v  # du = g
+        dv += du
+        np.subtract(v, du, out=du)
+        du += p.alpha * u
+        return out
 
 
 class SchaefferModel(RdModel):
-    """Membrane model on a node set; only the voltage field diffuses."""
+    """Membrane model on (v, h) at the given node positions; only the voltage diffuses.
 
-    def __init__(self, params: SchaefferParams, points=None, stimulus: Optional[StimulusSpec] = None):
+    The stimulus adds the Gaussian bump ``exp(-|x - center|^2 / delta^2)`` to
+    dv while ``t <= t_stim`` (Heaviside with H(0) = 1); its profile over
+    ``points`` is computed once.
+    """
+
+    def __init__(self, params: SchaefferParams, points, stimulus: StimulusSpec):
         self.params = params
         self.stimulus = stimulus
         self.diffusivities = np.array([params.sigma, 0.0])
-        if stimulus is not None:
-            if points is None:
-                raise ValueError("stimulus requires node positions")
-            self._profile = stimulus_eval(np.asarray(points, dtype=float), 0.0, stimulus)
-        else:
-            self._profile = None
+        points = np.asarray(points, dtype=float)
+        self._profile = np.exp(-np.sum((points - stimulus.center) ** 2, axis=-1)
+                               / stimulus.delta**2)
 
     def reaction(self, t, fields):
-        j = 0.0
-        if self._profile is not None and t <= self.stimulus.t_stim:
-            j = self._profile
-        return schaeffer_reaction(fields[0], fields[1], self.params, j)
+        """Rates (dv, dh) as one fresh (2, N) array.
+
+        The inward current ``h(1-v)v^2/tau_in`` and outward current
+        ``-v/tau_out`` drive the voltage; the gate recovers below the critical
+        voltage and closes above it (the tie ``v == v_crit`` recovers).
+        """
+        p = self.params
+        v, h = fields
+        out = np.empty(fields.shape)
+        dv, dh = out
+        np.multiply(h, 1.0 - v, out=dv)
+        dv *= v
+        dv *= v
+        dv /= p.tau_in
+        dv -= v / p.tau_out  # x - y is x + (-y), bit for bit
+        # adding 0.0 after the window turns -0.0 rates into +0.0
+        dv += self._profile if t <= self.stimulus.t_stim else 0.0
+        dh[...] = np.where(v <= p.v_crit, (1.0 - h) / p.tau_open, -h / p.tau_close)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +527,7 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, stim: Optional[StimulusS
         stim = StimulusSpec(t_stim=5.0, center=nodes.points[stim_node],
                             delta=0.15 * estimate_diameter(nodes.points))
 
-    model = SchaefferModel(params, points=nodes.points, stimulus=stim)
+    model = SchaefferModel(params, nodes.points, stim)
     n = len(nodes)
     state0 = RdState(np.stack([np.zeros(n), np.ones(n)]), 0.0)
 

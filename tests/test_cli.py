@@ -91,6 +91,15 @@ class TestNodes:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["lbo", "build"], ["simulate", "turing"],
+                                     ["simulate", "schaeffer"]])
+def test_frames_help_lists_every_source(capsys, command):
+    with pytest.raises(SystemExit):
+        main(command + ["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "frame CSV, analytic:sphere / analytic:schwarz-p, or estimate" in text
+
+
 class TestGeomAndOperator:
     def test_estimate_frames_round_trip(self, sphere_file, tmp_path, capsys):
         frames_path = tmp_path / "frames.csv"
@@ -303,6 +312,12 @@ class TestBench:
         assert code == 0
         text = csv_path.read_text()
         assert "# mu[M=11] =" in text
+
+    def test_lbo_convergence_names_the_failed_cell(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "lbo-convergence", "--n", "200,400,800",
+                               "--stencil", "31", "--eps", "0.1", "--estimated-frames")
+        assert code == 2
+        assert "error: N=200, M=31, eps=0.1: " in err
 
     def test_frame_convergence_json(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "frame-convergence",

@@ -20,8 +20,10 @@ from rbfsurf.experiments import (
     save_table_csv,
     table_report,
 )
-from rbfsurf.kernels import KernelFamily
-from rbfsurf.nodesets import schwarz_p, unit_sphere
+from rbfsurf.errors import ConditioningError
+from rbfsurf.kernels import Kernel, KernelFamily
+from rbfsurf.nodesets import gen_sphere_nodes, schwarz_p, unit_sphere
+from rbfsurf.surface_geom import estimate_frames
 
 from conftest import repulsion_nodes
 
@@ -184,6 +186,27 @@ class TestLboErrorSweep:
         assert estimated.rows[0].max_error != analytic.rows[0].max_error
         assert estimated.rows[0].max_error < 1.0
 
+    def test_failed_frame_estimate_names_its_cell(self):
+        with pytest.raises(ConditioningError) as direct:
+            estimate_frames(gen_sphere_nodes(200), 31, Kernel(KernelFamily.GAUSSIAN, 0.1))
+        with pytest.raises(ConditioningError) as swept:
+            lbo_error_sweep(unit_sphere(), 200, 31, [0.1], use_analytic_frames=False)
+        assert str(swept.value) == f"N=200, M=31, eps=0.1: {direct.value}"
+        assert swept.value.cond == direct.value.cond
+        assert swept.value.node_indices == direct.value.node_indices != []
+
+    @pytest.mark.parametrize("sweep", [
+        lambda n, nodes: lbo_error_sweep(unit_sphere(), n, 11, [2.0], nodes=nodes),
+        lambda n, nodes: frame_error_sweep(n, 11, [2.0], nodes=nodes)[0],
+    ], ids=["lbo", "frame"])
+    def test_given_nodes_must_match_every_count(self, sweep):
+        nodes = gen_sphere_nodes(150)
+        with pytest.raises(ValueError, match="150 given nodes"):
+            sweep([100, 200, 400], nodes)
+        with pytest.raises(ValueError, match="150 given nodes"):
+            sweep([150, 200], nodes)
+        assert [row.n for row in sweep([150, 150], nodes)] == [150, 150]
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_singular_cells_counted_not_fatal(self):
@@ -210,6 +233,11 @@ class TestFrameErrorSweep:
         tn, tk = frame_error_sweep(150, 11, [2.0])
         assert tn.rows[0].n == 150
         assert tk.rows[0].n == 150
+
+    def test_failed_estimate_names_its_cell(self):
+        with pytest.raises(ConditioningError, match=r"^N=200, M=31, eps=0\.1: 200 local systems") as err:
+            frame_error_sweep([200, 400], 31, [0.1])
+        assert len(err.value.node_indices) == 200
 
 
 class TestTableOutput:

@@ -32,9 +32,6 @@ from rbfsurf.pde import (
     run_turing,
     save_probe_csv,
     save_snapshots,
-    schaeffer_reaction,
-    stimulus_eval,
-    turing_reaction,
     write_vtk_pointcloud,
 )
 from rbfsurf.surface_geom import analytic_frames
@@ -103,9 +100,14 @@ class TestParams:
             RdState(np.zeros(5), 0.0)
 
 
+def fields(a, b):
+    """A (2, n) field array from two rows; scalars become (2, 1)."""
+    return np.array([a, b], dtype=float).reshape(2, -1)
+
+
 class TestTuringReaction:
     def test_origin_is_equilibrium(self):
-        du, dv = turing_reaction(0.0, 0.0, TuringParams.spots())
+        du, dv = TuringModel(TuringParams.spots()).reaction(0.0, fields(0.0, 0.0))
         assert du == 0.0 and dv == 0.0
 
     def test_jacobian_at_origin(self):
@@ -115,7 +117,7 @@ class TestTuringReaction:
         e = 1e-7
 
         def f(u, v):
-            return np.array(turing_reaction(u, v, p))
+            return np.array(TuringModel(p).reaction(0.0, fields(u, v)))
 
         col_u = (f(e, 0) - f(-e, 0)) / (2 * e)
         col_v = (f(0, e) - f(0, -e)) / (2 * e)
@@ -125,7 +127,7 @@ class TestTuringReaction:
     def test_linear_when_cubic_off(self):
         p = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=-0.8, gamma=-0.6,
                          tau1=0.0, tau2=0.0)
-        du, dv = turing_reaction(0.3, -0.2, p)
+        du, dv = TuringModel(p).reaction(0.0, fields(0.3, -0.2))
         assert du == pytest.approx(0.7 * 0.3 + (-0.2))
         assert dv == pytest.approx(-0.8 * -0.2 + -0.6 * 0.3)
 
@@ -134,7 +136,7 @@ class TestTuringReaction:
         p = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=0.0, gamma=-0.6,
                          tau1=0.5, tau2=0.1)
         u, v = 0.3, -0.2
-        du, dv = turing_reaction(u, v, p)
+        du, dv = TuringModel(p).reaction(0.0, fields(u, v))
         g = u * v * (0.7 * 0.5 * v + 0.1)
         assert du == pytest.approx(0.7 * u + v - g)
         assert dv == pytest.approx(-0.6 * u + g)
@@ -143,9 +145,9 @@ class TestTuringReaction:
         p = TuringParams.spots()
         u = np.linspace(-0.4, 0.4, 7)
         v = np.linspace(0.3, -0.3, 7)
-        du, dv = turing_reaction(u, v, p)
+        du, dv = TuringModel(p).reaction(0.0, fields(u, v))
         assert du.shape == dv.shape == (7,)
-        du0, dv0 = turing_reaction(u[2], v[2], p)
+        du0, dv0 = TuringModel(p).reaction(0.0, fields(u[2], v[2]))
         assert du[2] == pytest.approx(du0)
         assert dv[2] == pytest.approx(dv0)
 
@@ -166,7 +168,7 @@ class TestTuringReactionOracle:
     @BVAM_CASES
     def test_matches_mpmath(self, p):
         u, v = self.inputs()
-        du, dv = turing_reaction(u, v, p)
+        du, dv = TuringModel(p).reaction(0.0, fields(u, v))
         eps = np.finfo(float).eps
         with mpmath.workdps(50):
             a, b, c, t1, t2 = map(mpmath.mpf, (p.alpha, p.beta, p.gamma, p.tau1, p.tau2))
@@ -182,7 +184,7 @@ class TestTuringReactionOracle:
     @BVAM_CASES
     def test_nonlinear_term_cancels_in_sum(self, p):
         u, v = self.inputs()
-        du, dv = turing_reaction(u, v, p)
+        du, dv = TuringModel(p).reaction(0.0, fields(u, v))
         linear = (p.alpha + p.gamma) * u + (1.0 + p.beta) * v
         g_scale = np.abs(u * v) * (np.abs(p.alpha * p.tau1 * v) + abs(p.tau2))
         scale = (np.abs(p.alpha * u) + np.abs(v) + np.abs(p.gamma * u) + np.abs(p.beta * v)
@@ -190,62 +192,79 @@ class TestTuringReactionOracle:
         assert np.all(np.abs(du + dv - linear) <= 8 * np.finfo(float).eps * scale)
 
 
+STIMULUS = StimulusSpec(t_stim=5.0, center=[0.0, 0.0, 1.0], delta=0.2)
+
+
+def membrane(points=((0.0, 0.0, 1.0),)):
+    """SchaefferModel with default parameters under STIMULUS at the given node positions."""
+    return SchaefferModel(SchaefferParams(), np.array(points, dtype=float), STIMULUS)
+
+
 class TestSchaefferReaction:
+    # after STIMULUS.t_stim the stimulus is off
+    OFF = 6.0
+
     def test_rest_is_equilibrium(self):
-        dv, dh = schaeffer_reaction(0.0, 1.0, SchaefferParams())
+        dv, dh = membrane().reaction(self.OFF, fields(0.0, 1.0))
         assert dv == 0.0 and dh == 0.0
 
     def test_stimulus_enters_voltage_only(self):
-        dv, dh = schaeffer_reaction(0.0, 1.0, SchaefferParams(), j_stim=0.3)
+        # the stimulus profile is 0.3 at this distance from the center
+        x = STIMULUS.delta * np.sqrt(-np.log(0.3))
+        dv, dh = membrane([(x, 0.0, 1.0)]).reaction(0.0, fields(0.0, 1.0))
         assert dv == pytest.approx(0.3)
         assert dh == 0.0
 
     def test_current_balance(self):
         # v=0.5, h=0.8: inward 0.8*0.5*0.25/0.2 = 0.5, outward -0.05
-        p = SchaefferParams()
-        dv, dh = schaeffer_reaction(0.5, 0.8, p)
+        dv, dh = membrane().reaction(self.OFF, fields(0.5, 0.8))
         assert dv == pytest.approx(0.45)
         assert dh == pytest.approx(-0.8 / 150.0)
 
     def test_gate_tie_recovers(self):
         p = SchaefferParams()
-        _, dh = schaeffer_reaction(p.v_crit, 0.5, p)
+        _, dh = membrane().reaction(self.OFF, fields(p.v_crit, 0.5))
         assert dh == pytest.approx(0.5 / 130.0)
 
     def test_gate_branches_vectorized(self):
-        p = SchaefferParams()
         v = np.array([0.0, 0.5])
         h = np.array([0.4, 0.4])
-        _, dh = schaeffer_reaction(v, h, p)
+        _, dh = membrane([STIMULUS.center] * 2).reaction(self.OFF, fields(v, h))
         assert dh[0] == pytest.approx(0.6 / 130.0)
         assert dh[1] == pytest.approx(-0.4 / 150.0)
 
 
-class TestStimulusEval:
-    SPEC = StimulusSpec(t_stim=5.0, center=[0.0, 0.0, 1.0], delta=0.2)
+def stimulus_current(points, t):
+    """The stimulus term of dv: at rest (v = 0, h = 1) the membrane currents are zero."""
+    n = len(points)
+    return membrane(points).reaction(t, fields(np.zeros(n), np.ones(n)))[0]
 
+
+class TestStimulus:
     def test_peak_at_center(self):
-        assert stimulus_eval([0.0, 0.0, 1.0], 0.0, self.SPEC) == 1.0
+        assert stimulus_current([[0.0, 0.0, 1.0]], 0.0) == 1.0
         # boundary of the active window still counts
-        assert stimulus_eval([0.0, 0.0, 1.0], 5.0, self.SPEC) == 1.0
+        assert stimulus_current([[0.0, 0.0, 1.0]], 5.0) == 1.0
 
     def test_width(self):
-        assert stimulus_eval([0.2, 0.0, 1.0], 1.0, self.SPEC) == pytest.approx(np.exp(-1.0))
+        assert stimulus_current([[0.2, 0.0, 1.0]], 1.0) == pytest.approx(np.exp(-1.0))
 
     def test_off_after_window(self):
-        assert stimulus_eval([0.0, 0.0, 1.0], 5.0001, self.SPEC) == 0.0
-        out = stimulus_eval(np.zeros((4, 3)), 6.0, self.SPEC)
+        assert stimulus_current([[0.0, 0.0, 1.0]], 5.0001) == 0.0
+        out = stimulus_current(np.zeros((4, 3)), 6.0)
         assert out.shape == (4,) and not out.any()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            stimulus_eval([0.0, 0.0, 1.0], -0.1, self.SPEC)
 
     def test_vectorized_points(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.2, 0.0, 1.0]])
-        out = stimulus_eval(pts, 0.0, self.SPEC)
+        out = stimulus_current(pts, 0.0)
         assert out[0] == 1.0
         assert out[1] == pytest.approx(np.exp(-1.0))
+
+
+def membrane_on(nodes):
+    """SchaefferModel on a node set, stimulated at node 0 until t = 0.25."""
+    stimulus = StimulusSpec(t_stim=0.25, center=nodes.points[0], delta=0.3)
+    return SchaefferModel(SchaefferParams(), nodes.points, stimulus)
 
 
 class Decay(RdModel):
@@ -439,13 +458,14 @@ class TestIntegrate:
             integrate(BadDiffusion(), op, state0, 1.0)
         assert calls == []
 
-    @pytest.mark.parametrize("model, shape", [
-        (TuringModel(TuringParams.stripes()), (2, 200)),
-        (SchaefferModel(SchaefferParams()), (1, 200)),  # the gate does not diffuse
-        (Decay(), None),
+    @pytest.mark.parametrize("make_model, shape", [
+        (lambda nodes: TuringModel(TuringParams.stripes()), (2, 200)),
+        (membrane_on, (1, 200)),  # the gate does not diffuse
+        (lambda nodes: Decay(), None),
     ], ids=["turing", "membrane", "decay"])
-    def test_applies_only_diffusing_fields(self, sphere200, model, shape):
+    def test_applies_only_diffusing_fields(self, sphere200, make_model, shape):
         nodes, _, op = sphere200
+        model = make_model(nodes)
         spy = SpyOperator(op)
         state0 = RdState(np.stack([nodes.points[:, 2], np.ones(len(nodes))]), 0.0)
         states = integrate(model, spy, state0, 0.5)
@@ -459,7 +479,7 @@ class TestIntegrate:
         # every derivative is the reaction plus D times the operator, bit for
         # bit, and a field with D = 0 gets none of the operator
         nodes, _, op = sphere200
-        model = SchaefferModel(SchaefferParams())
+        model = membrane_on(nodes)
         seen = []
         state0 = RdState(np.stack([0.5 * (1 + nodes.points[:, 2]), np.ones(len(nodes))]), 0.0)
         integrate(model, op, state0, 0.5,
@@ -671,7 +691,7 @@ class TestRunTuring:
         assert run.final_rate_inf == np.abs(derivatives[-1][0]).max()
         # and it is du/dt of the final state, formed anew
         fields = run.final.fields
-        fresh = (turing_reaction(fields[0], fields[1], run.params)[0]
+        fresh = (TuringModel(run.params).reaction(run.final.time, fields)[0]
                  + run.params.d_u * op.apply(fields[0]))
         assert run.final_rate_inf == np.abs(fresh).max()
 
