@@ -11,8 +11,8 @@ integrate reaction-diffusion models (`pde`).
 from .errors import (
     ConditioningError,
     DivergenceError,
+    FileFormatError,
     GeometryError,
-    NodeFileError,
     ProjectionError,
     RbfSurfError,
     StiffnessError,
@@ -77,7 +77,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditioningError", "DivergenceError", "GeometryError", "NodeFileError",
+    "ConditioningError", "DivergenceError", "FileFormatError", "GeometryError",
     "ProjectionError", "RbfSurfError", "StiffnessError",
     "Kernel", "KernelFamily",
     "ImplicitSurface", "NodeSet",

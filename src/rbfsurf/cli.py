@@ -15,8 +15,6 @@ from .errors import RbfSurfError
 from .kernels import Kernel, KernelFamily
 from .lbo import SparseOperator, assemble_operator
 from .nodesets import (
-    NodeSet,
-    check_node_ids,
     gen_sphere_nodes,
     load_nodes,
     project_radial,
@@ -30,18 +28,31 @@ from .surface_geom import analytic_frames, estimate_frames, load_frames, save_fr
 
 
 def _parse_grid(text):
-    """Float grid: 'a,b,c' literal values or 'start:stop:count' for linspace."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("range grids use start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(start, stop, count)
-    return np.array([float(tok) for tok in text.split(",") if tok])
+    """Argparse type of a float grid of at least one value: 'a,b,c' literal
+    values or 'start:stop:count' for linspace."""
+    try:
+        if ":" in text:
+            start, stop, count = text.split(":")
+            grid = np.linspace(float(start), float(stop), int(count))
+        else:
+            grid = np.array([float(tok) for tok in text.split(",") if tok])
+    except ValueError:
+        grid = []
+    if not len(grid):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list or start:stop:count with count >= 1, got {text!r}")
+    return grid
 
 
 def _parse_ints(text):
-    return [int(tok) for tok in text.split(",") if tok]
+    """Argparse type of a comma list of at least one integer."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _kernel_from_args(args):
@@ -140,14 +151,9 @@ def _cmd_simulate_schaeffer(args):
     nodes = load_nodes(args.nodes)
     kernel = _kernel_from_args(args)
     frames = _frames_for(nodes, args.frames, args.stencil, kernel)
-    delta = args.delta if args.delta is not None else 0.15 * pde.estimate_diameter(nodes.points)
-    stim = pde.StimulusSpec(t_stim=args.t_stim,
-                            center=nodes.points[check_node_ids(nodes, args.stim_node)],
-                            delta=delta)
-    run = pde.run_schaeffer(nodes, frames, stim=stim, t_end=args.t_end,
-                            probe=args.probe, stim_node=args.stim_node,
-                            m=args.stencil, kernel=kernel,
-                            snapshot_every=args.snapshot_every)
+    run = pde.run_schaeffer(nodes, frames, t_end=args.t_end, probe=args.probe,
+                            stim_node=args.stim_node, t_stim=args.t_stim, delta=args.delta,
+                            m=args.stencil, kernel=kernel, snapshot_every=args.snapshot_every)
     pde.save_snapshots(nodes, run.states, args.out, field_names=("v", "h"), vtk=args.vtk)
     probe_path = f"{args.out}/probe_{args.probe}.csv"
     pde.save_probe_csv(probe_path, run)
@@ -156,11 +162,7 @@ def _cmd_simulate_schaeffer(args):
 
 def _emit_table(table, orders, args):
     if args.out:
-        experiments.save_table_csv(table, args.out)
-        if orders:
-            with open(args.out, "a", encoding="utf-8") as fh:
-                for m, mu in sorted(orders.items()):
-                    fh.write(f"# mu[M={m}] = {mu:.6g}\n")
+        experiments.save_table_csv(table, args.out, orders)
     if args.json:
         print(json.dumps(experiments.table_report(table, orders), indent=2))
     elif orders:
@@ -170,15 +172,15 @@ def _emit_table(table, orders, args):
 
 def _cmd_bench_lbo_convergence(args):
     table = experiments.lbo_error_sweep(
-        unit_sphere(), _parse_ints(args.n), _parse_ints(args.stencil),
-        [args.eps], use_analytic_frames=not args.estimated_frames,
+        unit_sphere(), args.n, args.stencil, [args.eps],
+        use_analytic_frames=not args.estimated_frames,
         family=KernelFamily(args.kernel), seed=args.seed, method=args.method)
     _emit_table(table, table.orders(), args)
 
 
 def _cmd_bench_frame_convergence(args):
     normal_table, curvature_table = experiments.frame_error_sweep(
-        _parse_ints(args.n), _parse_ints(args.stencil), [args.eps],
+        args.n, args.stencil, [args.eps],
         family=KernelFamily(args.kernel), seed=args.seed, method=args.method)
     normal_orders = normal_table.orders()
     curvature_orders = curvature_table.orders()
@@ -201,7 +203,7 @@ def _cmd_bench_frame_convergence(args):
 
 def _cmd_bench_eps_sweep(args):
     table = experiments.lbo_error_sweep(
-        unit_sphere(), args.n, args.stencil, _parse_grid(args.eps_grid),
+        unit_sphere(), args.n, args.stencil, args.eps_grid,
         use_analytic_frames=not args.estimated_frames,
         family=KernelFamily(args.kernel),
         node=args.node, seed=args.seed, method=args.method)
@@ -297,9 +299,9 @@ def build_parser():
     bench = sub.add_parser("bench", help="accuracy sweeps on the unit sphere")
     bench_sub = bench.add_subparsers(dest="subcommand", required=True)
     conv = bench_sub.add_parser("lbo-convergence", help="operator error vs node count")
-    conv.add_argument("--n", default="500,1000,2000,4000",
+    conv.add_argument("--n", type=_parse_ints, default="500,1000,2000,4000",
                       help="comma-separated node counts")
-    conv.add_argument("--stencil", default="11,15,21,31",
+    conv.add_argument("--stencil", type=_parse_ints, default="11,15,21,31",
                       help="comma-separated stencil sizes")
     _add_kernel_options(conv)
     conv.add_argument("--estimated-frames", action="store_true",
@@ -310,8 +312,8 @@ def build_parser():
     conv.add_argument("--json", action="store_true")
     conv.set_defaults(func=_cmd_bench_lbo_convergence)
     fconv = bench_sub.add_parser("frame-convergence", help="frame error vs node count")
-    fconv.add_argument("--n", default="500,1000,2000,4000")
-    fconv.add_argument("--stencil", default="11,15,21,31")
+    fconv.add_argument("--n", type=_parse_ints, default="500,1000,2000,4000")
+    fconv.add_argument("--stencil", type=_parse_ints, default="11,15,21,31")
     _add_kernel_options(fconv)
     fconv.add_argument("--seed", type=int, default=0)
     fconv.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
@@ -321,7 +323,7 @@ def build_parser():
     esweep = bench_sub.add_parser("eps-sweep", help="operator error vs shape parameter")
     esweep.add_argument("--n", type=int, default=1000)
     esweep.add_argument("--stencil", type=int, default=16)
-    esweep.add_argument("--eps-grid", default="1:8:29",
+    esweep.add_argument("--eps-grid", type=_parse_grid, default="1:8:29",
                         help="comma list or start:stop:count range")
     _add_kernel_options(esweep, eps=False)
     esweep.add_argument("--estimated-frames", action="store_true")
@@ -342,7 +344,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         args.func(args)
-    except (RbfSurfError, ValueError) as exc:
+    except (RbfSurfError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

@@ -1,8 +1,12 @@
-"""Exception types raised by the numerical routines.
+"""Exception types raised by the numerical routines and the file readers.
 
 Precondition violations (bad argument values, mismatched sizes) raise plain
 ``ValueError``; the classes below cover failures of the numerics themselves,
-carrying enough context to locate the offending node or system.
+carrying enough context to locate the offending node or system.  A line of
+a node, frame or operator file that is not blank or a ``#`` comment and does
+not hold the format's fields raises :class:`FileFormatError` with its line
+number; content that parses but breaks a check (coincident nodes, a short
+operator row) raises ``ValueError`` naming the node or row.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ class RbfSurfError(Exception):
     """Base class for numerical failures in this package."""
 
 
-class NodeFileError(RbfSurfError):
-    """Malformed node file. Carries the 1-based line number."""
+class FileFormatError(RbfSurfError, ValueError):
+    """Malformed line of a node, frame or operator file. Carries the 1-based line number."""
 
     def __init__(self, message, line_no=None):
         super().__init__(message)

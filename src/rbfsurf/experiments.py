@@ -196,11 +196,13 @@ def frame_error_sweep(n, m, eps_grid, *, family=KernelFamily.GAUSSIAN,
     return ConvergenceTable(normal_rows), ConvergenceTable(curvature_rows)
 
 
-def save_table_csv(table: ConvergenceTable, path):
-    """Write sweep rows as CSV, one header row naming every column."""
+def save_table_csv(table: ConvergenceTable, path, orders: Optional[dict] = None):
+    """Write sweep rows as CSV, one header row naming every column, then one
+    ``# mu[M=m] = ...`` line per fitted order."""
+    footer = "\n".join(f"# mu[M={m}] = {mu:.6g}" for m, mu in sorted((orders or {}).items()))
     np.savetxt(path, np.array([astuple(row) for row in table.rows]),
-               fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%d"],
-               delimiter=",", header=",".join(f.name for f in fields(SweepRow)), comments="")
+               fmt=["%d", "%d", "%.17g", "%.17g", "%.17g", "%d"], delimiter=",",
+               header=",".join(f.name for f in fields(SweepRow)), comments="", footer=footer)
 
 
 def table_report(table: ConvergenceTable, orders: Optional[dict] = None):

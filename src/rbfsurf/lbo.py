@@ -25,7 +25,7 @@ from scipy.sparse._sparsetools import csr_matvec  # private: the kernel of `csr 
 
 from ._linalg import check_conditioning, solve_rbf_systems
 from .kernels import Kernel, lbo_of_rbf_rows
-from .nodesets import NodeSet, Stencil, knn_table
+from .nodesets import NodeSet, Stencil, _parse_row, _read_lines, knn_table
 from .surface_geom import SurfaceFrame
 
 logger = logging.getLogger(__name__)
@@ -141,39 +141,30 @@ class SparseOperator:
         """Text format: header ``N M``, then 0-based ``row col weight`` triplets."""
         coo = self.matrix.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.n} {self.stencil_size}\n")
-            for r, c, w in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{r} {c} {w:.17g}\n")
+        np.savetxt(path, np.column_stack([coo.row[order], coo.col[order], coo.data[order]]),
+                   fmt=["%d", "%d", "%.17g"], header=f"{self.n} {self.stencil_size}",
+                   comments="", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
         """Read the :meth:`save` format.
 
-        Raises ValueError unless every row holds exactly M finite weights
-        at distinct columns, with every index in [0, N).
+        Raises FileFormatError on a line that is not two integers and a number
+        (two integers for the header), and ValueError unless every row holds
+        exactly M finite weights at distinct columns, with every index in [0, N).
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().split()
-            if len(first) != 2:
-                raise ValueError("operator file must start with an 'N M' header")
-            n, m = int(first[0]), int(first[1])
-            if not 1 <= m <= n:
-                raise ValueError(f"operator header needs N >= 1 and 1 <= M <= N, got N={n} M={m}")
-            rows, cols, vals = [], [], []
-            for line in fh:
-                if not line.strip():
-                    continue
-                r, c, w = line.split()
-                rows.append(int(r))
-                cols.append(int(c))
-                vals.append(float(w))
-        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-        vals = np.array(vals)
+        lines = _read_lines(path)
+        n, m = map(int, _parse_row(*next(lines, (1, [])), 2, integral=2))
+        if not 1 <= m <= n:
+            raise ValueError(f"operator header needs N >= 1 and 1 <= M <= N, got N={n} M={m}")
+        data = np.array([_parse_row(k, row, 3, integral=2) for k, row in lines],
+                        dtype=float).reshape(-1, 3)
+        rows, cols, vals = data.T
         if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
             raise ValueError(f"operator indices must lie in [0, {n})")
         if not np.all(np.isfinite(vals)):
             raise ValueError("operator weights must be finite")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
         counts = np.bincount(rows, minlength=n)
         if np.any(counts != m):
             r = int(np.flatnonzero(counts != m)[0])

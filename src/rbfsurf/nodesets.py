@@ -9,13 +9,14 @@ broken by node index.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NodeFileError, ProjectionError
+from .errors import FileFormatError, ProjectionError
 
 _MIN_SEPARATION = 1e-12
 # largest |F| accepted at a projected point
@@ -85,6 +86,34 @@ class NodeSet:
         return f"<NodeSet{tag} N={len(self)}>"
 
 
+def _read_lines(source, sep=None):
+    """Yield (1-based line number, fields split at ``sep``) for each line of a text
+    stream or file path that is neither blank nor a ``#`` comment."""
+    text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, stripped.split(sep)
+
+
+def _parse_row(line_no, fields, width, integral=0):
+    """The ``width`` fields of a line as floats, the first ``integral`` of them
+    integers; raises FileFormatError naming the line otherwise."""
+    if len(fields) != width:
+        raise FileFormatError(f"line {line_no}: expected {width} fields, got {len(fields)}",
+                              line_no)
+    try:
+        row = [float(f) for f in fields]
+    except ValueError as exc:
+        raise FileFormatError(f"line {line_no}: {exc}", line_no) from None
+    if not all(v.is_integer() for v in row[:integral]):
+        raise FileFormatError(f"line {line_no}: expected integers, got {fields[:integral]}",
+                              line_no)
+    return row
+
+
 def load_nodes(source):
     """Read a NodeSet from a text stream or file path.
 
@@ -93,44 +122,19 @@ def load_nodes(source):
 
     Raises
     ------
-    NodeFileError
+    FileFormatError
         On a malformed line, with the 1-based line number.
     ValueError
         If the parsed points violate NodeSet invariants (too few nodes,
         coincident nodes).
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-
-    rows = []
-    for line_no, line in enumerate(io.StringIO(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise NodeFileError(
-                f"line {line_no}: expected 3 coordinates, got {len(parts)}", line_no
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise NodeFileError(f"line {line_no}: could not parse {stripped!r}", line_no) from None
+    rows = [_parse_row(line_no, fields, 3) for line_no, fields in _read_lines(source)]
     return NodeSet(np.array(rows, dtype=float).reshape(-1, 3))
 
 
 def save_nodes(nodes, path):
-    """Write a NodeSet in the plain ``x y z`` text format."""
-    header = f"# {nodes.label}\n" if nodes.label else ""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for p in nodes.points:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+    """Write a NodeSet in the plain ``x y z`` text format, its label as a ``#`` line."""
+    np.savetxt(path, nodes.points, fmt="%.17g", header=nodes.label or "", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -507,25 +507,25 @@ def estimate_diameter(points):
     return 2.0 * float(np.linalg.norm(points - points.mean(axis=0), axis=1).max())
 
 
-def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, stim: Optional[StimulusSpec] = None,
-                  t_end=600.0, probe=0, *, stim_node=0, m=31,
-                  kernel=Kernel(KernelFamily.GAUSSIAN, 2.0), op=None, snapshot_every=None):
+def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *, stim_node=0,
+                  t_stim=5.0, delta=None, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0),
+                  op=None, snapshot_every=None):
     """Integrate the membrane model, default :class:`SchaefferParams`, from rest
     (v = 0, h = 1) under a stimulus.
 
-    The default stimulus lasts 5 ms, is centered at ``stim_node`` and has
-    width 0.15 times the geometry diameter.  ``probe`` is a node id or list
-    of ids in [0, N) whose (t, v, h) history is recorded at every accepted
-    step.  The run takes :func:`integrate`'s default tolerances.
+    The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has
+    width ``delta``, by default 0.15 times the geometry diameter.  ``probe`` is
+    a node id or list of ids in [0, N) whose (t, v, h) history is recorded at
+    every accepted step.  The run takes :func:`integrate`'s default tolerances.
     """
     probes = [probe] if np.isscalar(probe) else list(probe)
     check_node_ids(nodes, probes + [stim_node])
     params = SchaefferParams()
     if op is None:
         op = assemble_operator(nodes, frames, m, kernel)
-    if stim is None:
-        stim = StimulusSpec(t_stim=5.0, center=nodes.points[stim_node],
-                            delta=0.15 * estimate_diameter(nodes.points))
+    if delta is None:
+        delta = 0.15 * estimate_diameter(nodes.points)
+    stim = StimulusSpec(t_stim=t_stim, center=nodes.points[stim_node], delta=delta)
 
     model = SchaefferModel(params, nodes.points, stim)
     n = len(nodes)
@@ -575,20 +575,14 @@ def write_vtk_pointcloud(path, points, scalars):
     points = np.asarray(points, dtype=float)
     n = len(points)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("rbfsurf point cloud\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {n} double\n")
-        for p in points:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        fh.write(f"VERTICES {n} {2 * n}\n")
-        for i in range(n):
-            fh.write(f"1 {i}\n")
-        fh.write(f"POINT_DATA {n}\n")
+        np.savetxt(fh, points, fmt="%.17g", comments="",
+                   header=f"# vtk DataFile Version 3.0\nrbfsurf point cloud\nASCII\n"
+                          f"DATASET POLYDATA\nPOINTS {n} double")
+        np.savetxt(fh, np.column_stack([np.ones(n, dtype=int), np.arange(n)]), fmt="%d",
+                   header=f"VERTICES {n} {2 * n}", footer=f"POINT_DATA {n}", comments="")
         for name, values in scalars.items():
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for val in np.asarray(values, dtype=float):
-                fh.write(f"{val:.17g}\n")
+            np.savetxt(fh, np.asarray(values, dtype=float), fmt="%.17g", comments="",
+                       header=f"SCALARS {name} double 1\nLOOKUP_TABLE default")
 
 
 def save_probe_csv(path, run: SchaefferRun, column=0):

@@ -161,9 +161,8 @@ def save_spectrum_csv(report: SpectrumReport, path, n, radius):
     """Write ``re,im`` rows, then commented lines: what part of the N
     eigenvalues they are (``eigenvalues`` with this ``radius``) and the report."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("re,im\n")
-        for lam in report.eigenvalues:
-            fh.write(f"{lam.real:.17g},{lam.imag:.17g}\n")
+        np.savetxt(fh, np.column_stack([report.eigenvalues.real, report.eigenvalues.imag]),
+                   fmt="%.17g", delimiter=",", header="re,im", comments="")
         fh.write(f"# partial spectrum: {len(report.eigenvalues)} of {n} eigenvalues, every one "
                  f"within {radius:g} of {SHIFT:g}, then those of the {_FAR_K} rightmost and of the "
                  "largest in magnitude that lie outside that disc\n")

@@ -22,9 +22,9 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from ._linalg import check_conditioning, solve_rbf_systems
-from .errors import GeometryError
+from .errors import FileFormatError, GeometryError
 from .kernels import Kernel, lbo_of_rbf_rows
-from .nodesets import ImplicitSurface, NodeSet, Stencil, knn_table
+from .nodesets import ImplicitSurface, NodeSet, Stencil, _parse_row, _read_lines, knn_table
 
 _COLLINEAR_TOL = 1e-10
 # selection threshold on the sine of the subtended angle: the two nearest
@@ -259,8 +259,10 @@ def save_frames(nodes: NodeSet, frames: SurfaceFrame, path):
 
 
 def load_frames(path):
-    """Read a frame CSV; returns (points, SurfaceFrame) in file order."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 7:
-        raise ValueError(f"frame CSV must have 7 columns ({FRAME_CSV_HEADER})")
+    """Read a frame CSV, header line first; returns (points, SurfaceFrame) in file order."""
+    lines = _read_lines(path, sep=",")
+    line_no, fields = next(lines, (1, []))
+    if fields != FRAME_CSV_HEADER.split(","):
+        raise FileFormatError(f"line {line_no}: expected the header {FRAME_CSV_HEADER}", line_no)
+    data = np.array([_parse_row(k, row, 7) for k, row in lines], dtype=float).reshape(-1, 7)
     return data[:, :3], SurfaceFrame(data[:, 3:6], data[:, 6])

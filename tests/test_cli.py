@@ -328,6 +328,53 @@ class TestBench:
         assert "11" in report["orders_kappa"]
 
 
+class TestUsageErrors:
+    """List options are parsed by argparse: bad input exits 2 naming the option."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["eps-sweep", "--eps-grid", "1:8"], "--eps-grid"),
+        (["eps-sweep", "--eps-grid", "1:8:0"], "--eps-grid"),
+        (["eps-sweep", "--eps-grid", ""], "--eps-grid"),
+        (["lbo-convergence", "--n", "200,x"], "--n"),
+    ], ids=["range-without-count", "range-count-zero", "empty-grid", "non-integer-count"])
+    def test_bad_list(self, tmp_path, capsys, argv, option):
+        csv_path = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *argv, "--out", str(csv_path)])
+        assert exit_info.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+        assert not csv_path.exists()
+
+
+class TestFileErrors:
+    """A missing or unwritable path, or a malformed file, exits 2 with one error line."""
+
+    def test_missing_node_file(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "lbo", "build", "--nodes", str(tmp_path / "nope.txt"),
+                               "--frames", "analytic:sphere", "--stencil", "11",
+                               "--out", str(tmp_path / "op.txt"))
+        assert code == 2
+        assert err.startswith("error: [Errno 2] ")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "nodes", "gen", "--n", "100",
+                               "--out", str(tmp_path / "nonexistent" / "x.txt"))
+        assert code == 2
+        assert err.startswith("error: [Errno 2] ")
+
+    def test_malformed_operator_names_the_line(self, sphere_file, tmp_path, capsys):
+        op_path = tmp_path / "op.txt"
+        run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file), "--frames",
+                "analytic:sphere", "--stencil", "11", "--out", str(op_path))
+        lines = op_path.read_text().splitlines()
+        lines[4] = " ".join(lines[4].split()[:2])
+        op_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "spectrum", "--operator", str(op_path),
+                               "--out", str(tmp_path / "spectrum.csv"))
+        assert code == 2
+        assert err.startswith("error: line 5: expected 3 fields, got 2")
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "n.txt"
     proc = subprocess.run(

@@ -251,6 +251,12 @@ class TestTableOutput:
         assert np.array_equal(data[:, 0], [100, 400, 1600])
         assert np.array_equal(data[:, 3], [row.max_error for row in table])
 
+    def test_csv_footer_lists_orders(self, tmp_path):
+        table = ConvergenceTable(power_law_rows(11, 2.0, (100, 400, 1600)))
+        path = tmp_path / "table.csv"
+        save_table_csv(table, path, table.orders())
+        assert path.read_text().endswith(f"\n# mu[M=11] = {table.orders()[11]:.6g}\n")
+
     def test_report_dict(self):
         table = ConvergenceTable(power_law_rows(11, 2.0, (100, 400, 1600)))
         report = table_report(table, table.orders())

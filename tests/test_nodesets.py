@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from rbfsurf import (
-    NodeFileError,
+    FileFormatError,
     NodeSet,
     ProjectionError,
     gen_sphere_nodes,
@@ -103,13 +103,13 @@ class TestLoadNodes:
 
     def test_malformed_line_reports_number(self):
         text = "0 0 1\n0 0 -1\n1 0 oops\n0 1 0"
-        with pytest.raises(NodeFileError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_nodes(io.StringIO(text))
         assert err.value.line_no == 3
 
     def test_wrong_arity_reports_number(self):
         text = "0 0 1\n0 0\n1 0 0\n0 1 0"
-        with pytest.raises(NodeFileError) as err:
+        with pytest.raises(FileFormatError) as err:
             load_nodes(io.StringIO(text))
         assert err.value.line_no == 2
 

@@ -765,9 +765,11 @@ class TestRunSchaeffer:
 
     def test_custom_stimulus_respected(self, sphere200):
         nodes, frames, op = sphere200
-        spec = StimulusSpec(t_stim=2.0, center=nodes.points[5], delta=0.3)
-        run = run_schaeffer(nodes, frames, stim=spec, t_end=1.0, op=op, probe=5)
-        assert run.stimulus is spec
+        run = run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=5, stim_node=5,
+                            t_stim=2.0, delta=0.3)
+        assert run.stimulus.t_stim == 2.0
+        assert run.stimulus.delta == 0.3
+        assert np.array_equal(run.stimulus.center, nodes.points[5])
 
     @pytest.mark.parametrize("ids", [{"probe": 200}, {"probe": -1}, {"probe": [0, 500]},
                                      {"stim_node": 999}, {"stim_node": -1}])
