@@ -55,35 +55,23 @@ def _parse_ints(text):
     return values
 
 
-def _kernel_from_args(args):
-    return Kernel.from_name(args.kernel, args.eps)
-
-
-def _add_kernel_options(parser, eps=True):
-    parser.add_argument("--kernel", choices=[family.value for family in KernelFamily],
-                        default="gaussian", help="radial kernel family")
-    if eps:
-        parser.add_argument("--eps", type=float, default=2.0, help="shape parameter")
-
-
-_FRAMES_HELP = ("frame CSV, analytic:sphere / analytic:schwarz-p, or estimate "
-                "(fit from the nodes with --stencil and the kernel)")
-
-
-def _frames_for(nodes, spec_text, m, kernel):
-    """Frame source: a frame CSV path, 'analytic:<surface>' or 'estimate'."""
-    if spec_text.startswith("analytic:"):
-        surface = surface_by_name(spec_text.split(":", 1)[1])
-        return analytic_frames(surface, nodes.points)
-    if spec_text == "estimate":
-        return estimate_frames(nodes, m, kernel)
-    points, frames = load_frames(spec_text)
+def _inputs(args):
+    """Nodes, kernel and frames of a pipeline command. The frames come from
+    --frames: a frame CSV path, 'analytic:<surface>' or 'estimate'."""
+    nodes = load_nodes(args.nodes)
+    kernel = Kernel(KernelFamily(args.kernel), args.eps)
+    if args.frames.startswith("analytic:"):
+        surface = surface_by_name(args.frames.split(":", 1)[1])
+        return nodes, kernel, analytic_frames(surface, nodes.points)
+    if args.frames == "estimate":
+        return nodes, kernel, estimate_frames(nodes, args.stencil, kernel)
+    points, frames = load_frames(args.frames)
     if len(points) != len(nodes):
         raise RbfSurfError(
             f"frame file covers {len(points)} nodes but node set has {len(nodes)}")
     if np.abs(points - nodes.points).max() > 1e-8:
         raise RbfSurfError("frame file positions do not match the node file")
-    return frames
+    return nodes, kernel, frames
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +93,13 @@ def _cmd_nodes_project(args):
 
 
 def _cmd_geom_estimate(args):
-    nodes = load_nodes(args.nodes)
-    frames = estimate_frames(nodes, args.stencil, _kernel_from_args(args))
+    nodes, _, frames = _inputs(args)  # the parser fixes --frames to 'estimate'
     save_frames(nodes, frames, args.out)
     print(f"wrote frames for {len(nodes)} nodes to {args.out}")
 
 
 def _cmd_lbo_build(args):
-    nodes = load_nodes(args.nodes)
-    kernel = _kernel_from_args(args)
-    frames = _frames_for(nodes, args.frames, args.stencil, kernel)
+    nodes, kernel, frames = _inputs(args)
     op = assemble_operator(nodes, frames, args.stencil, kernel)
     op.save(args.out)
     print(f"wrote {op.n}x{op.n} operator (M={args.stencil}) to {args.out}")
@@ -135,9 +120,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_simulate_turing(args):
-    nodes = load_nodes(args.nodes)
-    kernel = _kernel_from_args(args)
-    frames = _frames_for(nodes, args.frames, args.stencil, kernel)
+    nodes, kernel, frames = _inputs(args)
     run = pde.run_turing(nodes, frames, preset=args.preset, seed=args.seed,
                          t_end=args.t_end, m=args.stencil, kernel=kernel,
                          snapshot_every=args.snapshot_every)
@@ -148,9 +131,7 @@ def _cmd_simulate_turing(args):
 
 
 def _cmd_simulate_schaeffer(args):
-    nodes = load_nodes(args.nodes)
-    kernel = _kernel_from_args(args)
-    frames = _frames_for(nodes, args.frames, args.stencil, kernel)
+    nodes, kernel, frames = _inputs(args)
     run = pde.run_schaeffer(nodes, frames, t_end=args.t_end, probe=args.probe,
                             stim_node=args.stim_node, t_stim=args.t_stim, delta=args.delta,
                             m=args.stencil, kernel=kernel, snapshot_every=args.snapshot_every)
@@ -218,6 +199,35 @@ def _cmd_bench_eps_sweep(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    # each option group shared by several commands is declared once, in a
+    # parent parser that the commands list
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--kernel", choices=[family.value for family in KernelFamily],
+                        default="gaussian", help="radial kernel family")
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=float, default=2.0, help="shape parameter")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--nodes", required=True)
+    inputs.add_argument("--frames", required=True,
+                        help="frame CSV, analytic:sphere / analytic:schwarz-p, or estimate "
+                             "(fit from the nodes with --stencil and the kernel)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    simulation = argparse.ArgumentParser(add_help=False)
+    simulation.add_argument("--snapshot-every", type=float, default=None)
+    simulation.add_argument("--stencil", type=int, default=31)
+    simulation.add_argument("--vtk", action="store_true", help="also write legacy VTK snapshots")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
+    sweep.add_argument("--out", default=None)
+    sweep.add_argument("--json", action="store_true")
+    ladder = argparse.ArgumentParser(add_help=False)
+    ladder.add_argument("--n", type=_parse_ints, default="500,1000,2000,4000",
+                        help="comma-separated node counts")
+    ladder.add_argument("--stencil", type=_parse_ints, default="11,15,21,31",
+                        help="comma-separated stencil sizes")
+
     parser = argparse.ArgumentParser(
         prog="rbfsurf",
         description="surface differential operators and reaction-diffusion "
@@ -226,113 +236,77 @@ def build_parser():
 
     nodes = sub.add_parser("nodes", help="generate or project node sets")
     nodes_sub = nodes.add_subparsers(dest="subcommand", required=True)
-    gen = nodes_sub.add_parser("gen", help="generate quasi-uniform sphere nodes")
+    gen = nodes_sub.add_parser("gen", parents=[out], help="generate quasi-uniform sphere nodes")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_nodes_gen)
-    proj = nodes_sub.add_parser("project", help="radially project nodes onto a level set")
+    proj = nodes_sub.add_parser("project", parents=[out],
+                                help="radially project nodes onto a level set")
     proj.add_argument("--surface", required=True)
     proj.add_argument("--in", required=True)
-    proj.add_argument("--out", required=True)
     proj.add_argument("--drop-misses", action="store_true",
                       help="drop nodes whose ray misses the surface instead of failing")
     proj.set_defaults(func=_cmd_nodes_project)
 
     geom = sub.add_parser("geom", help="estimate surface frames")
     geom_sub = geom.add_subparsers(dest="subcommand", required=True)
-    est = geom_sub.add_parser("estimate", help="normals and curvature from the point cloud")
+    est = geom_sub.add_parser("estimate", parents=[kernel, eps, out],
+                              help="normals and curvature from the point cloud")
     est.add_argument("--nodes", required=True)
     est.add_argument("--stencil", type=int, required=True)
-    _add_kernel_options(est)
-    est.add_argument("--out", required=True)
-    est.set_defaults(func=_cmd_geom_estimate)
+    est.set_defaults(func=_cmd_geom_estimate, frames="estimate")
 
     lbo = sub.add_parser("lbo", help="assemble the surface Laplacian")
     lbo_sub = lbo.add_subparsers(dest="subcommand", required=True)
-    build = lbo_sub.add_parser("build", help="build and save the sparse operator")
-    build.add_argument("--nodes", required=True)
-    build.add_argument("--frames", required=True, help=_FRAMES_HELP)
+    build = lbo_sub.add_parser("build", parents=[inputs, kernel, eps, out],
+                               help="build and save the sparse operator")
     build.add_argument("--stencil", type=int, required=True)
-    _add_kernel_options(build)
-    build.add_argument("--out", required=True)
     build.set_defaults(func=_cmd_lbo_build)
 
-    spec = sub.add_parser("spectrum", help="partial sparse spectrum (ARPACK) and stability report")
+    spec = sub.add_parser("spectrum", parents=[out],
+                          help="partial sparse spectrum (ARPACK) and stability report")
     spec.add_argument("--operator", required=True)
     spec.add_argument("--kmax", type=int, default=4)
     spec.add_argument("--tol", type=float, default=0.5)
-    spec.add_argument("--out", required=True)
     spec.set_defaults(func=_cmd_spectrum)
 
     sim = sub.add_parser("simulate", help="time-integrate a reaction-diffusion model")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-    tur = sim_sub.add_parser("turing", help="activator-inhibitor patterns")
-    tur.add_argument("--nodes", required=True)
-    tur.add_argument("--frames", required=True, help=_FRAMES_HELP)
+    simulate = [inputs, simulation, kernel, eps, out]
+    tur = sim_sub.add_parser("turing", parents=simulate, help="activator-inhibitor patterns")
     tur.add_argument("--preset", choices=["spots", "stripes"], required=True)
     tur.add_argument("--seed", type=int, default=0)
     tur.add_argument("--t-end", type=float, default=2000.0)
-    tur.add_argument("--snapshot-every", type=float, default=None)
-    tur.add_argument("--stencil", type=int, default=31)
-    _add_kernel_options(tur)
-    tur.add_argument("--vtk", action="store_true", help="also write legacy VTK snapshots")
-    tur.add_argument("--out", required=True)
     tur.set_defaults(func=_cmd_simulate_turing)
-    sch = sim_sub.add_parser("schaeffer", help="two-variable cardiac excitation")
-    sch.add_argument("--nodes", required=True)
-    sch.add_argument("--frames", required=True, help=_FRAMES_HELP)
+    sch = sim_sub.add_parser("schaeffer", parents=simulate, help="two-variable cardiac excitation")
     sch.add_argument("--stim-node", type=int, default=0)
     sch.add_argument("--t-stim", type=float, default=5.0)
     sch.add_argument("--delta", type=float, default=None,
                      help="stimulus width (default 0.15 x geometry diameter)")
     sch.add_argument("--probe", type=int, default=0)
     sch.add_argument("--t-end", type=float, default=600.0)
-    sch.add_argument("--snapshot-every", type=float, default=None)
-    sch.add_argument("--stencil", type=int, default=31)
-    _add_kernel_options(sch)
-    sch.add_argument("--vtk", action="store_true", help="also write legacy VTK snapshots")
-    sch.add_argument("--out", required=True)
     sch.set_defaults(func=_cmd_simulate_schaeffer)
 
     bench = sub.add_parser("bench", help="accuracy sweeps on the unit sphere")
     bench_sub = bench.add_subparsers(dest="subcommand", required=True)
-    conv = bench_sub.add_parser("lbo-convergence", help="operator error vs node count")
-    conv.add_argument("--n", type=_parse_ints, default="500,1000,2000,4000",
-                      help="comma-separated node counts")
-    conv.add_argument("--stencil", type=_parse_ints, default="11,15,21,31",
-                      help="comma-separated stencil sizes")
-    _add_kernel_options(conv)
+    conv = bench_sub.add_parser("lbo-convergence", parents=[ladder, kernel, eps, sweep],
+                                help="operator error vs node count")
     conv.add_argument("--estimated-frames", action="store_true",
                       help="use estimated frames instead of analytic ones")
-    conv.add_argument("--seed", type=int, default=0)
-    conv.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
-    conv.add_argument("--out", default=None)
-    conv.add_argument("--json", action="store_true")
     conv.set_defaults(func=_cmd_bench_lbo_convergence)
-    fconv = bench_sub.add_parser("frame-convergence", help="frame error vs node count")
-    fconv.add_argument("--n", type=_parse_ints, default="500,1000,2000,4000")
-    fconv.add_argument("--stencil", type=_parse_ints, default="11,15,21,31")
-    _add_kernel_options(fconv)
-    fconv.add_argument("--seed", type=int, default=0)
-    fconv.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
-    fconv.add_argument("--out", default=None)
-    fconv.add_argument("--json", action="store_true")
+    fconv = bench_sub.add_parser("frame-convergence", parents=[ladder, kernel, eps, sweep],
+                                 help="frame error vs node count")
     fconv.set_defaults(func=_cmd_bench_frame_convergence)
-    esweep = bench_sub.add_parser("eps-sweep", help="operator error vs shape parameter")
+    esweep = bench_sub.add_parser("eps-sweep", parents=[kernel, sweep],
+                                  help="operator error vs shape parameter")
     esweep.add_argument("--n", type=int, default=1000)
     esweep.add_argument("--stencil", type=int, default=16)
     esweep.add_argument("--eps-grid", type=_parse_grid, default="1:8:29",
                         help="comma list or start:stop:count range")
-    _add_kernel_options(esweep, eps=False)
     esweep.add_argument("--estimated-frames", action="store_true")
     esweep.add_argument("--node", type=int, default=None,
                         help="report a single node's error instead of the max")
-    esweep.add_argument("--seed", type=int, default=0)
-    esweep.add_argument("--method", choices=["fibonacci", "repulsion"], default="fibonacci")
-    esweep.add_argument("--out", default=None)
-    esweep.add_argument("--json", action="store_true")
     esweep.set_defaults(func=_cmd_bench_eps_sweep)
 
     return parser

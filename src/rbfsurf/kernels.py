@@ -59,16 +59,6 @@ class Kernel:
         if not self.epsilon > 0:
             raise ValueError(f"shape parameter must be positive, got {self.epsilon}")
 
-    @classmethod
-    def from_name(cls, name, epsilon):
-        """Build a kernel from a CLI-style family name ('gaussian'|'iq'|'imq')."""
-        try:
-            family = KernelFamily(name.lower())
-        except ValueError:
-            names = ", ".join(f.value for f in KernelFamily)
-            raise ValueError(f"unknown kernel family {name!r}; expected one of {names}") from None
-        return cls(family, float(epsilon))
-
     def phi(self, r):
         """Evaluate ``phi(r)``. Accepts scalars or arrays; requires ``r >= 0``."""
         r = np.array(_check_radius(r))

@@ -164,6 +164,9 @@ class SparseOperator:
             raise ValueError(f"operator indices must lie in [0, {n})")
         if not np.all(np.isfinite(vals)):
             raise ValueError("operator weights must be finite")
+        if len(rows) != n * m:  # before any array of the header's size N
+            raise ValueError(f"operator holds {len(rows)} entries, header N={n} M={m} "
+                             f"needs {n * m}")
         rows, cols = rows.astype(np.intp), cols.astype(np.intp)
         counts = np.bincount(rows, minlength=n)
         if np.any(counts != m):

@@ -4,6 +4,7 @@ Each test drives ``main(argv)`` in-process and checks the artifacts on
 disk; one smoke test goes through the installed module entry point.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from rbfsurf import cli
+from rbfsurf import Kernel, KernelFamily, cli
 from rbfsurf.cli import _parse_grid, _parse_ints, main
-from rbfsurf.lbo import SparseOperator
-from rbfsurf.nodesets import load_nodes, schwarz_p
-from rbfsurf.surface_geom import load_frames
+from rbfsurf.lbo import SparseOperator, assemble_operator
+from rbfsurf.nodesets import load_nodes, schwarz_p, unit_sphere
+from rbfsurf.surface_geom import analytic_frames, load_frames
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,27 @@ class TestGeomAndOperator:
         op = SparseOperator.load(op_path)
         assert op.n == 200
         assert op.stencil_size == 15
+
+    @pytest.mark.parametrize("family", list(KernelFamily), ids=lambda f: f.value)
+    def test_kernel_option_builds_the_named_family(self, sphere_file, tmp_path, capsys, family):
+        op_path = tmp_path / "op.txt"
+        code, _, _ = run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),
+                             "--frames", "analytic:sphere", "--stencil", "15",
+                             "--kernel", family.value, "--eps", "3", "--out", str(op_path))
+        assert code == 0
+        nodes = load_nodes(sphere_file)
+        expected = assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 15,
+                                     Kernel(family, 3.0))
+        assert np.array_equal(SparseOperator.load(op_path).matrix.toarray(),
+                              expected.matrix.toarray())
+
+    def test_unknown_kernel_is_a_usage_error(self, sphere_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lbo", "build", "--nodes", str(sphere_file), "--frames", "analytic:sphere",
+                  "--stencil", "15", "--kernel", "cubic", "--out", str(tmp_path / "op.txt")])
+        assert exit_info.value.code == 2
+        assert "argument --kernel: invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "op.txt").exists()
 
     def test_build_with_frame_file(self, sphere_file, tmp_path, capsys):
         frames_path = tmp_path / "frames.csv"
@@ -383,3 +405,147 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert path.exists()
+
+
+_KERNEL = (["--kernel"], "gaussian", ["gaussian", "iq", "imq"], False, None, "_StoreAction",
+           "radial kernel family")
+_EPS = (["--eps"], 2.0, None, False, "float", "_StoreAction", "shape parameter")
+_OUT = (["--out"], None, None, True, None, "_StoreAction", None)
+_NODES = (["--nodes"], None, None, True, None, "_StoreAction", None)
+_FRAMES = (["--frames"], None, None, True, None, "_StoreAction",
+           "frame CSV, analytic:sphere / analytic:schwarz-p, or estimate "
+           "(fit from the nodes with --stencil and the kernel)")
+_STENCIL_REQUIRED = (["--stencil"], None, None, True, "int", "_StoreAction", None)
+_SIMULATION = {
+    "snapshot_every": (["--snapshot-every"], None, None, False, "float", "_StoreAction", None),
+    "stencil": (["--stencil"], 31, None, False, "int", "_StoreAction", None),
+    "vtk": (["--vtk"], False, None, False, None, "_StoreTrueAction",
+            "also write legacy VTK snapshots"),
+}
+_SWEEP = {
+    "seed": (["--seed"], 0, None, False, "int", "_StoreAction", None),
+    "method": (["--method"], "fibonacci", ["fibonacci", "repulsion"], False, None,
+               "_StoreAction", None),
+    "out": (["--out"], None, None, False, None, "_StoreAction", None),
+    "json": (["--json"], False, None, False, None, "_StoreTrueAction", None),
+}
+_LADDER = {
+    "n": (["--n"], "500,1000,2000,4000", None, False, "_parse_ints", "_StoreAction",
+          "comma-separated node counts"),
+    "stencil": (["--stencil"], "11,15,21,31", None, False, "_parse_ints", "_StoreAction",
+                "comma-separated stencil sizes"),
+}
+
+# per subcommand and dest: option strings, default, choices, required, type,
+# action class and help of every option but -h
+OPTION_TABLE = {
+    "nodes gen": {
+        "n": (["--n"], None, None, True, "int", "_StoreAction", None),
+        "method": _SWEEP["method"],
+        "seed": _SWEEP["seed"],
+        "out": _OUT,
+    },
+    "nodes project": {
+        "surface": (["--surface"], None, None, True, None, "_StoreAction", None),
+        "in": (["--in"], None, None, True, None, "_StoreAction", None),
+        "out": _OUT,
+        "drop_misses": (["--drop-misses"], False, None, False, None, "_StoreTrueAction",
+                        "drop nodes whose ray misses the surface instead of failing"),
+    },
+    "geom estimate": {
+        "nodes": _NODES, "stencil": _STENCIL_REQUIRED, "kernel": _KERNEL, "eps": _EPS,
+        "out": _OUT,
+    },
+    "lbo build": {
+        "nodes": _NODES, "frames": _FRAMES, "stencil": _STENCIL_REQUIRED, "kernel": _KERNEL,
+        "eps": _EPS, "out": _OUT,
+    },
+    "spectrum": {
+        "operator": (["--operator"], None, None, True, None, "_StoreAction", None),
+        "kmax": (["--kmax"], 4, None, False, "int", "_StoreAction", None),
+        "tol": (["--tol"], 0.5, None, False, "float", "_StoreAction", None),
+        "out": _OUT,
+    },
+    "simulate turing": {
+        "nodes": _NODES, "frames": _FRAMES,
+        "preset": (["--preset"], None, ["spots", "stripes"], True, None, "_StoreAction", None),
+        "seed": _SWEEP["seed"],
+        "t_end": (["--t-end"], 2000.0, None, False, "float", "_StoreAction", None),
+        **_SIMULATION, "kernel": _KERNEL, "eps": _EPS, "out": _OUT,
+    },
+    "simulate schaeffer": {
+        "nodes": _NODES, "frames": _FRAMES,
+        "stim_node": (["--stim-node"], 0, None, False, "int", "_StoreAction", None),
+        "t_stim": (["--t-stim"], 5.0, None, False, "float", "_StoreAction", None),
+        "delta": (["--delta"], None, None, False, "float", "_StoreAction",
+                  "stimulus width (default 0.15 x geometry diameter)"),
+        "probe": (["--probe"], 0, None, False, "int", "_StoreAction", None),
+        "t_end": (["--t-end"], 600.0, None, False, "float", "_StoreAction", None),
+        **_SIMULATION, "kernel": _KERNEL, "eps": _EPS, "out": _OUT,
+    },
+    "bench lbo-convergence": {
+        **_LADDER, "kernel": _KERNEL, "eps": _EPS,
+        "estimated_frames": (["--estimated-frames"], False, None, False, None,
+                             "_StoreTrueAction", "use estimated frames instead of analytic ones"),
+        **_SWEEP,
+    },
+    "bench frame-convergence": {**_LADDER, "kernel": _KERNEL, "eps": _EPS, **_SWEEP},
+    "bench eps-sweep": {
+        "n": (["--n"], 1000, None, False, "int", "_StoreAction", None),
+        "stencil": (["--stencil"], 16, None, False, "int", "_StoreAction", None),
+        "eps_grid": (["--eps-grid"], "1:8:29", None, False, "_parse_grid", "_StoreAction",
+                     "comma list or start:stop:count range"),
+        "kernel": _KERNEL,
+        "estimated_frames": (["--estimated-frames"], False, None, False, None,
+                             "_StoreTrueAction", None),
+        "node": (["--node"], None, None, False, "int", "_StoreAction",
+                 "report a single node's error instead of the max"),
+        **_SWEEP,
+    },
+}
+
+COMMAND_HELP = {
+    "nodes": "generate or project node sets",
+    "nodes gen": "generate quasi-uniform sphere nodes",
+    "nodes project": "radially project nodes onto a level set",
+    "geom": "estimate surface frames",
+    "geom estimate": "normals and curvature from the point cloud",
+    "lbo": "assemble the surface Laplacian",
+    "lbo build": "build and save the sparse operator",
+    "spectrum": "partial sparse spectrum (ARPACK) and stability report",
+    "simulate": "time-integrate a reaction-diffusion model",
+    "simulate turing": "activator-inhibitor patterns",
+    "simulate schaeffer": "two-variable cardiac excitation",
+    "bench": "accuracy sweeps on the unit sphere",
+    "bench lbo-convergence": "operator error vs node count",
+    "bench frame-convergence": "frame error vs node count",
+    "bench eps-sweep": "operator error vs shape parameter",
+}
+
+
+def _walk(parser, path, options, helps):
+    """Fill ``options`` with the option table of every leaf command under
+    ``parser`` and ``helps`` with the help string of every command."""
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    sub = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    if not sub:
+        options[path] = {
+            a.dest: (a.option_strings, a.default, a.choices, a.required,
+                     getattr(a.type, "__name__", a.type), type(a).__name__, a.help)
+            for a in actions}
+        return
+    for choice in sub[0]._choices_actions:
+        name = f"{path} {choice.dest}".strip()
+        helps[name] = choice.help
+        _walk(sub[0].choices[choice.dest], name, options, helps)
+
+
+def test_option_table_is_pinned():
+    """Every option of every command keeps its name, default, choices, type,
+    action and help; the order in which a command lists them is free."""
+    options, helps = {}, {}
+    _walk(cli.build_parser(), "", options, helps)
+    assert helps == COMMAND_HELP
+    assert options.keys() == OPTION_TABLE.keys()
+    for command, table in OPTION_TABLE.items():
+        assert options[command] == table, command

@@ -29,18 +29,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Kernel(KernelFamily.GAUSSIAN, -1.5)
 
-    def test_from_name_round_trip(self):
-        for name, family in [("gaussian", KernelFamily.GAUSSIAN),
-                             ("iq", KernelFamily.INVERSE_QUADRATIC),
-                             ("imq", KernelFamily.INVERSE_MULTIQUADRIC)]:
-            k = Kernel.from_name(name, 1.5)
-            assert k.family is family
-            assert k.epsilon == 1.5
-
-    def test_from_name_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            Kernel.from_name("cubic", 1.0)
-
 
 class TestPhi:
     def test_gaussian_at_zero(self):

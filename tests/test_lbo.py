@@ -7,6 +7,7 @@ the production weight solve against a hand-rolled dense build solved in
 """
 
 import logging
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -530,16 +531,31 @@ class TestSparseOperator:
             SparseOperator.load(path)
 
     @pytest.mark.parametrize("body, message", [
-        ("0 0 1.0\n0 1 -1.0\n1 1 1.0\n", "row 1 has 1 entries"),
+        ("0 0 1.0\n0 1 -1.0\n1 1 1.0\n", "operator holds 3 entries, header N=2 M=2 needs 4"),
+        ("0 0 1.0\n0 1 -1.0\n0 1 0.5\n1 1 1.0\n", "row 0 has 3 entries, expected M=2"),
         ("0 0 1.0\n0 0 2.0\n1 0 1.0\n1 1 -1.0\n", "row 0 repeats a column"),
         ("0 0 1.0\n0 2 -1.0\n1 0 1.0\n1 1 -1.0\n", r"\[0, 2\)"),
         ("0 0 nan\n0 1 -1.0\n1 0 1.0\n1 1 -1.0\n", "finite"),
-    ], ids=["entries-per-row", "repeated-column", "index-range", "nonfinite-weight"])
+    ], ids=["entries-per-row", "uneven-rows", "repeated-column", "index-range",
+            "nonfinite-weight"])
     def test_load_rejects_malformed_rows(self, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n" + body)
         with pytest.raises(ValueError, match=message):
             SparseOperator.load(path)
+
+    def test_load_memory_is_bounded_by_the_file(self, tmp_path):
+        # a header N of two million over one entry raises before any array of size N
+        path = tmp_path / "bad.txt"
+        path.write_text("2000000 1\n0 0 1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="holds 1 entries, header N=2000000 M=1 needs"):
+                SparseOperator.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
