@@ -28,7 +28,7 @@ print(f"N={N}, M={M}, eps=2: max nodal error {np.abs(approx - exact).max():.3e}"
 print("\nshape-parameter sweep (same nodes, analytic frames):")
 print(f"{'eps':>8} {'max error':>12} {'max cond':>12}")
 table = lbo_error_sweep(unit_sphere(), N, M, np.geomspace(0.25, 8.0, 9))
-for row in table:
+for row in table.rows:
     print(f"{row.eps:8.3f} {row.max_error:12.3e} {row.max_cond:12.3e}")
 print("\nthe error keeps improving as eps shrinks until conditioning bites;")
 print("past that point the weights are noise even though the solve succeeds")

@@ -156,17 +156,17 @@ def _cmd_bench_lbo_convergence(args):
         unit_sphere(), args.n, args.stencil, [args.eps],
         use_analytic_frames=not args.estimated_frames,
         family=KernelFamily(args.kernel), seed=args.seed, method=args.method)
-    _emit_table(table, table.orders(), args)
+    _emit_table(table, experiments.fit_order(table.rows), args)
 
 
 def _cmd_bench_frame_convergence(args):
     normal_table, curvature_table = experiments.frame_error_sweep(
         args.n, args.stencil, [args.eps],
         family=KernelFamily(args.kernel), seed=args.seed, method=args.method)
-    normal_orders = normal_table.orders()
-    curvature_orders = curvature_table.orders()
+    normal_orders = experiments.fit_order(normal_table.rows)
+    curvature_orders = experiments.fit_order(curvature_table.rows)
     rows = [[a.n, a.m, a.eps, a.max_error, b.max_error]
-            for a, b in zip(normal_table, curvature_table)]
+            for a, b in zip(normal_table.rows, curvature_table.rows)]
     if args.out:
         np.savetxt(args.out, np.array(rows), fmt=["%d", "%d", "%.17g", "%.17g", "%.17g"],
                    delimiter=",", header="n,m,eps,e_normal,e_kappa", comments="")
@@ -190,7 +190,7 @@ def _cmd_bench_eps_sweep(args):
         node=args.node, seed=args.seed, method=args.method)
     _emit_table(table, None, args)
     if not args.json:
-        for row in table:
+        for row in table.rows:
             print(f"eps={row.eps:g} max_error={row.max_error:.3e} cond={row.max_cond:.3e}")
 
 
@@ -275,7 +275,7 @@ def build_parser():
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
     simulate = [inputs, simulation, kernel, eps, out]
     tur = sim_sub.add_parser("turing", parents=simulate, help="activator-inhibitor patterns")
-    tur.add_argument("--preset", choices=["spots", "stripes"], required=True)
+    tur.add_argument("--preset", choices=list(pde.TURING_PRESETS), required=True)
     tur.add_argument("--seed", type=int, default=0)
     tur.add_argument("--t-end", type=float, default=2000.0)
     tur.set_defaults(func=_cmd_simulate_turing)

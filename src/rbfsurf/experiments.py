@@ -56,19 +56,9 @@ class SweepRow:
 
 @dataclass
 class ConvergenceTable:
-    """Sweep rows plus the least-squares order fits they support."""
+    """Sweep rows; :func:`fit_order` fits their convergence orders."""
 
     rows: list
-
-    def orders(self):
-        """Fitted order mu for each stencil size present in the table."""
-        return fit_order(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def fit_order(rows) -> dict:
@@ -118,15 +108,18 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
     return worst_err, float(cond.max()), failures
 
 
-def _node_sets(n, nodes, method, seed):
-    """The node set of each count in ``n``: ``nodes`` itself, whose size every
-    count must name, or a generated sphere set."""
+def _cells(n, m, eps_grid, family, nodes, method, seed):
+    """Yield (node set, M, kernel) per sweep cell in the grid order N, M, eps: ``nodes``,
+    whose size every count in ``n`` must name, or one sphere set generated per count."""
     ns = [n] if np.isscalar(n) else list(n)
-    if nodes is None:
-        return (gen_sphere_nodes(n_i, method=method, seed=seed) for n_i in ns)
-    if any(n_i != len(nodes) for n_i in ns):
+    ms = [m] if np.isscalar(m) else list(m)
+    if nodes is not None and any(n_i != len(nodes) for n_i in ns):
         raise ValueError(f"n = {n} names node counts other than the {len(nodes)} given nodes")
-    return [nodes] * len(ns)
+    for n_i in ns:
+        nodeset = nodes if nodes is not None else gen_sphere_nodes(n_i, method=method, seed=seed)
+        for m_i in ms:
+            for eps in eps_grid:
+                yield nodeset, m_i, Kernel(family, float(eps))
 
 
 def _cell_frames(nodeset, m, kernel):
@@ -153,20 +146,18 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
     """
     if surface.name != "sphere":
         raise ValueError("the analytic reference field lives on the unit sphere")
-    ms = [m] if np.isscalar(m) else list(m)
-    rows = []
-    for nodeset in _node_sets(n, nodes, method, seed):
-        f = reference_field(nodeset.points)
-        lf = reference_lbo(nodeset.points)
-        if use_analytic_frames:
-            frames = analytic_frames(unit_sphere(), nodeset.points)
-        for m_i in ms:
-            for eps in eps_grid:
-                kernel = Kernel(family, float(eps))
-                if not use_analytic_frames:
-                    frames = _cell_frames(nodeset, m_i, kernel)
-                err, cond, failures = _max_lbo_error(nodeset, frames, m_i, kernel, f, lf, node)
-                rows.append(SweepRow(len(nodeset), m_i, float(eps), err, cond, failures))
+    rows, current = [], None
+    for nodeset, m_i, kernel in _cells(n, m, eps_grid, family, nodes, method, seed):
+        if nodeset is not current:  # the reference values and analytic frames of a node set
+            current = nodeset
+            f = reference_field(nodeset.points)
+            lf = reference_lbo(nodeset.points)
+            if use_analytic_frames:
+                frames = analytic_frames(unit_sphere(), nodeset.points)
+        if not use_analytic_frames:
+            frames = _cell_frames(nodeset, m_i, kernel)
+        err, cond, failures = _max_lbo_error(nodeset, frames, m_i, kernel, f, lf, node)
+        rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, err, cond, failures))
     return ConvergenceTable(rows)
 
 
@@ -181,18 +172,13 @@ def frame_error_sweep(n, m, eps_grid, *, family=KernelFamily.GAUSSIAN,
     two tables with max_error = E_n and E_kappa respectively.  ``nodes`` and
     a failed estimate are treated as in :func:`lbo_error_sweep`.
     """
-    ms = [m] if np.isscalar(m) else list(m)
-    normal_rows = []
-    curvature_rows = []
-    for nodeset in _node_sets(n, nodes, method, seed):
-        for m_i in ms:
-            for eps in eps_grid:
-                kernel = Kernel(family, float(eps))
-                frames = _cell_frames(nodeset, m_i, kernel)
-                e_n = float(np.abs(frames.normals - nodeset.points).max())
-                e_k = float(np.abs(frames.curvatures - 2.0).max())
-                normal_rows.append(SweepRow(len(nodeset), m_i, float(eps), e_n, 0.0))
-                curvature_rows.append(SweepRow(len(nodeset), m_i, float(eps), e_k, 0.0))
+    normal_rows, curvature_rows = [], []
+    for nodeset, m_i, kernel in _cells(n, m, eps_grid, family, nodes, method, seed):
+        frames = _cell_frames(nodeset, m_i, kernel)
+        e_n = float(np.abs(frames.normals - nodeset.points).max())
+        e_k = float(np.abs(frames.curvatures - 2.0).max())
+        normal_rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, e_n, 0.0))
+        curvature_rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, e_k, 0.0))
     return ConvergenceTable(normal_rows), ConvergenceTable(curvature_rows)
 
 

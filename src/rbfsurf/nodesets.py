@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,8 +90,6 @@ def _read_lines(source, sep=None):
     """Yield (1-based line number, fields split at ``sep``) for each line of a text
     stream or file path that is neither blank nor a ``#`` comment."""
     text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     for line_no, line in enumerate(io.StringIO(text), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
@@ -146,14 +144,13 @@ class ImplicitSurface:
     """A surface given as the zero set of a scalar field F.
 
     ``name`` is the surface's CLI name.  ``F`` maps points of shape (..., 3)
-    to scalars; ``gradF`` to (..., 3).  ``hessF`` (optional, (..., 3, 3))
-    enables analytic curvature; both built-in surfaces supply it.
+    to scalars; ``gradF`` to (..., 3) and ``hessF`` to (..., 3, 3).
     """
 
     name: str
     F: Callable[[np.ndarray], np.ndarray]
     gradF: Callable[[np.ndarray], np.ndarray]
-    hessF: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hessF: Callable[[np.ndarray], np.ndarray]
 
 
 def unit_sphere():

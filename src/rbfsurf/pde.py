@@ -44,9 +44,17 @@ from .surface_geom import SurfaceFrame
 # parameters
 # ---------------------------------------------------------------------------
 
+TURING_PRESETS = {
+    "spots": dict(d_u=2.32e-3, d_v=4.5e-3, alpha=0.899, beta=-0.91,
+                  gamma=-0.899, tau1=0.02, tau2=0.2),
+    "stripes": dict(d_u=1.08e-3, d_v=2.1e-3, alpha=0.899, beta=-0.91,
+                    gamma=-0.899, tau1=3.5, tau2=0.0),
+}
+
+
 @dataclass(frozen=True)
 class TuringParams:
-    """Activator-inhibitor coefficients; presets give spots or stripes."""
+    """Activator-inhibitor coefficients; ``TURING_PRESETS`` names spots and stripes."""
 
     d_u: float
     d_v: float
@@ -61,22 +69,12 @@ class TuringParams:
             raise ValueError("diffusion coefficients must be positive")
 
     @classmethod
-    def spots(cls):
-        return cls(d_u=2.32e-3, d_v=4.5e-3, alpha=0.899, beta=-0.91,
-                   gamma=-0.899, tau1=0.02, tau2=0.2)
-
-    @classmethod
-    def stripes(cls):
-        return cls(d_u=1.08e-3, d_v=2.1e-3, alpha=0.899, beta=-0.91,
-                   gamma=-0.899, tau1=3.5, tau2=0.0)
-
-    @classmethod
     def preset(cls, name):
-        presets = {"spots": cls.spots, "stripes": cls.stripes}
         try:
-            return presets[name]()
+            return cls(**TURING_PRESETS[name])
         except KeyError:
-            raise ValueError(f"unknown preset {name!r}; expected one of {sorted(presets)}") from None
+            raise ValueError(
+                f"unknown preset {name!r}; expected one of {sorted(TURING_PRESETS)}") from None
 
 
 @dataclass(frozen=True)
@@ -356,11 +354,9 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     coef[:6, 0] = 1.0
     stages = [(coef[s - 1, :s + 1], rows[:s + 1], work[s + 1], _DP_C[s]) for s in range(1, 7)]
     h_lo, h_hi = np.inf, 0.0
-    steps = 0
 
     while t < t_end - 1e-14 * t_end:
-        steps += 1
-        if steps > _MAX_STEPS:
+        if stats["accepted"] + stats["rejected"] >= _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted at t = {t:g}", time=t)
         h = min(h, t_stop - t)
         if h < h_min:
@@ -427,7 +423,6 @@ class TuringRun:
     states: list
     steady_time: Optional[float]
     final_rate_inf: float
-    op: SparseOperator
     params: TuringParams
     steps_accepted: int
 
@@ -445,7 +440,6 @@ class SchaefferRun:
     probe_t: np.ndarray
     probe_v: np.ndarray
     probe_h: np.ndarray
-    op: SparseOperator
     params: SchaefferParams
     stimulus: StimulusSpec
 
@@ -498,7 +492,7 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: Optional[str] = Non
 
     states = integrate(model, op, state0, t_end, snapshot_every=snapshot_every,
                        step_callback=watch)
-    return TuringRun(states, tracker["steady_at"], tracker["rate"], op, params, tracker["steps"])
+    return TuringRun(states, tracker["steady_at"], tracker["rate"], params, tracker["steps"])
 
 
 def estimate_diameter(points):
@@ -511,13 +505,15 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
                   t_stim=5.0, delta=None, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0),
                   op=None, snapshot_every=None):
     """Integrate the membrane model, default :class:`SchaefferParams`, from rest
-    (v = 0, h = 1) under a stimulus.
+    (v = 0, h = 1) under a stimulus to ``t_end > 0``.
 
     The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has
     width ``delta``, by default 0.15 times the geometry diameter.  ``probe`` is
     a node id or list of ids in [0, N) whose (t, v, h) history is recorded at
     every accepted step.  The run takes :func:`integrate`'s default tolerances.
     """
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     probes = [probe] if np.isscalar(probe) else list(probe)
     check_node_ids(nodes, probes + [stim_node])
     params = SchaefferParams()
@@ -542,7 +538,7 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
     states = integrate(model, op, state0, t_end, snapshot_every=snapshot_every,
                        step_callback=record)
     return SchaefferRun(states, probes, np.array(times), np.array(v_hist),
-                        np.array(h_hist), op, params, stim)
+                        np.array(h_hist), params, stim)
 
 
 # ---------------------------------------------------------------------------

@@ -224,13 +224,9 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
 
 
 def analytic_frames(surface: ImplicitSurface, points):
-    """Exact frames of an implicit surface, oriented along grad(F).
-
-    Requires the surface to carry a Hessian; curvature is
+    """Exact frames of an implicit surface, oriented along grad(F); curvature is
     ``div(grad F / |grad F|) = (lap F - n.H.n) / |grad F|``.
     """
-    if surface.hessF is None:
-        raise ValueError("surface has no Hessian; analytic curvature unavailable")
     points = np.asarray(points, dtype=float)
     g = surface.gradF(points)
     norms = np.linalg.norm(g, axis=-1)

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from conftest import repulsion_nodes
 from rbfsurf._linalg import check_conditioning
-from rbfsurf.experiments import ConvergenceTable, frame_error_sweep, lbo_error_sweep
+from rbfsurf.experiments import fit_order, frame_error_sweep, lbo_error_sweep
 from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import assemble_operator, weight_table
 from rbfsurf.nodesets import project_radial, schwarz_p, unit_sphere
@@ -92,7 +92,7 @@ def test_03_operator_error_orders_increase_with_stencil_size(capsys):
         table = lbo_error_sweep(unit_sphere(), n, [11, 15, 21, 31], [2.0],
                                 nodes=repulsion_nodes(n))
         rows.extend(table.rows)
-    mu = ConvergenceTable(rows).orders()
+    mu = fit_order(rows)
     expected = {11: 1.8, 15: 2.4, 21: 3.4, 31: 5.4}
     fitted = [mu[m] for m in (11, 15, 21, 31)]
     elapsed = time.perf_counter() - t0
@@ -114,10 +114,9 @@ def test_04_frame_estimation_accuracy_and_orders(capsys):
                                    nodes=repulsion_nodes(n))
         nrows.extend(tn.rows)
         krows.extend(tk.rows)
-    tn, tk = ConvergenceTable(nrows), ConvergenceTable(krows)
-    mun, muk = tn.orders(), tk.orders()
-    point_n = next(r.max_error for r in tn if r.n == 1000 and r.m == 31)
-    point_k = next(r.max_error for r in tk if r.n == 1000 and r.m == 31)
+    mun, muk = fit_order(nrows), fit_order(krows)
+    point_n = next(r.max_error for r in nrows if r.n == 1000 and r.m == 31)
+    point_k = next(r.max_error for r in krows if r.n == 1000 and r.m == 31)
     exp_n = {11: 2.4, 15: 3.4, 21: 4.2, 31: 6.0}
     exp_k = {11: 1.8, 15: 2.0, 21: 3.0, 31: 5.2}
     elapsed = time.perf_counter() - t0

@@ -15,6 +15,7 @@ from scipy import sparse
 
 from rbfsurf import Kernel, KernelFamily, cli
 from rbfsurf.cli import _parse_grid, _parse_ints, main
+from rbfsurf.experiments import fit_order, frame_error_sweep
 from rbfsurf.lbo import SparseOperator, assemble_operator
 from rbfsurf.nodesets import load_nodes, schwarz_p, unit_sphere
 from rbfsurf.surface_geom import analytic_frames, load_frames
@@ -265,6 +266,19 @@ class TestSimulate:
         assert (out_dir / "snapshot_0000.vtk").exists()
 
 
+@pytest.mark.parametrize("model", [["turing", "--preset", "stripes"], ["schaeffer"]],
+                         ids=["turing", "schaeffer"])
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_simulate_needs_positive_span(sphere_file, tmp_path, capsys, model, t_end):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", *model, "--nodes", str(sphere_file),
+                           "--frames", "analytic:sphere", "--t-end", t_end,
+                           "--stencil", "15", "--out", str(out_dir))
+    assert code == 2
+    assert f"error: t_end must be positive, got {float(t_end)}" in err
+    assert not out_dir.exists()
+
+
 class TestNodeIds:
     """Node ids from the command line must lie in [0, N); nothing is written otherwise."""
 
@@ -348,6 +362,22 @@ class TestBench:
         report = json.loads(out[: out.rindex("}") + 1])
         assert "11" in report["orders_normal"]
         assert "11" in report["orders_kappa"]
+
+    def test_frame_convergence_csv_and_text(self, tmp_path, capsys):
+        csv_path = tmp_path / "frames.csv"
+        code, out, _ = run_cli(capsys, "bench", "frame-convergence", "--n", "100,200,400",
+                               "--stencil", "11,15", "--out", str(csv_path))
+        assert code == 0
+        tn, tk = frame_error_sweep([100, 200, 400], [11, 15], [2.0])
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "n,m,eps,e_normal,e_kappa"
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert data.tolist() == [[a.n, a.m, a.eps, a.max_error, b.max_error]
+                                 for a, b in zip(tn.rows, tk.rows)]
+        mu_n, mu_k = fit_order(tn.rows), fit_order(tk.rows)
+        assert out.splitlines()[:2] == [
+            f"M={m}: mu_normal={mu_n[m]:.3f} mu_kappa={mu_k[m]:.3f}" for m in (11, 15)]
+        assert out.splitlines()[2].startswith("done in ")
 
 
 class TestUsageErrors:

@@ -113,28 +113,16 @@ class TestFitOrder:
             fit_order(rows)
 
 
-class TestConvergenceTable:
-    def test_iteration(self):
-        rows = power_law_rows(11, 2.0, (100, 400, 1600))
-        table = ConvergenceTable(rows)
-        assert len(table) == 3
-        assert list(table) == rows
-
-    def test_orders_delegates(self):
-        table = ConvergenceTable(power_law_rows(15, 2.4, (100, 400, 1600)))
-        assert table.orders() == fit_order(table.rows)
-
-
 class TestLboErrorSweep:
     def test_grid_order_and_shape(self):
         table = lbo_error_sweep(unit_sphere(), [100, 200], [11, 15], [2.0, 4.0])
-        assert len(table) == 8
-        key = [(r.n, r.m, r.eps) for r in table]
+        assert len(table.rows) == 8
+        key = [(r.n, r.m, r.eps) for r in table.rows]
         assert key == [
             (100, 11, 2.0), (100, 11, 4.0), (100, 15, 2.0), (100, 15, 4.0),
             (200, 11, 2.0), (200, 11, 4.0), (200, 15, 2.0), (200, 15, 4.0),
         ]
-        for row in table:
+        for row in table.rows:
             assert row.max_error > 0 and np.isfinite(row.max_error)
             assert row.max_cond > 1.0
             assert row.failures == 0
@@ -159,9 +147,20 @@ class TestLboErrorSweep:
                  for n in (100, 200) for m in (11, 15) for eps in (2.0, 4.0)]
         assert table.rows == cells
 
+    def test_reference_and_frames_built_once_per_node_set(self, monkeypatch):
+        calls = []
+        for name in ("analytic_frames", "reference_field", "reference_lbo"):
+            def counting(*args, _name=name, _original=getattr(experiments, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(experiments, name, counting)
+        table = lbo_error_sweep(unit_sphere(), [100, 200], [11, 15], [2.0, 4.0])
+        assert len(table.rows) == 8
+        assert sorted(calls) == sorted(["analytic_frames", "reference_field", "reference_lbo"] * 2)
+
     def test_scalar_arguments(self):
         table = lbo_error_sweep(unit_sphere(), 100, 11, [2.0])
-        assert len(table) == 1
+        assert len(table.rows) == 1
 
     def test_stencil_larger_than_node_set(self):
         with pytest.raises(ValueError, match="1 <= M <= 13"):
@@ -205,7 +204,7 @@ class TestLboErrorSweep:
             sweep([100, 200, 400], nodes)
         with pytest.raises(ValueError, match="150 given nodes"):
             sweep([150, 200], nodes)
-        assert [row.n for row in sweep([150, 150], nodes)] == [150, 150]
+        assert [row.n for row in sweep([150, 150], nodes).rows] == [150, 150]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -223,11 +222,11 @@ class TestFrameErrorSweep:
     def test_on_shipped_ladder(self):
         nodes = repulsion_nodes(500)
         tn, tk = frame_error_sweep(500, [11, 31], [2.0], nodes=nodes)
-        assert len(tn) == len(tk) == 2
+        assert len(tn.rows) == len(tk.rows) == 2
         # larger stencils are much more accurate at this resolution
         assert tn.rows[1].max_error < 0.1 * tn.rows[0].max_error
         assert tk.rows[1].max_error < 0.1 * tk.rows[0].max_error
-        assert all(r.max_error > 0 for r in list(tn) + list(tk))
+        assert all(r.max_error > 0 for r in tn.rows + tk.rows)
 
     def test_generates_when_no_nodes_given(self):
         tn, tk = frame_error_sweep(150, 11, [2.0])
@@ -249,17 +248,17 @@ class TestTableOutput:
         assert lines[0] == "n,m,eps,max_error,max_cond,failures"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], [100, 400, 1600])
-        assert np.array_equal(data[:, 3], [row.max_error for row in table])
+        assert np.array_equal(data[:, 3], [row.max_error for row in table.rows])
 
     def test_csv_footer_lists_orders(self, tmp_path):
         table = ConvergenceTable(power_law_rows(11, 2.0, (100, 400, 1600)))
         path = tmp_path / "table.csv"
-        save_table_csv(table, path, table.orders())
-        assert path.read_text().endswith(f"\n# mu[M=11] = {table.orders()[11]:.6g}\n")
+        save_table_csv(table, path, fit_order(table.rows))
+        assert path.read_text().endswith(f"\n# mu[M=11] = {fit_order(table.rows)[11]:.6g}\n")
 
     def test_report_dict(self):
         table = ConvergenceTable(power_law_rows(11, 2.0, (100, 400, 1600)))
-        report = table_report(table, table.orders())
+        report = table_report(table, fit_order(table.rows))
         assert report["columns"] == ["n", "m", "eps", "max_error", "max_cond", "failures"]
         assert len(report["rows"]) == 3
         assert report["orders"]["11"] == pytest.approx(2.0, abs=1e-10)

@@ -47,18 +47,19 @@ def sphere200():
 
 class TestParams:
     def test_spots_preset(self):
-        p = TuringParams.spots()
+        p = TuringParams.preset("spots")
         assert (p.d_u, p.d_v) == (2.32e-3, 4.5e-3)
         assert (p.alpha, p.beta, p.gamma) == (0.899, -0.91, -0.899)
         assert (p.tau1, p.tau2) == (0.02, 0.2)
 
     def test_stripes_preset(self):
-        p = TuringParams.stripes()
+        p = TuringParams.preset("stripes")
         assert (p.d_u, p.d_v) == (1.08e-3, 2.1e-3)
         assert (p.tau1, p.tau2) == (3.5, 0.0)
 
     def test_preset_lookup(self):
-        assert TuringParams.preset("spots") == TuringParams.spots()
+        assert TuringParams.preset("spots") == TuringParams(
+            d_u=2.32e-3, d_v=4.5e-3, alpha=0.899, beta=-0.91, gamma=-0.899, tau1=0.02, tau2=0.2)
         with pytest.raises(ValueError):
             TuringParams.preset("plaid")
 
@@ -107,13 +108,13 @@ def fields(a, b):
 
 class TestTuringReaction:
     def test_origin_is_equilibrium(self):
-        du, dv = TuringModel(TuringParams.spots()).reaction(0.0, fields(0.0, 0.0))
+        du, dv = TuringModel(TuringParams.preset("spots")).reaction(0.0, fields(0.0, 0.0))
         assert du == 0.0 and dv == 0.0
 
     def test_jacobian_at_origin(self):
         # linearization must be [[alpha, 1], [gamma, beta]]; checked by
         # central differences so the nonlinear terms cannot hide in it
-        p = TuringParams.spots()
+        p = TuringParams.preset("spots")
         e = 1e-7
 
         def f(u, v):
@@ -142,7 +143,7 @@ class TestTuringReaction:
         assert dv == pytest.approx(-0.6 * u + g)
 
     def test_vectorized(self):
-        p = TuringParams.spots()
+        p = TuringParams.preset("spots")
         u = np.linspace(-0.4, 0.4, 7)
         v = np.linspace(0.3, -0.3, 7)
         du, dv = TuringModel(p).reaction(0.0, fields(u, v))
@@ -154,7 +155,7 @@ class TestTuringReaction:
 
 LINEAR = TuringParams(d_u=1e-3, d_v=2e-3, alpha=0.7, beta=-0.8, gamma=-0.6, tau1=0.0, tau2=0.0)
 BVAM_CASES = pytest.mark.parametrize(
-    "p", [TuringParams.stripes(), TuringParams.spots(), LINEAR], ids=["stripes", "spots", "linear"])
+    "p", [TuringParams.preset("stripes"), TuringParams.preset("spots"), LINEAR], ids=["stripes", "spots", "linear"])
 
 
 class TestTuringReactionOracle:
@@ -459,7 +460,7 @@ class TestIntegrate:
         assert calls == []
 
     @pytest.mark.parametrize("make_model, shape", [
-        (lambda nodes: TuringModel(TuringParams.stripes()), (2, 200)),
+        (lambda nodes: TuringModel(TuringParams.preset("stripes")), (2, 200)),
         (membrane_on, (1, 200)),  # the gate does not diffuse
         (lambda nodes: Decay(), None),
     ], ids=["turing", "membrane", "decay"])
@@ -550,7 +551,7 @@ class TestReferenceStepper:
     @pytest.fixture(scope="class")
     def stripes_run(self, sphere200):
         nodes, _, op = sphere200
-        model = TuringModel(TuringParams.stripes())
+        model = TuringModel(TuringParams.preset("stripes"))
         y0 = stripes_start(nodes)
         accepted = []
         integrate(model, op, RdState(y0, 0.0), 20.0, rtol=1e-5, atol=1e-8,
@@ -577,7 +578,7 @@ class TestIntegratorBuffers:
         # the callback keeps y and f without copying; a later step must not
         # write into them through the preallocated work array
         nodes, _, op = sphere200
-        model = TuringModel(TuringParams.stripes())
+        model = TuringModel(TuringParams.preset("stripes"))
         kept = []
         states = integrate(model, op, RdState(stripes_start(nodes), 0.0), 5.0,
                            step_callback=lambda t, y, f: kept.append(
@@ -600,7 +601,7 @@ class TestHealthRecord:
         nodes, _, op = sphere200
         spy = SpyOperator(op)
         steps = []
-        integrate(TuringModel(TuringParams.stripes()), spy, RdState(stripes_start(nodes), 0.0),
+        integrate(TuringModel(TuringParams.preset("stripes")), spy, RdState(stripes_start(nodes), 0.0),
                   5.0, step_callback=lambda t, y, f: steps.append(t))
         (record,) = self.records(caplog)
         assert record.levelno == logging.DEBUG
@@ -706,7 +707,7 @@ class TestRunTuring:
     def test_equals_integrate_with_its_defaults(self, sphere200):
         nodes, frames, op = sphere200
         run = run_turing(nodes, frames, preset="stripes", t_end=5.0, op=op, snapshot_every=2.5)
-        states = integrate(TuringModel(TuringParams.stripes()), op,
+        states = integrate(TuringModel(TuringParams.preset("stripes")), op,
                            RdState(stripes_start(nodes), 0.0), 5.0, snapshot_every=2.5)
         assert run.steady_time is None and len(run.states) == len(states) == 3
         for a, b in zip(run.states, states):
@@ -787,6 +788,19 @@ class TestRunSchaeffer:
         nodes, frames, op = sphere200
         run = run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=7)
         assert run.probe_nodes == [7]
+
+
+@pytest.mark.parametrize("driver", [lambda *a, **k: run_turing(*a, preset="spots", **k),
+                                    run_schaeffer], ids=["turing", "schaeffer"])
+@pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan])
+def test_span_checked_before_assembly(sphere200, monkeypatch, driver, t_end):
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled before the span check")
+
+    monkeypatch.setattr(pde, "assemble_operator", assemble)
+    nodes, frames, _ = sphere200
+    with pytest.raises(ValueError, match=f"t_end must be positive, got {t_end}"):
+        driver(nodes, frames, t_end=t_end)
         assert run.probe_v.shape[1] == 1
 
 

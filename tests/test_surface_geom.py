@@ -20,6 +20,7 @@ from rbfsurf import (
     schwarz_p,
     unit_sphere,
 )
+from rbfsurf import surface_geom
 from rbfsurf._linalg import check_conditioning
 from rbfsurf.nodesets import knn_table
 from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame, _fit_levelsets, levelset_gradient
@@ -223,6 +224,19 @@ class TestEstimateFrames:
             estimate_frames(NodeSet(np.array(patch + line, dtype=float)), 5, GAUSS2)
         assert exc_info.value.node_index == 5
         assert "node 5" in str(exc_info.value)
+
+    def test_vanishing_gradient_names_its_node(self, sphere_nodes, monkeypatch):
+        def gradient(fit, x):
+            g = levelset_gradient(fit, x)
+            g[7] = 0.0  # batch row 7 is node 7
+            return g
+
+        monkeypatch.setattr(surface_geom, "levelset_gradient", gradient)
+        with pytest.raises(GeometryError) as exc_info:
+            estimate_frames(sphere_nodes, 16, GAUSS2)
+        assert exc_info.value.node_index == 7
+        assert str(exc_info.value) == ("frame estimation failed at node 7: "
+                                       "level-set gradient vanished (|grad| = 0.000e+00)")
 
     def test_m_bounds(self, sphere_nodes):
         with pytest.raises(ValueError):
