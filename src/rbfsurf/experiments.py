@@ -109,17 +109,16 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
 
 
 def _cells(n, m, eps_grid, family, nodes, method, seed):
-    """Yield (node set, M, kernel) per sweep cell in the grid order N, M, eps: ``nodes``,
-    whose size every count in ``n`` must name, or one sphere set generated per count."""
-    ns = [n] if np.isscalar(n) else list(n)
-    ms = [m] if np.isscalar(m) else list(m)
+    """Yield (node set, [(M, kernel), ...]) per node count, the cells in the grid
+    order M, eps: ``nodes``, whose size every count in ``n`` must name, or one
+    sphere set generated per count.  Scalar or iterable ``n``, ``m``, ``eps_grid``."""
+    ns, ms, eps_list = ([x] if np.isscalar(x) else list(x) for x in (n, m, eps_grid))
     if nodes is not None and any(n_i != len(nodes) for n_i in ns):
         raise ValueError(f"n = {n} names node counts other than the {len(nodes)} given nodes")
+    cells = [(m_i, Kernel(family, float(eps))) for m_i in ms for eps in eps_list]
     for n_i in ns:
         nodeset = nodes if nodes is not None else gen_sphere_nodes(n_i, method=method, seed=seed)
-        for m_i in ms:
-            for eps in eps_grid:
-                yield nodeset, m_i, Kernel(family, float(eps))
+        yield nodeset, cells
 
 
 def _cell_frames(nodeset, m, kernel):
@@ -137,27 +136,26 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
                     seed=0, method="fibonacci") -> ConvergenceTable:
     """Max LBO error on the sphere for each shape parameter in the grid.
 
-    Scalar or iterable ``n``, ``m`` are accepted; the grid is the cartesian
-    product in the given order.  With ``use_analytic_frames`` off, frames
-    are re-estimated per cell with the same stencil size and kernel.
+    Scalar or iterable ``n``, ``m``, ``eps_grid`` are accepted; the grid is
+    the cartesian product in the given order.  With ``use_analytic_frames``
+    off, frames are re-estimated per cell with the same stencil size and kernel.
     ``node`` restricts the error to a single node id.  Given ``nodes``,
     every count in ``n`` must be their number.  A frame estimate that fails
     is re-raised with ``N=..., M=..., eps=...: `` before its message.
     """
     if surface.name != "sphere":
         raise ValueError("the analytic reference field lives on the unit sphere")
-    rows, current = [], None
-    for nodeset, m_i, kernel in _cells(n, m, eps_grid, family, nodes, method, seed):
-        if nodeset is not current:  # the reference values and analytic frames of a node set
-            current = nodeset
-            f = reference_field(nodeset.points)
-            lf = reference_lbo(nodeset.points)
-            if use_analytic_frames:
-                frames = analytic_frames(unit_sphere(), nodeset.points)
-        if not use_analytic_frames:
-            frames = _cell_frames(nodeset, m_i, kernel)
-        err, cond, failures = _max_lbo_error(nodeset, frames, m_i, kernel, f, lf, node)
-        rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, err, cond, failures))
+    rows = []
+    for nodeset, cells in _cells(n, m, eps_grid, family, nodes, method, seed):
+        f = reference_field(nodeset.points)
+        lf = reference_lbo(nodeset.points)
+        if use_analytic_frames:
+            frames = analytic_frames(unit_sphere(), nodeset.points)
+        for m_i, kernel in cells:
+            if not use_analytic_frames:
+                frames = _cell_frames(nodeset, m_i, kernel)
+            err, cond, failures = _max_lbo_error(nodeset, frames, m_i, kernel, f, lf, node)
+            rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, err, cond, failures))
     return ConvergenceTable(rows)
 
 
@@ -173,12 +171,13 @@ def frame_error_sweep(n, m, eps_grid, *, family=KernelFamily.GAUSSIAN,
     a failed estimate are treated as in :func:`lbo_error_sweep`.
     """
     normal_rows, curvature_rows = [], []
-    for nodeset, m_i, kernel in _cells(n, m, eps_grid, family, nodes, method, seed):
-        frames = _cell_frames(nodeset, m_i, kernel)
-        e_n = float(np.abs(frames.normals - nodeset.points).max())
-        e_k = float(np.abs(frames.curvatures - 2.0).max())
-        normal_rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, e_n, 0.0))
-        curvature_rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, e_k, 0.0))
+    for nodeset, cells in _cells(n, m, eps_grid, family, nodes, method, seed):
+        for m_i, kernel in cells:
+            frames = _cell_frames(nodeset, m_i, kernel)
+            e_n = float(np.abs(frames.normals - nodeset.points).max())
+            e_k = float(np.abs(frames.curvatures - 2.0).max())
+            normal_rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, e_n, 0.0))
+            curvature_rows.append(SweepRow(len(nodeset), m_i, kernel.epsilon, e_k, 0.0))
     return ConvergenceTable(normal_rows), ConvergenceTable(curvature_rows)
 
 

@@ -161,6 +161,12 @@ class TestLboErrorSweep:
     def test_scalar_arguments(self):
         table = lbo_error_sweep(unit_sphere(), 100, 11, [2.0])
         assert len(table.rows) == 1
+        assert lbo_error_sweep(unit_sphere(), 100, 11, 2.0).rows == table.rows
+
+    def test_one_shot_eps_grid_reaches_every_cell(self):
+        table = lbo_error_sweep(unit_sphere(), [100, 200], [11, 15], iter([2.0, 3.0]))
+        assert [(r.n, r.m, r.eps) for r in table.rows] == [
+            (n, m, eps) for n in (100, 200) for m in (11, 15) for eps in (2.0, 3.0)]
 
     def test_stencil_larger_than_node_set(self):
         with pytest.raises(ValueError, match="1 <= M <= 13"):

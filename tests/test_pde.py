@@ -788,6 +788,7 @@ class TestRunSchaeffer:
         nodes, frames, op = sphere200
         run = run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=7)
         assert run.probe_nodes == [7]
+        assert run.probe_v.shape[1] == 1
 
 
 @pytest.mark.parametrize("driver", [lambda *a, **k: run_turing(*a, preset="spots", **k),
@@ -801,7 +802,6 @@ def test_span_checked_before_assembly(sphere200, monkeypatch, driver, t_end):
     nodes, frames, _ = sphere200
     with pytest.raises(ValueError, match=f"t_end must be positive, got {t_end}"):
         driver(nodes, frames, t_end=t_end)
-        assert run.probe_v.shape[1] == 1
 
 
 class TestEstimateDiameter:
