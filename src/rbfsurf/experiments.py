@@ -65,14 +65,19 @@ def fit_order(rows) -> dict:
     """Least-squares convergence order per stencil size.
 
     The model is error proportional to (sqrt N)^(-mu), so mu is minus the
-    slope of log(max_error) against log(sqrt N).  Requires at least three
-    distinct node counts per stencil size and a non-degenerate spread.
+    slope of log(max_error) against log(sqrt N).  Requires one shape
+    parameter, at least three distinct node counts per stencil size and a
+    non-degenerate spread.
     """
-    by_m = {}
+    by_m, eps_by_m = {}, {}
     for row in rows:
         by_m.setdefault(row.m, {})[row.n] = row.max_error
+        eps_by_m.setdefault(row.m, set()).add(row.eps)
     orders = {}
     for m, cells in sorted(by_m.items()):
+        if len(eps_by_m[m]) > 1:
+            raise ValueError(f"rows for M={m} mix the shape parameters {sorted(eps_by_m[m])}; "
+                             "fit one eps at a time")
         ns = np.array(sorted(cells))
         if len(ns) < _MIN_FIT_POINTS:
             raise ValueError(

@@ -49,7 +49,7 @@ class Kernel:
     family : KernelFamily
         One of the three smooth families.
     epsilon : float
-        Positive shape parameter, relative to unit geometry.
+        Positive, finite shape parameter, relative to unit geometry.
     """
 
     family: KernelFamily = KernelFamily.GAUSSIAN
@@ -58,6 +58,8 @@ class Kernel:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"shape parameter must be positive, got {self.epsilon}")
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"shape parameter must be finite, got {self.epsilon}")
 
     def phi(self, r):
         """Evaluate ``phi(r)``. Accepts scalars or arrays; requires ``r >= 0``."""

@@ -290,7 +290,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     Raises
     ------
     ValueError
-        Before the first step, unless both diffusivities are finite and >= 0.
+        Before the first step, unless ``t_end`` is finite and both diffusivities
+        are finite and >= 0.
     StiffnessError
         If the step size underflows below 1e-12 * t_end, or after 10^7 steps.
     DivergenceError
@@ -302,6 +303,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
         raise ValueError(f"state has {state0.fields.shape[1]} nodes but operator has {op.n}")
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError("snapshot_every must be positive")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
 
     diff = np.asarray(model.diffusivities, dtype=float)
     if diff.shape != (2,) or not np.all(np.isfinite(diff) & (diff >= 0)):
@@ -453,7 +456,15 @@ class SchaefferRun:
         return float(self.probe_t[above[0]]) if len(above) else None
 
 
-def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: Optional[str] = None, seed=0,
+def _check_span(t_end):
+    """Reject, before any assembly, a span that is not positive or not finite."""
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+
+
+def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
                t_end=2000.0, *, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0), op=None,
                snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
     """Integrate the Turing system with ``TuringParams.preset(preset)`` from a seeded
@@ -461,11 +472,11 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: Optional[str] = Non
 
     The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed,
     the inhibitor starts at zero.  With :func:`integrate`'s tolerances the run
-    ends at ``t_end > 0``, or once the sup norm of du/dt (its last value is
-    ``final_rate_inf``) has stayed below ``steady_tol`` for ``steady_window``.
+    ends at a finite ``t_end > 0``, or once the sup norm of du/dt (its last
+    value is ``final_rate_inf``) has stayed below ``steady_tol`` for
+    ``steady_window``.
     """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    _check_span(t_end)
     params = TuringParams.preset(preset)
     if op is None:
         op = assemble_operator(nodes, frames, m, kernel)
@@ -505,15 +516,14 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
                   t_stim=5.0, delta=None, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0),
                   op=None, snapshot_every=None):
     """Integrate the membrane model, default :class:`SchaefferParams`, from rest
-    (v = 0, h = 1) under a stimulus to ``t_end > 0``.
+    (v = 0, h = 1) under a stimulus to a finite ``t_end > 0``.
 
     The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has
     width ``delta``, by default 0.15 times the geometry diameter.  ``probe`` is
     a node id or list of ids in [0, N) whose (t, v, h) history is recorded at
     every accepted step.  The run takes :func:`integrate`'s default tolerances.
     """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    _check_span(t_end)
     probes = [probe] if np.isscalar(probe) else list(probe)
     check_node_ids(nodes, probes + [stim_node])
     params = SchaefferParams()

@@ -77,12 +77,15 @@ def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
     returned lies outside the disc, so the disc is complete.  Outside the disc
     it adds the 6 rightmost eigenvalues and the largest in magnitude, both
     to relative tolerance 1e-6.  Ties in the real part sort by imaginary part
-    descending.  Raises ``ValueError`` when the disc needs k >= N - 1, which
-    ARPACK cannot do, and ``RbfSurfError`` when ARPACK does not converge.
+    descending.  Raises ``ValueError`` before any ARPACK call unless the
+    radius is finite and positive, and when the disc needs k >= N - 1, which
+    ARPACK cannot do; ``RbfSurfError`` when ARPACK does not converge.
     With DEBUG on, one record on this module's logger (values also in its
     ``stats``) gives N, the eigenvalue count, the radius, the final k, the
     largest real part, the largest magnitude and the seconds taken.
     """
+    if not 0 < radius < np.inf:
+        raise ValueError(f"disc radius must be finite and positive, got {radius}")
     started = time.perf_counter()
     n, matrix = op.n, op.matrix
     k = 0

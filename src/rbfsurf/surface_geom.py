@@ -130,31 +130,31 @@ def fit_levelset(stencil: Stencil, nodes: NodeSet, kernel: Kernel, h: float):
     return LevelSetFit(fit.coefficients[0], fit.constant[0], fit.centers[0], kernel, fit.cond[0])
 
 
-def levelset_gradient(fit: LevelSetFit, x):
-    """Gradient of the fitted Psi at a point (chain rule through phi(r))."""
+def _levelset_eval(fit: LevelSetFit, x):
+    """The r-vectors ``x - centers`` (..., P, 3), their lengths (..., P) and the
+    gradient of the fitted Psi at a point (chain rule through phi(r))."""
     rv = np.asarray(x, dtype=float)[..., None, :] - fit.centers
     r = np.linalg.norm(rv, axis=-1)
     # phi'(r)/r is finite at r = 0 and the r-vector vanishes there, so the
     # center contributes nothing, as it should.
-    return np.einsum("...j,...jd->...d", fit.kernel.dphi_over_r(r) * fit.coefficients, rv)
+    return rv, r, np.einsum("...j,...jd->...d", fit.kernel.dphi_over_r(r) * fit.coefficients, rv)
 
 
-def _gradient_norm(fit: LevelSetFit, x):
-    """Gradient and its norm; a vanishing one raises, naming its batch row."""
-    g = levelset_gradient(fit, x)
+def _gradient_norm(g):
+    """Norm of a gradient; a vanishing one raises, naming its batch row."""
     norm = np.linalg.norm(g, axis=-1)
     vanished = np.flatnonzero(norm <= _GRAD_TOL)
     if len(vanished):
         j = int(vanished[0])
         raise GeometryError(f"level-set gradient vanished (|grad| = {norm.flat[j]:.3e})",
                             node_index=j if norm.ndim else None)
-    return g, norm
+    return norm
 
 
 def levelset_normal(fit: LevelSetFit, x):
     """Unit normal grad(Psi)/|grad(Psi)| at a point."""
-    g, norm = _gradient_norm(fit, x)
-    return g / norm[..., None]
+    g = _levelset_eval(fit, x)[2]
+    return g / _gradient_norm(g)[..., None]
 
 
 def levelset_curvature(fit: LevelSetFit, x, normal):
@@ -164,11 +164,9 @@ def levelset_curvature(fit: LevelSetFit, x, normal):
     enters, so the sign does not matter here).  It is the coefficients times
     the operator weights' surface-Laplacian row at kappa = 0, over |grad Psi|.
     """
-    _, grad_norm = _gradient_norm(fit, x)
-    rv = np.asarray(x, dtype=float)[..., None, :] - fit.centers
-    terms = lbo_of_rbf_rows(fit.kernel, rv, np.linalg.norm(rv, axis=-1),
-                            np.asarray(normal, dtype=float), 0.0)
-    return (np.einsum("...j,...j->...", fit.coefficients, terms) / grad_norm)[()]
+    rv, r, g = _levelset_eval(fit, x)
+    terms = lbo_of_rbf_rows(fit.kernel, rv, r, np.asarray(normal, dtype=float), 0.0)
+    return (np.einsum("...j,...j->...", fit.coefficients, terms) / _gradient_norm(g))[()]
 
 
 def _orient_frames(points, normals, curvatures, indices, distances):
@@ -212,13 +210,16 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     indices, distances = knn_table(nodes, m)
     fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
     check_conditioning(fit.cond, indices[:, 0])
+    rv, r, g = _levelset_eval(fit, nodes.points)
     try:
-        normals = levelset_normal(fit, nodes.points)
+        grad_norm = _gradient_norm(g)
     except GeometryError as exc:
         # batch row i is node i
         raise GeometryError(f"frame estimation failed at node {exc.node_index}: {exc}",
                             node_index=exc.node_index) from exc
-    curvatures = levelset_curvature(fit, nodes.points, normals)
+    normals = g / grad_norm[:, None]
+    curvatures = np.einsum("...j,...j->...", fit.coefficients,
+                           lbo_of_rbf_rows(kernel, rv, r, normals, 0.0)) / grad_norm
     _orient_frames(nodes.points, normals, curvatures, indices, distances)
     return SurfaceFrame(normals, curvatures)
 

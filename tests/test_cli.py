@@ -144,6 +144,16 @@ class TestGeomAndOperator:
         assert "argument --kernel: invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "op.txt").exists()
 
+    @pytest.mark.parametrize("eps, message", [("-1", "positive, got -1.0"),
+                                              ("inf", "finite, got inf")])
+    def test_bad_eps_exits_2(self, sphere_file, tmp_path, capsys, eps, message):
+        code, _, err = run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),
+                               "--frames", "analytic:sphere", "--stencil", "15",
+                               "--eps", eps, "--out", str(tmp_path / "op.txt"))
+        assert code == 2
+        assert err == f"error: shape parameter must be {message}\n"
+        assert not (tmp_path / "op.txt").exists()
+
     def test_build_with_frame_file(self, sphere_file, tmp_path, capsys):
         frames_path = tmp_path / "frames.csv"
         run_cli(capsys, "geom", "estimate", "--nodes", str(sphere_file),
@@ -268,14 +278,15 @@ class TestSimulate:
 
 @pytest.mark.parametrize("model", [["turing", "--preset", "stripes"], ["schaeffer"]],
                          ids=["turing", "schaeffer"])
-@pytest.mark.parametrize("t_end", ["0", "-1"])
-def test_simulate_needs_positive_span(sphere_file, tmp_path, capsys, model, t_end):
+@pytest.mark.parametrize("t_end, message", [("0", "positive"), ("-1", "positive"),
+                                            ("inf", "finite")])
+def test_simulate_needs_positive_span(sphere_file, tmp_path, capsys, model, t_end, message):
     out_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, "simulate", *model, "--nodes", str(sphere_file),
                            "--frames", "analytic:sphere", "--t-end", t_end,
                            "--stencil", "15", "--out", str(out_dir))
     assert code == 2
-    assert f"error: t_end must be positive, got {float(t_end)}" in err
+    assert f"error: t_end must be {message}, got {float(t_end)}" in err
     assert not out_dir.exists()
 
 

@@ -98,6 +98,19 @@ class TestFitOrder:
         assert orders[11] == pytest.approx(2.0, abs=1e-10)
         assert orders[31] == pytest.approx(3.4, abs=1e-10)
 
+    def test_rejects_mixed_shape_parameters(self):
+        # a later eps would overwrite an earlier one's cell of the same N
+        rows = power_law_rows(11, 2.0, (100, 400, 1600)) + [
+            SweepRow(n, 11, 4.0, float(np.sqrt(n)) ** -1.5, 1.0) for n in (100, 400, 1600)]
+        with pytest.raises(ValueError, match=r"M=11 mix the shape parameters \[2.0, 4.0\]"):
+            fit_order(rows)
+
+    def test_repeated_node_count_keeps_the_last(self):
+        rows = power_law_rows(11, 2.0, (100, 400, 1600, 6400))
+        rows += power_law_rows(11, 2.0, (400,), scale=7.0)
+        assert fit_order(rows) == fit_order([rows[0], rows[4], rows[2], rows[3]])
+        assert fit_order(rows)[11] != pytest.approx(2.0)
+
     def test_needs_three_node_counts(self):
         with pytest.raises(ValueError):
             fit_order(power_law_rows(11, 2.0, (100, 400)))

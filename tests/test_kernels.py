@@ -29,6 +29,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Kernel(KernelFamily.GAUSSIAN, -1.5)
 
+    def test_epsilon_must_be_finite(self):
+        with pytest.raises(ValueError, match="shape parameter must be finite, got inf"):
+            Kernel(KernelFamily.GAUSSIAN, np.inf)
+        with pytest.raises(ValueError, match="shape parameter must be positive, got nan"):
+            Kernel(KernelFamily.GAUSSIAN, np.nan)
+
 
 class TestPhi:
     def test_gaussian_at_zero(self):

@@ -27,7 +27,14 @@ from rbfsurf.lbo import (
     weight_table,
 )
 from rbfsurf.nodesets import gen_sphere_nodes, knn_table, nearest_neighbors, unit_sphere
-from rbfsurf.surface_geom import SurfaceFrame, _fit_levelsets, analytic_frames, fit_levelset
+from rbfsurf.surface_geom import (
+    SurfaceFrame,
+    _fit_levelsets,
+    analytic_frames,
+    fit_levelset,
+    levelset_curvature,
+    levelset_normal,
+)
 from rbfsurf.experiments import reference_field, reference_lbo
 
 from conftest import closed_form_phi, repulsion_nodes
@@ -125,6 +132,13 @@ class TestSingleStencilEntryPoints:
             fit = fit_levelset(st, nodes, GAUSS2, h=float(st.neighbor_distances[0]))
             assert np.array_equal(fit.coefficients, fits.coefficients[i])
             assert np.array_equal(fit.cond, fits.cond[i])
+            if m == 31:
+                # the frame of the fit, up to the sign the orientation pass fixes
+                normal = levelset_normal(fit, nodes.points[i])
+                sign = np.sign(normal @ frames.normals[i])
+                assert np.array_equal(sign * normal, frames.normals[i])
+                kappa = levelset_curvature(fit, nodes.points[i], normal)
+                assert sign * kappa == frames.curvatures[i]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_gate_and_return_cond(self, sphere1000, sphere1000_frames):

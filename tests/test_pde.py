@@ -432,6 +432,20 @@ class TestIntegrate:
         assert len(states) == 1
         assert states[0].time == 0.0
 
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    def test_nonfinite_span_rejected_before_stepping(self, t_end):
+        calls = []
+
+        class Counted(Decay):
+            def reaction(self, t, fields):
+                calls.append(t)
+                return super().reaction(t, fields)
+
+        state0 = RdState(np.ones((2, 3)), 0.0)
+        with pytest.raises(ValueError, match=f"t_end must be finite, got {t_end}"):
+            integrate(Counted(), None, state0, t_end)
+        assert calls == []
+
     def test_validation(self, sphere200):
         _, _, op = sphere200
         state0 = RdState(np.ones((2, 1)), 0.0)
@@ -650,7 +664,7 @@ class TestRunTuring:
 
     def test_needs_preset(self, sphere200):
         nodes, frames, op = sphere200
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_turing(nodes, frames, op=op)
 
     def test_steady_stop(self, sphere200):
@@ -793,14 +807,15 @@ class TestRunSchaeffer:
 
 @pytest.mark.parametrize("driver", [lambda *a, **k: run_turing(*a, preset="spots", **k),
                                     run_schaeffer], ids=["turing", "schaeffer"])
-@pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan])
-def test_span_checked_before_assembly(sphere200, monkeypatch, driver, t_end):
+@pytest.mark.parametrize("t_end, message", [(0.0, "positive"), (-1.0, "positive"),
+                                            (np.nan, "positive"), (np.inf, "finite")])
+def test_span_checked_before_assembly(sphere200, monkeypatch, driver, t_end, message):
     def assemble(*args, **kwargs):
         raise AssertionError("assembled before the span check")
 
     monkeypatch.setattr(pde, "assemble_operator", assemble)
     nodes, frames, _ = sphere200
-    with pytest.raises(ValueError, match=f"t_end must be positive, got {t_end}"):
+    with pytest.raises(ValueError, match=f"t_end must be {message}, got {t_end}"):
         driver(nodes, frames, t_end=t_end)
 
 

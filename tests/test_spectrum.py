@@ -94,6 +94,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="ARPACK needs k < N - 1"):
             eigenvalues(block_operator(matrix))
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_radius_checked_before_arpack(self, monkeypatch, radius):
+        monkeypatch.setattr(spectrum, "eigs", lambda *a, **k: pytest.fail("ARPACK called"))
+        with pytest.raises(ValueError, match=f"disc radius must be finite and positive, "
+                                             f"got {radius}"):
+            eigenvalues(block_operator(sparse.diags(np.r_[-3.0, -1.0, FAR])), radius=radius)
+
     def test_far_growing_mode_found_once(self):
         # a growing mode far outside the disc is both the rightmost and the
         # largest eigenvalue: the LR part finds it, and it is kept once

@@ -23,7 +23,7 @@ from rbfsurf import (
 from rbfsurf import surface_geom
 from rbfsurf._linalg import check_conditioning
 from rbfsurf.nodesets import knn_table
-from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame, _fit_levelsets, levelset_gradient
+from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame, _fit_levelsets, _levelset_eval
 
 from conftest import repulsion_nodes
 
@@ -87,11 +87,11 @@ class TestFitLevelset:
 class TestLevelsetDerivatives:
     def test_zero_coefficients_zero_gradient(self):
         fit = LevelSetFit(np.zeros(3), 0.5, np.eye(3), GAUSS2, 1.0)
-        np.testing.assert_array_equal(levelset_gradient(fit, [0.3, 0.2, 0.1]), np.zeros(3))
+        np.testing.assert_array_equal(_levelset_eval(fit, [0.3, 0.2, 0.1])[2], np.zeros(3))
 
     def test_gradient_at_center_single_rbf(self):
         fit = LevelSetFit(np.array([1.0]), 0.0, np.array([[0.2, 0.3, 0.4]]), GAUSS2, 1.0)
-        np.testing.assert_allclose(levelset_gradient(fit, [0.2, 0.3, 0.4]), np.zeros(3))
+        np.testing.assert_allclose(_levelset_eval(fit, [0.2, 0.3, 0.4])[2], np.zeros(3))
 
     def test_gradient_matches_finite_differences(self, sphere_nodes):
         fit = node_fit(sphere_nodes, 321)
@@ -101,7 +101,7 @@ class TestLevelsetDerivatives:
             e = np.zeros(3)
             e[a] = 1e-6
             fd[a] = (psi(fit, x + e) - psi(fit, x - e)) / 2e-6
-        np.testing.assert_allclose(levelset_gradient(fit, x[None])[0], fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(_levelset_eval(fit, x[None])[2][0], fd, rtol=1e-6, atol=1e-9)
 
     def test_sphere_normal_is_radial(self, sphere_nodes):
         # fixed equatorial node: the one nearest (1,0,0)
@@ -144,7 +144,7 @@ class TestLevelsetDerivatives:
         n = levelset_normal(fit, x[None])
 
         def unit_normal(p):
-            g = levelset_gradient(fit, p[None])[0]
+            g = _levelset_eval(fit, p[None])[2][0]
             return g / np.linalg.norm(g)
 
         step = 1e-5
@@ -226,17 +226,30 @@ class TestEstimateFrames:
         assert "node 5" in str(exc_info.value)
 
     def test_vanishing_gradient_names_its_node(self, sphere_nodes, monkeypatch):
-        def gradient(fit, x):
-            g = levelset_gradient(fit, x)
+        def evaluation(fit, x):
+            rv, r, g = _levelset_eval(fit, x)
             g[7] = 0.0  # batch row 7 is node 7
-            return g
+            return rv, r, g
 
-        monkeypatch.setattr(surface_geom, "levelset_gradient", gradient)
+        monkeypatch.setattr(surface_geom, "_levelset_eval", evaluation)
         with pytest.raises(GeometryError) as exc_info:
             estimate_frames(sphere_nodes, 16, GAUSS2)
         assert exc_info.value.node_index == 7
         assert str(exc_info.value) == ("frame estimation failed at node 7: "
                                        "level-set gradient vanished (|grad| = 0.000e+00)")
+
+    def test_one_level_set_evaluation(self, sphere_nodes, monkeypatch):
+        # phi'/r runs once for the gradient and once in the curvature row
+        calls = []
+        dphi_over_r = Kernel.dphi_over_r
+
+        def counted(kernel, r):
+            calls.append(np.shape(r))
+            return dphi_over_r(kernel, r)
+
+        monkeypatch.setattr(Kernel, "dphi_over_r", counted)
+        estimate_frames(sphere_nodes, 16, GAUSS2)
+        assert calls == [(1000, 18), (1000, 18)]
 
     def test_m_bounds(self, sphere_nodes):
         with pytest.raises(ValueError):
