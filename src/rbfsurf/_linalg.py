@@ -63,27 +63,26 @@ def check_conditioning(cond, nodes=None):
 def solve_with_cond(A, b):
     """Solve the stacked systems ``A (K, P, P) x = b (K, P)``; return ``(x, cond)``.
 
-    LU with partial pivoting and the solve in one ``dgesv`` call, then the
-    1-norm condition estimate of each system from its factors, set to inf
-    for an exact zero pivot or once the reciprocal drops below machine
-    epsilon.  One refinement step follows: the residual is formed in
-    ``np.longdouble`` and the correction solved with the same factors.
+    One transposing copy of A holds the systems Fortran-ordered, no symmetry assumed, for
+    LAPACK to factor in place: LU with partial pivoting and the solve in one ``dgesv`` call,
+    then the 1-norm condition estimate of each system from its factors, set to inf for an
+    exact zero pivot or once the reciprocal drops below machine epsilon.  One refinement
+    step follows: the residual is formed in ``np.longdouble`` (each entry a left-to-right
+    dot) and the correction solved in place with the same factors.
     """
     anorm = np.abs(A).sum(axis=1).max(axis=1)
-    x = np.empty(b.shape)
-    cond = np.empty(len(A))
-    factors = []
+    lu = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    x, piv, cond = np.array(b, dtype=float), np.empty(b.shape, dtype=np.int32), np.empty(len(A))
     for k in range(len(A)):
-        lu, piv, x[k], info = sla.lapack.dgesv(A[k], b[k])
-        if info:  # an exact zero pivot: dgesv skips the solve and hands back b
+        _, piv[k], _, info = sla.lapack.dgesv(lu[k], x[k], overwrite_a=True, overwrite_b=True)
+        if info:  # an exact zero pivot: dgesv skips the solve and leaves b
             x[k] = np.nan
-        rcond, _ = sla.lapack.dgecon(lu, anorm[k], norm="1")
+        rcond, _ = sla.lapack.dgecon(lu[k], anorm[k], norm="1")
         cond[k] = 1.0 / rcond if info == 0 and rcond >= _EPS else np.inf
-        factors.append((lu, piv))
-    residual = (b - np.matmul(A, x[..., None], dtype=np.longdouble)[..., 0]).astype(float)
-    for k, (lu, piv) in enumerate(factors):
-        x[k] += sla.lapack.dgetrs(lu, piv, residual[k])[0]
-    return x, cond
+    residual = (b - np.vecdot(A, x[:, None, :], dtype=np.longdouble)).astype(float)
+    for k in range(len(A)):
+        sla.lapack.dgetrs(lu[k], piv[k], residual[k], overwrite_b=True)
+    return x + residual, cond
 
 
 def solve_rbf_systems(centers, rhs, kernel):
@@ -93,22 +92,22 @@ def solve_rbf_systems(centers, rhs, kernel):
     constant: the P x P kernel matrix bordered by a row and a column of
     ones, right-hand side ``rhs[k]`` of length P + 1.  No gate is applied.
 
-    Built in place, ``_CHUNK`` at a time: squared distances summed coordinate
-    by coordinate (cdist's roundoff) from a (K, 3, P) copy of the centers into
-    one buffer, rooted in place, then phi written into one bordered matrix.
+    Built in place, ``_CHUNK`` at a time and batch-last (P, P, chunk), so each ufunc loop runs
+    over the chunk: squared distances summed coordinate by coordinate (cdist's roundoff),
+    rooted and turned into phi in place, then copied, transposed, into one bordered matrix.
     """
     n_sys, p, _ = centers.shape
     sol, cond = np.empty((n_sys, p + 1)), np.empty(n_sys)
     size = min(n_sys, _CHUNK)
-    matrices, (r2, delta) = np.empty((size, p + 1, p + 1)), np.empty((2, size, p, p))
+    matrices, (r2, delta) = np.empty((size, p + 1, p + 1)), np.empty((2, p, p, size))
     matrices[:, p], matrices[:, :, p], matrices[:, p, p] = 1.0, 1.0, 0.0
     for start in range(0, n_sys, _CHUNK):
         part = slice(start, start + _CHUNK)
-        c = np.ascontiguousarray(centers[part].transpose(0, 2, 1))
-        A, r, d = matrices[:len(c)], r2[:len(c)], delta[:len(c)]
-        np.square(np.subtract(c[:, 0, :, None], c[:, 0, None, :], out=r), out=r)
+        c = np.ascontiguousarray(centers[part].transpose(2, 1, 0))
+        A, r, d = matrices[:c.shape[-1]], r2[..., :c.shape[-1]], delta[..., :c.shape[-1]]
+        np.square(np.subtract(c[0, :, None], c[0, None, :], out=r), out=r)
         for axis in (1, 2):
-            r += np.square(np.subtract(c[:, axis, :, None], c[:, axis, None, :], out=d), out=d)
-        kernel._phi_into(np.sqrt(r, out=r), A[:, :p, :p])
+            r += np.square(np.subtract(c[axis, :, None], c[axis, None, :], out=d), out=d)
+        A[:, :p, :p] = kernel._phi_into(np.sqrt(r, out=r), r).transpose(2, 0, 1)
         sol[part], cond[part] = solve_with_cond(A, rhs[part])
     return sol, cond

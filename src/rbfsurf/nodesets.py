@@ -21,8 +21,8 @@ from .errors import FileFormatError, ProjectionError
 _MIN_SEPARATION = 1e-12
 # largest |F| accepted at a projected point
 _PROJECTION_RESIDUAL_TOL = 1e-10
-# rays per projection block: bounds the (block, samples, 3) sample temporaries
-_PROJECTION_BLOCK = 256
+# sample points per projection scan pass: bounds the (rays, samples, 3) temporaries
+_PROJECTION_PASS = 256 * 400
 # each ray is sampled at this many t in [T_LO, T_HI] to bracket its first root
 _PROJECTION_T_LO = 0.05
 _PROJECTION_T_HI = 1.5
@@ -164,9 +164,7 @@ def unit_sphere():
         return 2.0 * np.asarray(p, dtype=float)
 
     def hessF(p):
-        p = np.asarray(p, dtype=float)
-        eye = 2.0 * np.eye(3)
-        return np.broadcast_to(eye, p.shape[:-1] + (3, 3)).copy()
+        return np.broadcast_to(2.0 * np.eye(3), np.shape(p)[:-1] + (3, 3)).copy()
 
     return ImplicitSurface("sphere", F, gradF, hessF)
 
@@ -176,19 +174,17 @@ def schwarz_p():
     w = 2.0 * np.pi
 
     def F(p):
-        p = np.asarray(p, dtype=float)
-        return np.sum(np.cos(w * p), axis=-1)
+        c = np.cos(w * np.asarray(p, dtype=float))
+        # the order of np.sum over the length-3 axis, without its short-axis reduction
+        return (c[..., 0] + c[..., 1]) + c[..., 2]
 
     def gradF(p):
         p = np.asarray(p, dtype=float)
         return -w * np.sin(w * p)
 
     def hessF(p):
-        p = np.asarray(p, dtype=float)
-        diag = -w * w * np.cos(w * p)
-        out = np.zeros(p.shape[:-1] + (3, 3))
-        for a in range(3):
-            out[..., a, a] = diag[..., a]
+        out = np.zeros(np.shape(p)[:-1] + (3, 3))
+        out[..., [0, 1, 2], [0, 1, 2]] = -w * w * np.cos(w * np.asarray(p, dtype=float))
         return out
 
     return ImplicitSurface("schwarz-p", F, gradF, hessF)
@@ -266,25 +262,34 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
 # radial projection onto an implicit surface
 # ---------------------------------------------------------------------------
 
-def _project_block(dirs, surface):
+def _project_rays(dirs, surface):
     """First root t of F(t d) on [_PROJECTION_T_LO, _PROJECTION_T_HI] along each
-    unit ray d of ``dirs`` (B, 3), or NaN.
+    unit ray d of ``dirs`` (N, 3), or NaN.
 
     Every ray takes the steps of a ray-by-ray search and gets its root bit for bit.
+    Groups of 256 * 200 rays are scanned a pass of at most 256 * 400 sample points
+    at a time.  A ray leaves at its first event, an exact zero at sample e or a sign
+    change from k to k + 1, and the next pass starts at the last sample of this one.
     """
     ts = np.linspace(_PROJECTION_T_LO, _PROJECTION_T_HI, _PROJECTION_SAMPLES)
-    rows = np.arange(len(dirs))
-    vals = surface.F(ts[None, :, None] * dirs[:, None, :])
-    signs = np.sign(vals)
-    crossing = signs[:, :-1] * signs[:, 1:] < 0
-    exact = vals == 0.0
-    k, e = crossing.argmax(axis=1), exact.argmax(axis=1)
-    has_crossing = crossing[rows, k]
-    at_sample = exact[rows, e] & (~has_crossing | (e <= k))
-    t = np.where(at_sample, ts[e], np.nan)
+    k, fa, t = np.full(len(dirs), -1), np.zeros(len(dirs)), np.full(len(dirs), np.nan)
+    for start in range(0, len(dirs), _PROJECTION_PASS // 2):
+        todo, first = np.arange(start, min(len(dirs), start + _PROJECTION_PASS // 2)), 0
+        while len(todo) and first < len(ts) - 1:
+            stop = min(len(ts), first + _PROJECTION_PASS // len(todo))
+            vals = surface.F(ts[None, first:stop, None] * dirs[todo, None, :])
+            signs = np.sign(vals)
+            # a sign change leaves both of its samples nonzero, so it never ties a zero
+            event = vals == 0.0
+            event[:, 1:] |= signs[:, :-1] * signs[:, 1:] < 0
+            rows, j = np.arange(len(todo)), event.argmax(axis=1)
+            zero, cross = vals[rows, j] == 0.0, event[rows, j] & (vals[rows, j] != 0.0)
+            t[todo[zero]] = ts[first + j[zero]]
+            k[todo[cross]], fa[todo[cross]] = first + j[cross] - 1, vals[rows, j - 1][cross]
+            todo, first = todo[~(zero | cross)], stop - 1
 
-    a, b, fa = ts[k], ts[k + 1], vals[rows, k]
-    bisect = has_crossing & ~at_sample
+    a, b = ts[k], ts[k + 1]
+    bisect = k >= 0
     polish = bisect.copy()
     while True:
         i = np.flatnonzero(bisect & (b - a > 1e-12))
@@ -320,8 +325,8 @@ def project_radial(nodes, surface, drop_misses=False):
     The nearest root to the origin is taken: the first sign change (or an
     earlier exact zero) among 400 samples of t in [0.05, 1.5], bisected to
     width 1e-12 unless a midpoint is an exact zero, then polished with up to
-    four Newton steps.  Rays are searched in blocks of 256, all rays of a
-    block at once.
+    four Newton steps.  All rays are scanned together, each only up to its
+    first event, and then bisected and polished together.
 
     With ``drop_misses=False`` (default) a direction whose ray never crosses
     the surface, or whose root leaves |F| above 1e-10, raises
@@ -329,17 +334,13 @@ def project_radial(nodes, surface, drop_misses=False):
     ``drop_misses=True`` such nodes are silently removed from the output.
     """
     dirs = nodes.points / np.linalg.norm(nodes.points, axis=1, keepdims=True)
-    projected = []
-    for start in range(0, len(dirs), _PROJECTION_BLOCK):
-        d = dirs[start:start + _PROJECTION_BLOCK]
-        points = _project_block(d, surface)[:, None] * d
-        hit = np.abs(surface.F(points)) <= _PROJECTION_RESIDUAL_TOL
-        if not drop_misses and not hit.all():
-            i = start + int(np.argmin(hit))
-            raise ProjectionError(f"no surface crossing along ray of node {i}", node_index=i)
-        projected.append(points[hit])
+    points = _project_rays(dirs, surface)[:, None] * dirs
+    hit = np.abs(surface.F(points)) <= _PROJECTION_RESIDUAL_TOL
+    if not drop_misses and not hit.all():
+        i = int(np.argmin(hit))
+        raise ProjectionError(f"no surface crossing along ray of node {i}", node_index=i)
     label = f"{nodes.label or 'nodes'}>{surface.name}"
-    return NodeSet(np.concatenate(projected), label=label)
+    return NodeSet(points[hit], label=label)
 
 
 # ---------------------------------------------------------------------------

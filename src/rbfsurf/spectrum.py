@@ -119,9 +119,11 @@ def sphere_multiplicity(k):
 
 
 def check_cluster_options(k_max, tol):
-    """Raise ValueError unless the cluster tolerance is positive and ``k_max`` nonnegative."""
+    """Raise ValueError unless the cluster tolerance is finite and positive, ``k_max`` >= 0."""
     if not tol > 0:
         raise ValueError(f"cluster tolerance must be positive, got {tol}")
+    if not np.isfinite(tol):
+        raise ValueError(f"cluster tolerance must be finite and positive, got {tol}")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
 

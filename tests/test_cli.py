@@ -231,6 +231,7 @@ class TestGeomAndOperator:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--tol", "-1", "cluster tolerance must be positive, got -1.0"),
+        ("--tol", "inf", "cluster tolerance must be finite and positive, got inf"),
         ("--kmax", "-3", "k_max must be nonnegative, got -3"),
     ])
     def test_spectrum_options_checked_before_the_solve(self, tmp_path, capsys, monkeypatch,

@@ -320,6 +320,33 @@ class TestLocalSolve:
         assert np.isnan(x).all() and cond[0] == np.inf
 
 
+class TestLocalSolveNonSymmetric:
+    """``solve_with_cond`` solves A, not its transpose: the local systems it is
+    handed are symmetric, so only a non-symmetric A can tell the two apart."""
+
+    @pytest.mark.parametrize("p", [5, 32, 33])
+    def test_matches_factor_then_solve(self, p):
+        rng = np.random.default_rng(p)
+        A = rng.normal(size=(70, p, p)) + p * np.eye(p)
+        b = rng.normal(size=(70, p))
+        assert not np.array_equal(A, A.transpose(0, 2, 1))
+        x, cond = solve_with_cond(A, b)
+        x_ref, cond_ref = factor_then_solve(A, b)
+        assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
+        assert np.abs(np.einsum("kij,kj->ki", A, x) - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_strided_input_is_left_unchanged(self):
+        # a transposed (non-contiguous) batch: the solve copies it and factors the copy
+        rng = np.random.default_rng(1)
+        At = rng.normal(size=(8, 6, 6)) + 6 * np.eye(6)
+        A, b = At.transpose(0, 2, 1), rng.normal(size=(8, 6))
+        before = (A.copy(), b.copy())
+        x, cond = solve_with_cond(A, b)
+        x_ref, cond_ref = factor_then_solve(np.ascontiguousarray(A), b)
+        assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
+        assert np.array_equal(A, before[0]) and np.array_equal(b, before[1])
+
+
 class TestConditioningRecord:
     @staticmethod
     def records(caplog):

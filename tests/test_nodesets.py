@@ -365,6 +365,98 @@ class TestProjectRadialOracle:
         assert_same_bits(proj.points, np.array(expected))
 
 
+SAMPLES = np.linspace(0.05, 1.5, 400)
+
+
+def ellipsoid(axes):
+    """F(x) = sum((x_a / axes_a)^2) - 1; along a coordinate axis F(t e_a) is exactly 0
+    at t = axes_a, so equal axes SAMPLES[j] put an exact zero at sample j."""
+    axes = np.asarray(axes, dtype=float)
+    return nodesets.ImplicitSurface("ellipsoid",
+                                    lambda p: np.sum((np.asarray(p) / axes) ** 2, axis=-1) - 1.0,
+                                    lambda p: 2.0 * np.asarray(p) / axes**2, None)
+
+
+def scan_passes(surface):
+    """``surface`` with an F that records the (rays, samples) shape of each scan pass."""
+    passes = []
+
+    def F(p):
+        if np.ndim(p) == 3:
+            passes.append(np.shape(p)[:2])
+        return surface.F(p)
+
+    return nodesets.ImplicitSurface(surface.name, F, surface.gradF, surface.hessF), passes
+
+
+class TestProjectionScan:
+    """The pass-by-pass scan against the ray-by-ray reference, bit for bit.  Where a
+    test sets the pass size to 10 points per ray, pass p spans samples 9p to 9p + 9."""
+
+    AXES = np.vstack([np.eye(3), -np.eye(3)[2:]])
+
+    def check(self, points, surface):
+        proj = project_radial(NodeSet(points), surface, drop_misses=True)
+        expected = [p for p in project_oracle(points, surface) if p is not None]
+        assert_same_bits(proj.points, np.array(expected))
+        return proj
+
+    def test_crossing_straddles_a_pass_boundary(self, monkeypatch):
+        # the sign change is from sample 9, the last of the first pass, to
+        # sample 10, the first new one of the second, where every ray leaves
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(TETRA))
+        surface, passes = scan_passes(ellipsoid([0.5 * (SAMPLES[9] + SAMPLES[10])] * 3))
+        self.check(TETRA, surface)
+        assert passes == [(4, 10), (4, 10)]
+
+    @pytest.mark.parametrize("j", [0, 8, 9, 10, 18, 399])
+    def test_exact_zero_at_a_pass_edge(self, monkeypatch, j):
+        # sample 9 ends the first pass and starts the second, 399 is the last sample
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(self.AXES))
+        surface, passes = scan_passes(ellipsoid([SAMPLES[j]] * 3))
+        proj = self.check(self.AXES, surface)
+        assert_same_bits(proj.points, SAMPLES[j] * self.AXES)
+        assert len(passes) == 1 + max(0, -(-(j - 9) // 9))
+
+    def test_rays_finish_in_different_passes(self, monkeypatch):
+        # first crossings from t = 0.2 (x axis) to past 1.5 (near the z axis, a miss)
+        points = gen_sphere_nodes(200).points
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(points))
+        surface, passes = scan_passes(ellipsoid([0.2, 0.6, 2.0]))
+        misses = len(points) - len(self.check(points, surface))
+        rays = [r for r, _ in passes]
+        assert rays == sorted(rays, reverse=True) and len(set(rays)) >= 5
+        assert 0 < misses <= rays[-1]
+
+    def test_misses_scan_every_pass(self, monkeypatch):
+        # F >= 1 along the +x and -y axes; the other rays hit at sqrt(3)/4
+        points = np.vstack([TETRA[:2], [[1.0, 0.0, 0.0]], TETRA[2:], [[0.0, -1.0, 0.0]]])
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(points))
+        surface, passes = scan_passes(schwarz_p())
+        assert len(self.check(points, surface)) == 4
+        assert passes[-1][0] == 2 and sum(w - 1 for _, w in passes) == 399
+        with pytest.raises(ProjectionError) as err:
+            project_radial(NodeSet(points), schwarz_p())
+        assert err.value.node_index == 2
+
+    def test_more_rays_than_a_pass_holds(self, monkeypatch):
+        # 8 points per pass: groups of 4 rays, 2 samples at a time
+        points = repulsion_nodes(1800).points[:20]
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 8)
+        surface, passes = scan_passes(schwarz_p())
+        self.check(points, surface)
+        assert max(r * w for r, w in passes) <= 8 and max(r for r, _ in passes) == 4
+
+    def test_passes_bounded_and_stop_early(self):
+        # every pass stays within 256 x 400 sample points, and the scan takes
+        # far fewer than the 400 samples of every ray
+        points = repulsion_nodes(1800).points
+        surface, passes = scan_passes(schwarz_p())
+        project_radial(NodeSet(points), surface, drop_misses=True)
+        assert max(r * w for r, w in passes) <= 256 * 400
+        assert sum(r * w for r, w in passes) <= 0.6 * 400 * len(points)
+
+
 def brute_oracle(points, i, m):
     """Sort all nodes by (distance to i, index); first is i itself."""
     d = np.linalg.norm(points - points[i], axis=1)

@@ -210,6 +210,16 @@ class TestStabilityReport:
         with pytest.raises(ValueError):
             stability_report(np.array([0.0]), 1, 0.0)
 
+    @pytest.mark.parametrize("tol, message", [
+        (np.inf, "cluster tolerance must be finite and positive, got inf"),
+        (0.0, "cluster tolerance must be positive, got 0.0"),
+        (-1.0, "cluster tolerance must be positive, got -1.0"),
+    ])
+    def test_tol_must_be_finite_and_positive(self, tol, message):
+        # an infinite tolerance would match every eigenvalue to every cluster
+        with pytest.raises(ValueError, match=message):
+            stability_report(np.array([0.0, -2.0]), 1, tol)
+
     @pytest.mark.parametrize("eigs", [np.array([np.nan, -2.0]), np.array([-2.0, np.inf]),
                                       np.array([-2.0, complex(0.0, np.nan)])],
                              ids=["nan", "inf", "nan-imag"])
