@@ -164,7 +164,9 @@ def unit_sphere():
         return 2.0 * np.asarray(p, dtype=float)
 
     def hessF(p):
-        return np.broadcast_to(2.0 * np.eye(3), np.shape(p)[:-1] + (3, 3)).copy()
+        p = np.asarray(p, dtype=float)
+        eye = 2.0 * np.eye(3)
+        return np.broadcast_to(eye, p.shape[:-1] + (3, 3)).copy()
 
     return ImplicitSurface("sphere", F, gradF, hessF)
 
@@ -183,8 +185,11 @@ def schwarz_p():
         return -w * np.sin(w * p)
 
     def hessF(p):
-        out = np.zeros(np.shape(p)[:-1] + (3, 3))
-        out[..., [0, 1, 2], [0, 1, 2]] = -w * w * np.cos(w * np.asarray(p, dtype=float))
+        p = np.asarray(p, dtype=float)
+        diag = -w * w * np.cos(w * p)
+        out = np.zeros(p.shape[:-1] + (3, 3))
+        for a in range(3):
+            out[..., a, a] = diag[..., a]
         return out
 
     return ImplicitSurface("schwarz-p", F, gradF, hessF)
@@ -267,14 +272,16 @@ def _project_rays(dirs, surface):
     unit ray d of ``dirs`` (N, 3), or NaN.
 
     Every ray takes the steps of a ray-by-ray search and gets its root bit for bit.
-    Groups of 256 * 200 rays are scanned a pass of at most 256 * 400 sample points
-    at a time.  A ray leaves at its first event, an exact zero at sample e or a sign
-    change from k to k + 1, and the next pass starts at the last sample of this one.
+    Groups of 2560 rays are scanned a pass of at most 256 * 400 sample points at a
+    time, so every pass spans at least 40 samples.  A ray leaves at its first event,
+    an exact zero at sample e or a sign change from k to k + 1, and the next pass
+    starts at the last sample of this one: at most one evaluation in 40 repeats.
     """
     ts = np.linspace(_PROJECTION_T_LO, _PROJECTION_T_HI, _PROJECTION_SAMPLES)
     k, fa, t = np.full(len(dirs), -1), np.zeros(len(dirs)), np.full(len(dirs), np.nan)
-    for start in range(0, len(dirs), _PROJECTION_PASS // 2):
-        todo, first = np.arange(start, min(len(dirs), start + _PROJECTION_PASS // 2)), 0
+    group = _PROJECTION_PASS // 40
+    for start in range(0, len(dirs), group):
+        todo, first = np.arange(start, min(len(dirs), start + group)), 0
         while len(todo) and first < len(ts) - 1:
             stop = min(len(ts), first + _PROJECTION_PASS // len(todo))
             vals = surface.F(ts[None, first:stop, None] * dirs[todo, None, :])

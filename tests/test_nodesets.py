@@ -391,7 +391,7 @@ def scan_passes(surface):
 
 class TestProjectionScan:
     """The pass-by-pass scan against the ray-by-ray reference, bit for bit.  Where a
-    test sets the pass size to 10 points per ray, pass p spans samples 9p to 9p + 9."""
+    test sets the pass size to 40 points per ray, pass p spans samples 39p to 39p + 39."""
 
     AXES = np.vstack([np.eye(3), -np.eye(3)[2:]])
 
@@ -402,36 +402,37 @@ class TestProjectionScan:
         return proj
 
     def test_crossing_straddles_a_pass_boundary(self, monkeypatch):
-        # the sign change is from sample 9, the last of the first pass, to
-        # sample 10, the first new one of the second, where every ray leaves
-        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(TETRA))
-        surface, passes = scan_passes(ellipsoid([0.5 * (SAMPLES[9] + SAMPLES[10])] * 3))
+        # the sign change is from sample 39, the last of the first pass, to
+        # sample 40, the first new one of the second, where every ray leaves
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 40 * len(TETRA))
+        surface, passes = scan_passes(ellipsoid([0.5 * (SAMPLES[39] + SAMPLES[40])] * 3))
         self.check(TETRA, surface)
-        assert passes == [(4, 10), (4, 10)]
+        assert passes == [(4, 40), (4, 40)]
 
-    @pytest.mark.parametrize("j", [0, 8, 9, 10, 18, 399])
+    @pytest.mark.parametrize("j", [0, 38, 39, 40, 78, 399])
     def test_exact_zero_at_a_pass_edge(self, monkeypatch, j):
-        # sample 9 ends the first pass and starts the second, 399 is the last sample
-        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(self.AXES))
+        # sample 39 ends the first pass and starts the second, 399 is the last sample
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 40 * len(self.AXES))
         surface, passes = scan_passes(ellipsoid([SAMPLES[j]] * 3))
         proj = self.check(self.AXES, surface)
         assert_same_bits(proj.points, SAMPLES[j] * self.AXES)
-        assert len(passes) == 1 + max(0, -(-(j - 9) // 9))
+        assert len(passes) == 1 + max(0, -(-(j - 39) // 39))
 
     def test_rays_finish_in_different_passes(self, monkeypatch):
-        # first crossings from t = 0.2 (x axis) to past 1.5 (near the z axis, a miss)
+        # first crossings from t = 0.1 (x axis) to past 1.5 (near the z axis, a miss)
         points = gen_sphere_nodes(200).points
-        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(points))
-        surface, passes = scan_passes(ellipsoid([0.2, 0.6, 2.0]))
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 40 * len(points))
+        surface, passes = scan_passes(ellipsoid([0.1, 0.6, 2.0]))
         misses = len(points) - len(self.check(points, surface))
         rays = [r for r, _ in passes]
-        assert rays == sorted(rays, reverse=True) and len(set(rays)) >= 5
+        # rays leave in every pass: 200, 100, 36 and 2 of them are left to scan
+        assert rays == sorted(set(rays), reverse=True) and len(rays) >= 4
         assert 0 < misses <= rays[-1]
 
     def test_misses_scan_every_pass(self, monkeypatch):
         # F >= 1 along the +x and -y axes; the other rays hit at sqrt(3)/4
         points = np.vstack([TETRA[:2], [[1.0, 0.0, 0.0]], TETRA[2:], [[0.0, -1.0, 0.0]]])
-        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 10 * len(points))
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 40 * len(points))
         surface, passes = scan_passes(schwarz_p())
         assert len(self.check(points, surface)) == 4
         assert passes[-1][0] == 2 and sum(w - 1 for _, w in passes) == 399
@@ -440,12 +441,12 @@ class TestProjectionScan:
         assert err.value.node_index == 2
 
     def test_more_rays_than_a_pass_holds(self, monkeypatch):
-        # 8 points per pass: groups of 4 rays, 2 samples at a time
+        # 160 points per pass: groups of 4 rays, at least 40 samples at a time
         points = repulsion_nodes(1800).points[:20]
-        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 8)
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 160)
         surface, passes = scan_passes(schwarz_p())
         self.check(points, surface)
-        assert max(r * w for r, w in passes) <= 8 and max(r for r, _ in passes) == 4
+        assert max(r * w for r, w in passes) <= 160 and max(r for r, _ in passes) == 4
 
     def test_passes_bounded_and_stop_early(self):
         # every pass stays within 256 x 400 sample points, and the scan takes
@@ -455,6 +456,18 @@ class TestProjectionScan:
         project_radial(NodeSet(points), surface, drop_misses=True)
         assert max(r * w for r, w in passes) <= 256 * 400
         assert sum(r * w for r, w in passes) <= 0.6 * 400 * len(points)
+
+    def test_groups_repeat_few_samples(self, monkeypatch):
+        # 6000 rays: groups of at most 2560, whose passes span at least 40 samples,
+        # so the last sample of a pass, evaluated again by the next, is at most 1 in 40
+        nodes = gen_sphere_nodes(6000)
+        surface, passes = scan_passes(schwarz_p())
+        proj = project_radial(nodes, surface, drop_misses=True)
+        assert max(r for r, _ in passes) == 2560
+        assert sum(r for r, _ in passes) - len(nodes) <= sum(r * w for r, w in passes) / 40
+        # one pass of all 400 samples of every ray gives the same points
+        monkeypatch.setattr(nodesets, "_PROJECTION_PASS", 40 * 400 * len(nodes))
+        assert_same_bits(proj.points, project_radial(nodes, schwarz_p(), drop_misses=True).points)
 
 
 def brute_oracle(points, i, m):
