@@ -63,7 +63,8 @@ def check_conditioning(cond, nodes=None):
 def solve_with_cond(A, b):
     """Solve the stacked systems ``A (K, P, P) x = b (K, P)``; return ``(x, cond)``.
 
-    One transposing copy of A holds the systems Fortran-ordered, no symmetry assumed, for
+    One transposing copy of A holds the systems Fortran-ordered, no symmetry assumed, each
+    from a 64-byte boundary (off it, OpenBLAS's Sandybridge kernels round otherwise), for
     LAPACK to factor in place: LU with partial pivoting and the solve in one ``dgesv`` call,
     then the 1-norm condition estimate of each system from its factors, set to inf for an
     exact zero pivot or once the reciprocal drops below machine epsilon.  One refinement
@@ -71,7 +72,12 @@ def solve_with_cond(A, b):
     dot) and the correction solved in place with the same factors.
     """
     anorm = np.abs(A).sum(axis=1).max(axis=1)
-    lu = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    n_sys, p, _ = A.shape
+    stride = -(-p * p // 8) * 8  # doubles per system, a multiple of 64 bytes
+    buffer = np.empty(n_sys * stride + 8)
+    buffer = buffer[-buffer.ctypes.data % 64 // 8:][:n_sys * stride].reshape(n_sys, stride)
+    lu = buffer[:, :p * p].reshape(n_sys, p, p).transpose(0, 2, 1)
+    lu[...] = A
     x, piv, cond = np.array(b, dtype=float), np.empty(b.shape, dtype=np.int32), np.empty(len(A))
     for k in range(len(A)):
         _, piv[k], _, info = sla.lapack.dgesv(lu[k], x[k], overwrite_a=True, overwrite_b=True)

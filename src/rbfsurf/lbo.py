@@ -130,8 +130,11 @@ class SparseOperator:
         if field.ndim not in (1, 2) or field.shape[-1] != n:
             raise ValueError(f"field shape {field.shape} does not match (N,) or (k, N), N={n}")
         out = np.zeros(field.shape)
-        for row, out_row in zip(field.reshape(-1, n), out.reshape(-1, n)):
-            csr_matvec(n, n, a.indptr, a.indices, a.data, row, out_row)
+        if field.ndim == 1:
+            csr_matvec(n, n, a.indptr, a.indices, a.data, field, out)
+        else:
+            for k in range(len(field)):
+                csr_matvec(n, n, a.indptr, a.indices, a.data, field[k], out[k])
         return out
 
     def row_sums(self):

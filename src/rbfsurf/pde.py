@@ -9,7 +9,8 @@ model for cardiac excitation.  Both advance the semidiscrete system
 with an embedded Dormand-Prince 5(4) pair under proportional-integral step
 control.  Each right-hand side applies the operator only to the fields that
 diffuse (nonzero D): both Turing fields, the membrane voltage alone.
-Each model's ``reaction`` method is its one reaction path.  The Turing
+Each model's ``reaction`` writes its (2, N) rates into the integrator's row
+``out`` and returns it (allocating one without ``out``).  The Turing
 reaction is du = alpha u + v - g, dv = gamma u + beta v + g with
 g = u v (alpha tau1 v + tau2): g enters with opposite signs, so du + dv is linear.
 The membrane model computes its stimulus profile once, at construction, and
@@ -17,9 +18,10 @@ its ``reaction`` adds it to dv while t <= t_stim.
 
 A step works in one (8, 2, N) array: the state, then the seven stage
 derivatives.  Each stage input y + h sum_j a_sj k_j is one BLAS
-matrix-vector product over its leading rows, and so is the error estimate;
-each right-hand side is written into its own row.  The last stage's input
-is the new state itself and its derivative the next step's first (FSAL).
+matrix-vector product over its leading rows, and so is the error estimate,
+each into a buffer of its own; a right-hand side is written into its row.
+The last stage's input is the new state, copied once accepted, and its
+derivative the next step's first (FSAL).
 BLAS picks its summation order and fused multiply-adds per CPU, so
 trajectories can differ in the last bits between machines.
 """
@@ -135,9 +137,9 @@ class RdModel:
 
     diffusivities: np.ndarray  # (2,), finite and >= 0; zero marks a field that does not diffuse
 
-    def reaction(self, t, fields):
-        """Return the (2, N) reaction term at time t: a fresh array, or one
-        the model keeps, which the integrator copies and never writes to."""
+    def reaction(self, t, fields, out=None):
+        """Write the (2, N) reaction term at time t into ``out``, a fresh array
+        if None, and return it.  ``out`` never overlaps ``fields``."""
         raise NotImplementedError
 
 
@@ -148,8 +150,8 @@ class TuringModel(RdModel):
         self.params = params
         self.diffusivities = np.array([params.d_u, params.d_v])
 
-    def reaction(self, t, fields):
-        """Rates (du, dv) as one fresh (2, N) array.
+    def reaction(self, t, fields, out=None):
+        """Rates (du, dv) written into ``out`` (2, N), a fresh array if None.
 
         The cubic-coupling BVAM form (Barrio, Varea, Aragon & Maini, Bull. Math.
         Biol. 61 (1999)) that the preset parameter tables belong to, expanded around
@@ -162,7 +164,7 @@ class TuringModel(RdModel):
         """
         p = self.params
         u, v = fields
-        out = np.empty(fields.shape)
+        out = np.empty(fields.shape) if out is None else out
         du, dv = out
         np.multiply(p.gamma, u, out=dv)
         np.multiply(p.beta, v, out=du)
@@ -193,25 +195,30 @@ class SchaefferModel(RdModel):
         self._profile = np.exp(-np.sum((points - stimulus.center) ** 2, axis=-1)
                                / stimulus.delta**2)
 
-    def reaction(self, t, fields):
-        """Rates (dv, dh) as one fresh (2, N) array.
+    def reaction(self, t, fields, out=None):
+        """Rates (dv, dh) written into ``out`` (2, N), a fresh array if None.
 
-        The inward current ``h(1-v)v^2/tau_in`` and outward current
+        The inward current ``(1-v)h v^2/tau_in`` and outward current
         ``-v/tau_out`` drive the voltage; the gate recovers below the critical
-        voltage and closes above it (the tie ``v == v_crit`` recovers).
+        voltage and closes above it (the tie ``v == v_crit`` recovers).  Its temporaries
+        are the gate's mask and recovering rate: ``np.putmask`` costs half a ``where=``.
         """
         p = self.params
         v, h = fields
-        out = np.empty(fields.shape)
+        out = np.empty(fields.shape) if out is None else out
         dv, dh = out
-        np.multiply(h, 1.0 - v, out=dv)
+        np.subtract(1.0, v, out=dv)
+        dv *= h
         dv *= v
         dv *= v
         dv /= p.tau_in
-        dv -= v / p.tau_out  # x - y is x + (-y), bit for bit
+        dv -= np.divide(v, p.tau_out, out=dh)  # x - y is x + (-y), bit for bit
         # adding 0.0 after the window turns -0.0 rates into +0.0
         dv += self._profile if t <= self.stimulus.t_stim else 0.0
-        dh[...] = np.where(v <= p.v_crit, (1.0 - h) / p.tau_open, -h / p.tau_close)
+        recovering = np.subtract(1.0, h)
+        recovering /= p.tau_open
+        np.divide(h, -p.tau_close, out=dh)
+        np.putmask(dh, np.less_equal(v, p.v_crit), recovering)
         return out
 
 
@@ -326,10 +333,11 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
 
     work = np.empty((8,) + y.shape)
     rows = work.reshape(8, -1)
+    # the inputs of stages 1-6, the last one the new state, the weighted error, its scale
+    inputs = np.empty((8,) + y.shape)
 
     def rhs(t, y, out=work[2]):  # row 2 is free outside a step: the initial-step probe
-        stats["rhs_evals"] += 1
-        out[...] = model.reaction(t, y)
+        model.reaction(t, y, out)
         if d_diffusing.size:
             lap = op.apply(y[diffusing])
             lap *= d_diffusing
@@ -355,7 +363,9 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     # coef[6, 1:] = h e against rows[1:]
     coef = np.zeros((7, 8))
     coef[:6, 0] = 1.0
-    stages = [(coef[s - 1, :s + 1], rows[:s + 1], work[s + 1], _DP_C[s]) for s in range(1, 7)]
+    stages = [(coef[s - 1, :s + 1], rows[:s + 1], inputs[s - 1], work[s + 1], _DP_C[s])
+              for s in range(1, 7)]
+    y_new, weighted_err, scale = inputs[5:]
     h_lo, h_hi = np.inf, 0.0
 
     while t < t_end - 1e-14 * t_end:
@@ -366,20 +376,22 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
             raise StiffnessError(f"step size underflow at t = {t:g}", time=t)
 
         np.multiply(h, _DP_TABLEAU, out=coef[:, 1:])
-        for c, inputs, out, frac in stages:
-            y_new = (c @ inputs).reshape(y.shape)
-            rhs(t + frac * h, y_new, out)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(coef[6, 1:] @ rows[1:] / sc.ravel())
+        for c, previous, y_stage, out, frac in stages:
+            np.matmul(c, previous, out=y_stage.reshape(-1))
+            rhs(t + frac * h, y_stage, out)
+        np.maximum(np.abs(y, out=scale), np.abs(y_new, out=weighted_err), out=scale)
+        scale *= rtol
+        scale += atol
+        np.matmul(coef[6, 1:], rows[1:], out=weighted_err.reshape(-1))
+        err = _rms(np.divide(weighted_err, scale, out=weighted_err))
 
         if np.isfinite(err) and err <= 1.0:
             t_new = t + h
             if not np.all(np.isfinite(y_new)):
                 raise DivergenceError(f"state not finite at t = {t_new:g}", time=t_new)
             # FSAL: the last stage's input is the new state, its rhs the next k_0
-            work[0] = y = y_new
-            work[1] = work[7]
-            f = work[7].copy()
+            work[0] = y = y_new.copy()
+            work[1] = f = work[7].copy()
             t = t_new
             stats["accepted"] += 1
             h_lo, h_hi = min(h_lo, h), max(h_hi, h)
@@ -408,6 +420,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
                 h *= _FAC_MIN
             just_rejected = True
 
+    stats["rhs_evals"] = 2 + 6 * (stats["accepted"] + stats["rejected"])
     if stats["accepted"]:
         stats["h_min"], stats["h_max"] = h_lo, h_hi
     _log_stats(stats)

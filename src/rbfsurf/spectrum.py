@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import RbfSurfError
 from .lbo import SparseOperator
@@ -96,8 +96,9 @@ def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
                 f"N = {n} eigenvalues, and ARPACK needs k < N - 1; solve densely instead")
         k = min(max(2 * k, _FIRST_K), n - 2)
         near = _arpack(matrix, k, sigma=SHIFT)
-    right = _arpack(matrix, min(_FAR_K, n - 2), which="LR", tol=_FAR_TOL)
-    largest = _arpack(matrix, 1, which="LM", tol=_FAR_TOL)
+    products = LinearOperator(matrix.shape, matvec=op.apply, dtype=float)  # matrix @ x's bits
+    right = _arpack(products, min(_FAR_K, n - 2), which="LR", tol=_FAR_TOL)
+    largest = _arpack(products, 1, which="LM", tol=_FAR_TOL)
     # the largest is new only when it lies left of every rightmost one
     far = np.concatenate([right, largest[largest.real < right.real.min()]])
     found = np.concatenate([near[np.abs(near - SHIFT) <= radius],

@@ -323,12 +323,13 @@ class TestProjectRadial:
 
 
 class TestProjectRadialOracle:
-    """The blocked projection against the ray-by-ray reference, bit for bit."""
+    """The scanned projection against the ray-by-ray reference, bit for bit."""
 
     @pytest.mark.parametrize("r", range(24))
     def test_cube_rotations_of_repulsion_1800(self, r):
-        # each rotation checks one third of the set (600 nodes, crossing two
-        # block boundaries), so every node is checked under eight rotations
+        # each rotation checks one third of the set (600 nodes, scanned in two
+        # passes: the rays open after the first 170 samples run a second), so
+        # every node is checked under eight rotations
         # and a run stays short: the reference takes about 0.7 s per 1800 rays
         part = slice(600 * (r % 3), 600 * (r % 3 + 1))
         points = repulsion_nodes(1800).points[part] @ cube_rotations()[r].T
@@ -353,7 +354,8 @@ class TestProjectRadialOracle:
         proj = project_radial(NodeSet(pts), schwarz_p(), drop_misses=True)
         assert_same_bits(proj.points, np.array([p for p in expected if p is not None]))
 
-    def test_first_miss_in_second_block(self):
+    def test_first_miss_in_second_pass(self):
+        # 56 of the 302 rays, both misses among them, are still open after the first pass
         hits = project_radial(gen_sphere_nodes(400), schwarz_p(), drop_misses=True).points[:300]
         points = np.insert(hits, [270, 290], [[0.0, 0.0, 1.0], [0.0, -1.0, 0.0]], axis=0)
         with pytest.raises(ProjectionError) as err:

@@ -235,6 +235,62 @@ class TestSchaefferReaction:
         assert dh[1] == pytest.approx(-0.4 / 150.0)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits: signed zeros and NaNs included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def where_form_rates(model, t, fields):
+    """The membrane rates as the reaction computed them before it wrote in place:
+    each current a fresh temporary, the gate chosen by ``np.where``."""
+    p = model.params
+    v, h = fields
+    dv = h * (1.0 - v) * v * v / p.tau_in - v / p.tau_out
+    dv += model._profile if t <= model.stimulus.t_stim else 0.0
+    return np.stack([dv, np.where(v <= p.v_crit, (1.0 - h) / p.tau_open, -h / p.tau_close)])
+
+
+def membrane_inputs(n=400):
+    """Random (v, h) around the membrane's range, led by the gate tie v = v_crit,
+    signed zeros, infinities and a NaN voltage; node positions near the stimulus."""
+    rng = np.random.default_rng(5)
+    special = [SchaefferParams().v_crit, 0.0, -0.0, np.inf, -np.inf, np.nan]
+    v = np.r_[special, rng.uniform(-0.5, 1.5, n - 6)]
+    h = np.r_[rng.uniform(-0.5, 1.5, 6), [0.0, -0.0, np.inf, -np.inf],
+              rng.uniform(-0.5, 1.5, n - 10)]
+    points = STIMULUS.center + rng.normal(scale=STIMULUS.delta, size=(n, 3))
+    return points, fields(v, h)
+
+
+# the last time the stimulus is on, and the first after it
+WINDOW_EDGE = pytest.mark.parametrize(
+    "t", [STIMULUS.t_stim, np.nextafter(STIMULUS.t_stim, np.inf)], ids=["last-on", "first-off"])
+
+
+class TestReactionInPlace:
+    """``reaction(t, fields, out)`` writes the rates into ``out`` and returns it."""
+
+    @WINDOW_EDGE
+    @pytest.mark.parametrize("make_model", [
+        lambda points: TuringModel(TuringParams.preset("stripes")),
+        lambda points: SchaefferModel(SchaefferParams(), points, STIMULUS),
+    ], ids=["turing", "membrane"])
+    def test_out_equals_fresh_array(self, make_model, t):
+        points, y = membrane_inputs()
+        model = make_model(points)
+        out = np.full_like(y, 7.0)
+        with np.errstate(invalid="ignore"):
+            assert model.reaction(t, y, out) is out
+            assert same_bits(out, model.reaction(t, y))
+
+    @WINDOW_EDGE
+    def test_membrane_matches_where_form(self, t):
+        points, y = membrane_inputs()
+        model = SchaefferModel(SchaefferParams(), points, STIMULUS)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(model.reaction(t, y), where_form_rates(model, t, y))
+
+
 def stimulus_current(points, t):
     """The stimulus term of dv: at rest (v = 0, h = 1) the membrane currents are zero."""
     n = len(points)
@@ -268,25 +324,34 @@ def membrane_on(nodes):
     return SchaefferModel(SchaefferParams(), nodes.points, stimulus)
 
 
+def rates_array(fields, out):
+    """``out``, or a fresh array shaped like ``fields`` when it is None."""
+    return np.empty_like(fields) if out is None else out
+
+
 class Decay(RdModel):
     diffusivities = np.array([0.0, 0.0])
 
-    def reaction(self, t, fields):
-        return -fields
+    def reaction(self, t, fields, out=None):
+        return np.negative(fields, out=out)
 
 
 class Oscillator(RdModel):
     diffusivities = np.array([0.0, 0.0])
 
-    def reaction(self, t, fields):
-        return np.stack([fields[1], -fields[0]])
+    def reaction(self, t, fields, out=None):
+        out = rates_array(fields, out)
+        out[0], out[1] = fields[1], -fields[0]
+        return out
 
 
 class PureDiffusion(RdModel):
     diffusivities = np.array([1.0, 0.0])
 
-    def reaction(self, t, fields):
-        return np.zeros_like(fields)
+    def reaction(self, t, fields, out=None):
+        out = rates_array(fields, out)
+        out[...] = 0.0
+        return out
 
 
 class SpyOperator:
@@ -437,9 +502,9 @@ class TestIntegrate:
         calls = []
 
         class Counted(Decay):
-            def reaction(self, t, fields):
+            def reaction(self, t, fields, out=None):
                 calls.append(t)
-                return super().reaction(t, fields)
+                return super().reaction(t, fields, out)
 
         state0 = RdState(np.ones((2, 3)), 0.0)
         with pytest.raises(ValueError, match=f"t_end must be finite, got {t_end}"):
@@ -463,9 +528,9 @@ class TestIntegrate:
         class BadDiffusion(PureDiffusion):
             diffusivities = np.array([1e-3, bad])
 
-            def reaction(self, t, fields):
+            def reaction(self, t, fields, out=None):
                 calls.append(t)
-                return super().reaction(t, fields)
+                return super().reaction(t, fields, out)
 
         nodes, _, op = sphere200
         state0 = RdState(np.ones((2, len(nodes))), 0.0)
@@ -505,14 +570,18 @@ class TestIntegrate:
             assert np.array_equal(f[1], reaction[1])
 
     def test_cached_reaction_left_unchanged(self, sphere200):
+        # a model that copies an array it keeps into the integrator's row must
+        # find it unchanged: the diffusion is added to the row, not to the cache
         class Cached(RdModel):
             diffusivities = np.array([1.0, 0.5])
 
             def __init__(self, n):
                 self.cache = np.linspace(-1.0, 1.0, 2 * n).reshape(2, n)
 
-            def reaction(self, t, fields):
-                return self.cache
+            def reaction(self, t, fields, out=None):
+                out = rates_array(fields, out)
+                out[...] = self.cache
+                return out
 
         nodes, _, op = sphere200
         model = Cached(len(nodes))
@@ -530,8 +599,10 @@ class TestIntegrate:
         class Poisoned(RdModel):
             diffusivities = np.array([0.0, 0.0])
 
-            def reaction(self, t, fields):
-                return np.full_like(fields, np.nan) if t > 0.01 else -fields
+            def reaction(self, t, fields, out=None):
+                out = rates_array(fields, out)
+                out[...] = np.nan if t > 0.01 else -fields
+                return out
 
         state0 = RdState(np.ones((2, 1)), 0.0)
         with pytest.raises(StiffnessError):

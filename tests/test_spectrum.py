@@ -116,6 +116,15 @@ class TestEigenvalues:
         first, second = eigenvalues(op), eigenvalues(op)
         assert first.tobytes() == second.tobytes()
 
+    @pytest.mark.parametrize("n, m", [(200, 15), (1000, 31)])
+    def test_far_products_match_eigs_on_the_matrix(self, monkeypatch, n, m):
+        # the rightmost and largest calls multiply through `op.apply`; ARPACK
+        # handed the sparse matrix itself returns the same bits
+        op = sphere_op(n, m)
+        through_apply = eigenvalues(op)
+        monkeypatch.setattr(spectrum, "LinearOperator", lambda shape, matvec, dtype: op.matrix)
+        assert through_apply.tobytes() == eigenvalues(op).tobytes()
+
     def test_no_convergence_is_one_clear_error(self, monkeypatch):
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
