@@ -7,10 +7,11 @@ The gradient of that level-set function gives the unit normal; its
 divergence gives the curvature ``kappa = div(n)`` (equal to 2 on the unit
 sphere with the outward normal).
 
-Per-node fits fix the normal only up to sign.  A pass along the minimum
-spanning tree of the stencil graph makes the signs globally consistent, and
-each connected component is flipped, if needed, so normals point away from
-the centroid on average.  Curvature flips sign together with the normal.
+Per-node fits fix the normal only up to sign.  A node's sign is the parity
+of the opposed-normal edges on its path to the root in the minimum spanning
+tree of the stencil graph, and each connected component is flipped, if
+needed, so normals point away from the centroid on average.  Curvature flips
+sign together with the normal.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ def _fit_levelsets(points, h, nodes, kernel):
         raise GeometryError(f"all stencil points of node {i} are collinear; "
                             "cannot orient off-surface points", node_index=i)
     guess = cross[rows, pick]
+    del u, v, cross, scale, sin, healthy  # free the (K, M-2) selection arrays before the solve
     offset = h[:, None, None] * (guess / np.linalg.norm(guess, axis=-1)[:, None])[:, None]
     centers = np.concatenate([points, points[:, :1] + offset, points[:, :1] - offset], axis=1)
     p = centers.shape[1]
@@ -141,12 +143,13 @@ def _levelset_eval(fit: LevelSetFit, x):
 
 
 def _gradient_norm(g):
-    """Norm of a gradient; a vanishing one raises, naming its batch row."""
+    """Norm of a gradient; a vanishing one raises, naming its batch row as the node."""
     norm = np.linalg.norm(g, axis=-1)
     vanished = np.flatnonzero(norm <= _GRAD_TOL)
     if len(vanished):
         j = int(vanished[0])
-        raise GeometryError(f"level-set gradient vanished (|grad| = {norm.flat[j]:.3e})",
+        at = f" at node {j}" if norm.ndim else ""
+        raise GeometryError(f"level-set gradient vanished{at} (|grad| = {norm.flat[j]:.3e})",
                             node_index=j if norm.ndim else None)
     return norm
 
@@ -169,33 +172,30 @@ def levelset_curvature(fit: LevelSetFit, x, normal):
     return (np.einsum("...j,...j->...", fit.coefficients, terms) / _gradient_norm(g))[()]
 
 
-def _orient_frames(points, normals, curvatures, indices, distances):
-    """Make normal signs globally consistent.
+def _orientation(points, normals, indices, distances):
+    """The (N,) signs that make the normals globally consistent.
 
-    A node is flipped whenever its normal opposes its parent's in the
-    minimum spanning tree of the stencil graph (edges weighted by length,
-    rooted at each component's lowest index).  Short edges join nodes with
-    nearly parallel true normals; wide stencils also join far-apart (even
-    antipodal) nodes, so plain breadth-first order is not reliable.  Each
-    component is then flipped if its mean normal points toward the centroid.
+    A node's sign is the parity of the opposed-normal edges (negative dot) on
+    its path to its component's lowest index in the minimum spanning tree of
+    the stencil graph, edges weighted by length (short edges join nodes with
+    nearly parallel true normals; wide stencils also join antipodal ones): one
+    shortest-path pass with opposed edges of length 1, all others of length 2.
+    Each component is then flipped if its mean normal points toward the centroid.
     """
     n = len(points)
     # the tree reads the graph as undirected: (i, j) and (j, i) are one edge
     graph = sparse.csr_matrix(
         (distances[:, 1:].ravel(), (np.repeat(indices[:, 0], indices.shape[1] - 1),
                                     indices[:, 1:].ravel())), shape=(n, n))
-    tree = csgraph.minimum_spanning_tree(graph)
+    tree = csgraph.minimum_spanning_tree(graph).tocoo()
     _, labels = csgraph.connected_components(tree, directed=False)
-    sign = np.ones(n)
-    for root in np.unique(labels, return_index=True)[1]:
-        order, parent = csgraph.breadth_first_order(tree, root, directed=False)
-        dots = np.einsum("ij,ij->i", normals[order[1:]], normals[parent[order[1:]]])
-        for j, p, dot in zip(order[1:].tolist(), parent[order[1:]].tolist(), dots.tolist()):
-            sign[j] = -1.0 if sign[p] * dot < 0 else 1.0
+    tree.data = 2.0 - (np.einsum("ij,ij->i", normals[tree.row], normals[tree.col]) < 0)
+    path = csgraph.dijkstra(tree, directed=False, indices=np.unique(labels, return_index=True)[1],
+                            min_only=True)
+    sign = 1.0 - 2.0 * (path % 2)
     outward = np.einsum("ij,ij->i", normals, points - points.mean(axis=0)) * sign
     sign[(np.bincount(labels, outward) < 0)[labels]] *= -1.0
-    normals *= sign[:, None]
-    curvatures *= sign
+    return sign
 
 
 def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
@@ -211,17 +211,12 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
     check_conditioning(fit.cond, indices[:, 0])
     rv, r, g = _levelset_eval(fit, nodes.points)
-    try:
-        grad_norm = _gradient_norm(g)
-    except GeometryError as exc:
-        # batch row i is node i
-        raise GeometryError(f"frame estimation failed at node {exc.node_index}: {exc}",
-                            node_index=exc.node_index) from exc
+    grad_norm = _gradient_norm(g)  # batch row i is node i
     normals = g / grad_norm[:, None]
     curvatures = np.einsum("...j,...j->...", fit.coefficients,
                            lbo_of_rbf_rows(kernel, rv, r, normals, 0.0)) / grad_norm
-    _orient_frames(nodes.points, normals, curvatures, indices, distances)
-    return SurfaceFrame(normals, curvatures)
+    sign = _orientation(nodes.points, normals, indices, distances)
+    return SurfaceFrame(normals * sign[:, None], curvatures * sign)
 
 
 def analytic_frames(surface: ImplicitSurface, points):
@@ -230,9 +225,7 @@ def analytic_frames(surface: ImplicitSurface, points):
     """
     points = np.asarray(points, dtype=float)
     g = surface.gradF(points)
-    norms = np.linalg.norm(g, axis=-1)
-    if np.any(norms <= _GRAD_TOL):
-        raise GeometryError("surface gradient vanished at a node")
+    norms = _gradient_norm(g)
     n = g / norms[:, None]
     H = surface.hessF(points)
     lap = np.trace(H, axis1=-2, axis2=-1)

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from rbfsurf import (
     GeometryError,
+    ImplicitSurface,
     Kernel,
     KernelFamily,
     NodeSet,
@@ -23,7 +25,13 @@ from rbfsurf import (
 from rbfsurf import surface_geom
 from rbfsurf._linalg import check_conditioning
 from rbfsurf.nodesets import knn_table
-from rbfsurf.surface_geom import LevelSetFit, SurfaceFrame, _fit_levelsets, _levelset_eval
+from rbfsurf.surface_geom import (
+    LevelSetFit,
+    SurfaceFrame,
+    _fit_levelsets,
+    _levelset_eval,
+    _orientation,
+)
 
 from conftest import repulsion_nodes
 
@@ -235,8 +243,7 @@ class TestEstimateFrames:
         with pytest.raises(GeometryError) as exc_info:
             estimate_frames(sphere_nodes, 16, GAUSS2)
         assert exc_info.value.node_index == 7
-        assert str(exc_info.value) == ("frame estimation failed at node 7: "
-                                       "level-set gradient vanished (|grad| = 0.000e+00)")
+        assert str(exc_info.value) == "level-set gradient vanished at node 7 (|grad| = 0.000e+00)"
 
     def test_one_level_set_evaluation(self, sphere_nodes, monkeypatch):
         # phi'/r runs once for the gradient and once in the curvature row
@@ -257,6 +264,63 @@ class TestEstimateFrames:
         small = gen_sphere_nodes(30)
         with pytest.raises(ValueError):
             estimate_frames(small, 31, GAUSS2)
+
+
+def sequential_signs(points, normals, indices, distances):
+    """Reference orientation: the breadth-first propagation along the minimum
+    spanning tree, one node at a time, that the parity rule replaced.  A child
+    is flipped when its normal opposes its oriented parent's and is otherwise
+    +1 (so an orthogonal edge resets it); each component then faces outward."""
+    n = len(points)
+    graph = sparse.csr_matrix(
+        (distances[:, 1:].ravel(), (np.repeat(indices[:, 0], indices.shape[1] - 1),
+                                    indices[:, 1:].ravel())), shape=(n, n))
+    tree = csgraph.minimum_spanning_tree(graph)
+    _, labels = csgraph.connected_components(tree, directed=False)
+    sign = np.ones(n)
+    for root in np.unique(labels, return_index=True)[1]:
+        order, parent = csgraph.breadth_first_order(tree, root, directed=False)
+        dots = np.einsum("ij,ij->i", normals[order[1:]], normals[parent[order[1:]]])
+        for j, p, dot in zip(order[1:].tolist(), parent[order[1:]].tolist(), dots.tolist()):
+            sign[j] = -1.0 if sign[p] * dot < 0 else 1.0
+    outward = np.einsum("ij,ij->i", normals, points - points.mean(axis=0)) * sign
+    sign[(np.bincount(labels, outward) < 0)[labels]] *= -1.0
+    return sign
+
+
+class TestOrientation:
+    @pytest.mark.parametrize("surface, n, copies", [("sphere", 500, 1), ("sphere", 1000, 1),
+                                                    ("schwarz-p", 1800, 1), ("sphere", 500, 3)])
+    def test_parity_rule_matches_sequential_pass(self, surface, n, copies):
+        # exact normals with seeded random signs: the tree must undo the flips
+        # edge by edge; copies shifted well clear of each other give one
+        # component each
+        exact_surface = unit_sphere() if surface == "sphere" else schwarz_p()
+        nodes = repulsion_nodes(n)
+        if surface != "sphere":
+            nodes = project_radial(nodes, exact_surface, drop_misses=True)
+        normals = np.tile(analytic_frames(exact_surface, nodes.points).normals, (copies, 1))
+        points = np.concatenate([nodes.points + [10.0 * k, 0.0, 0.0] for k in range(copies)])
+        rng = np.random.default_rng(n)
+        normals *= rng.choice([-1.0, 1.0], size=len(points))[:, None]
+        indices, distances = knn_table(NodeSet(points), 31)
+        assert np.all(indices // len(nodes) == indices[:, :1] // len(nodes))
+        sign = _orientation(points, normals, indices, distances)
+        expected = sequential_signs(points, normals, indices, distances)
+        assert sign.dtype == expected.dtype
+        assert sign.tobytes() == expected.tobytes()
+
+    def test_orthogonal_edge_inherits_parent_sign(self):
+        # tree edges 0-1 and 1-2; node 1 opposes the root (sign -1) and node
+        # 2 is exactly orthogonal to node 1, so it keeps -1.  The oriented
+        # normals then face outward, so no component flip follows.
+        points = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [-3.0, 0.0, 0.0]])
+        normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+        indices = np.array([[0, 1], [1, 2], [2, 1]])
+        distances = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        assert _orientation(points, normals, indices, distances).tolist() == [1.0, -1.0, -1.0]
+        # the sequential pass reset node 2 to +1, which flipped the component
+        assert sequential_signs(points, normals, indices, distances).tolist() == [-1.0, 1.0, -1.0]
 
 
 class TestSurfaceFrame:
@@ -305,6 +369,20 @@ class TestAnalyticFrames:
                 e[a] = step
                 div += (unit_grad(x + e)[a] - unit_grad(x - e)[a]) / (2 * step)
             assert frames.curvatures[i] == pytest.approx(div, abs=1e-5)
+
+    def test_vanishing_gradient_names_its_node(self, sphere_nodes):
+        sphere = unit_sphere()
+
+        def gradF(p):
+            g = sphere.gradF(p)
+            g[3] = 0.0
+            return g
+
+        surface = ImplicitSurface("sphere", sphere.F, gradF, sphere.hessF)
+        with pytest.raises(GeometryError) as exc_info:
+            analytic_frames(surface, sphere_nodes.points)
+        assert exc_info.value.node_index == 3
+        assert "at node 3 " in str(exc_info.value)
 
 
 class TestFrameCsv:
