@@ -142,15 +142,16 @@ def _levelset_eval(fit: LevelSetFit, x):
     return rv, r, np.einsum("...j,...jd->...d", fit.kernel.dphi_over_r(r) * fit.coefficients, rv)
 
 
-def _gradient_norm(g):
-    """Norm of a gradient; a vanishing one raises, naming its batch row as the node."""
+def _gradient_norm(g, nodes=None):
+    """Norm of a gradient; a vanishing one raises, naming its node if given row ids."""
     norm = np.linalg.norm(g, axis=-1)
     vanished = np.flatnonzero(norm <= _GRAD_TOL)
     if len(vanished):
         j = int(vanished[0])
-        at = f" at node {j}" if norm.ndim else ""
+        node = None if nodes is None else int(nodes[j])
+        at = "" if node is None else f" at node {node}"
         raise GeometryError(f"level-set gradient vanished{at} (|grad| = {norm.flat[j]:.3e})",
-                            node_index=j if norm.ndim else None)
+                            node_index=node)
     return norm
 
 
@@ -211,7 +212,7 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
     check_conditioning(fit.cond, indices[:, 0])
     rv, r, g = _levelset_eval(fit, nodes.points)
-    grad_norm = _gradient_norm(g)  # batch row i is node i
+    grad_norm = _gradient_norm(g, indices[:, 0])
     normals = g / grad_norm[:, None]
     curvatures = np.einsum("...j,...j->...", fit.coefficients,
                            lbo_of_rbf_rows(kernel, rv, r, normals, 0.0)) / grad_norm
@@ -225,7 +226,7 @@ def analytic_frames(surface: ImplicitSurface, points):
     """
     points = np.asarray(points, dtype=float)
     g = surface.gradF(points)
-    norms = _gradient_norm(g)
+    norms = _gradient_norm(g, range(len(points)))
     n = g / norms[:, None]
     H = surface.hessF(points)
     lap = np.trace(H, axis1=-2, axis2=-1)

@@ -8,7 +8,7 @@ import pytest
 from scipy import linalg as sla
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from rbfsurf import spectrum
 from rbfsurf.errors import RbfSurfError
@@ -84,6 +84,31 @@ class TestEigenvalues:
         assert np.allclose(eigs, np.r_[inside, -156.0], rtol=0, atol=DISC_BOUND)
         assert caplog.records[-1].stats["k"] == 128
 
+    @pytest.mark.parametrize("blocks, ordering", [
+        ((), "MMD_AT_PLUS_A"),
+        # both columns of the rotation block minus SHIFT*I peak off the diagonal
+        ((np.array([[0.0, 1.0], [-1.0, 0.0]]),), "COLAMD"),
+    ], ids=["diagonal-pivots", "off-diagonal-pivot"])
+    def test_one_factor_per_call(self, caplog, monkeypatch, blocks, ordering):
+        # the k = 64 and k = 128 shift-invert calls both solve with one factor
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.spectrum")
+        orderings = []
+
+        def spy(matrix, **options):
+            orderings.append(options)
+            return splu(matrix, **options)
+
+        monkeypatch.setattr(spectrum, "splu", spy)
+        inside = -0.4 * np.arange(100.0)
+        eigs = eigenvalues(block_operator(sparse.diags(np.r_[inside, FAR]), *blocks))
+        assert np.allclose(eigs[np.abs(eigs.imag) == 0], np.r_[inside, -156.0], rtol=0,
+                           atol=DISC_BOUND)
+        stats = caplog.records[-1].stats
+        assert stats["k"] == 128
+        assert orderings == [{"permc_spec": ordering}]
+        assert stats["ordering"] == ordering
+        assert stats["factor_nnz"] > 0 and stats["factor_s"] > 0
+
     @pytest.mark.parametrize("matrix", [
         np.array([[0.0, 1.0], [-1.0, 0.0]]),
         sparse.diags([-3.0, -1.0, -2.0]),
@@ -115,15 +140,6 @@ class TestEigenvalues:
         op = sphere_op(200, 15)
         first, second = eigenvalues(op), eigenvalues(op)
         assert first.tobytes() == second.tobytes()
-
-    @pytest.mark.parametrize("n, m", [(200, 15), (1000, 31)])
-    def test_far_products_match_eigs_on_the_matrix(self, monkeypatch, n, m):
-        # the rightmost and largest calls multiply through `op.apply`; ARPACK
-        # handed the sparse matrix itself returns the same bits
-        op = sphere_op(n, m)
-        through_apply = eigenvalues(op)
-        monkeypatch.setattr(spectrum, "LinearOperator", lambda shape, matvec, dtype: op.matrix)
-        assert through_apply.tobytes() == eigenvalues(op).tobytes()
 
     def test_no_convergence_is_one_clear_error(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -176,13 +192,17 @@ class TestDebugRecord:
 
     def test_one_record_per_call(self, caplog):
         caplog.set_level(logging.DEBUG, logger="rbfsurf.spectrum")
-        eigs = eigenvalues(sphere_op(200, 15))
+        op = sphere_op(200, 15)
+        eigs = eigenvalues(op)
         (record,) = self.records(caplog)
         assert record.levelno == logging.DEBUG
         stats = record.stats
-        assert stats.pop("seconds") > 0
+        assert stats.pop("seconds") > stats.pop("factor_s") > 0
+        factor = splu((op.matrix - SHIFT * sparse.identity(200)).tocsc(),
+                      permc_spec="MMD_AT_PLUS_A")
         assert stats == {"n": 200, "eigenvalues": len(eigs), "radius": DISC_RADIUS, "k": 64,
-                         "abscissa": eigs.real.max(), "abs_max": np.abs(eigs).max()}
+                         "abscissa": eigs.real.max(), "abs_max": np.abs(eigs).max(),
+                         "ordering": "MMD_AT_PLUS_A", "factor_nnz": factor.nnz}
         assert "'n': 200" in record.getMessage()
 
     def test_silent_by_default(self):

@@ -119,12 +119,17 @@ class TestLevelsetDerivatives:
         x = sphere_nodes.points[i]
         assert min(np.abs(n - x).max(), np.abs(n + x).max()) <= 1e-3
 
-    def test_zero_gradient_raises(self):
+    @pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]]],
+                             ids=["point", "one-row-batch"])
+    def test_zero_gradient_raises(self, x):
+        # a batch row is no node id: the error names no node
         fit = LevelSetFit(np.zeros(3), 0.5, np.eye(3), GAUSS2, 1.0)
-        with pytest.raises(GeometryError):
-            levelset_normal(fit, [0.1, 0.2, 0.3])
-        with pytest.raises(GeometryError):
-            levelset_curvature(fit, [0.1, 0.2, 0.3], [0.0, 0.0, 1.0])
+        for call in (lambda: levelset_normal(fit, x),
+                     lambda: levelset_curvature(fit, x, np.ones_like(x) / np.sqrt(3.0))):
+            with pytest.raises(GeometryError) as exc_info:
+                call()
+            assert exc_info.value.node_index is None
+            assert str(exc_info.value) == "level-set gradient vanished (|grad| = 0.000e+00)"
 
     def test_sphere_curvature_close_to_two(self, sphere_nodes):
         fit = node_fit(sphere_nodes, 42, m=31)
