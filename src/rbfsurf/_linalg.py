@@ -60,37 +60,6 @@ def check_conditioning(cond, nodes=None):
                                 cond=float(cond[failed].max()), node_indices=ids)
 
 
-def solve_with_cond(A, b):
-    """Solve the stacked systems ``A (K, P, P) x = b (K, P)``; return ``(x, cond)``.
-
-    One transposing copy of A holds the systems Fortran-ordered, no symmetry assumed, each
-    from a 64-byte boundary (off it, OpenBLAS's Sandybridge kernels round otherwise), for
-    LAPACK to factor in place: LU with partial pivoting and the solve in one ``dgesv`` call,
-    then the 1-norm condition estimate of each system from its factors, set to inf for an
-    exact zero pivot or once the reciprocal drops below machine epsilon.  One refinement
-    step follows: the residual is formed in ``np.longdouble`` (each entry a left-to-right
-    dot) and the correction solved in place with the same factors.
-    """
-    anorm = np.abs(A).sum(axis=1).max(axis=1)
-    n_sys, p, _ = A.shape
-    stride = -(-p * p // 8) * 8  # doubles per system, a multiple of 64 bytes
-    buffer = np.empty(n_sys * stride + 8)
-    buffer = buffer[-buffer.ctypes.data % 64 // 8:][:n_sys * stride].reshape(n_sys, stride)
-    lu = buffer[:, :p * p].reshape(n_sys, p, p).transpose(0, 2, 1)
-    lu[...] = A
-    x, piv, cond = np.array(b, dtype=float), np.empty(b.shape, dtype=np.int32), np.empty(len(A))
-    for k in range(len(A)):
-        _, piv[k], _, info = sla.lapack.dgesv(lu[k], x[k], overwrite_a=True, overwrite_b=True)
-        if info:  # an exact zero pivot: dgesv skips the solve and leaves b
-            x[k] = np.nan
-        rcond, _ = sla.lapack.dgecon(lu[k], anorm[k], norm="1")
-        cond[k] = 1.0 / rcond if info == 0 and rcond >= _EPS else np.inf
-    residual = (b - np.vecdot(A, x[:, None, :], dtype=np.longdouble)).astype(float)
-    for k in range(len(A)):
-        sla.lapack.dgetrs(lu[k], piv[k], residual[k], overwrite_b=True)
-    return x + residual, cond
-
-
 def solve_rbf_systems(centers, rhs, kernel):
     """Solve the augmented RBF systems of K stencils; return ``(sol, cond)``.
 
@@ -100,13 +69,25 @@ def solve_rbf_systems(centers, rhs, kernel):
 
     Built in place, ``_CHUNK`` at a time and batch-last (P, P, chunk), so each ufunc loop runs
     over the chunk: squared distances summed coordinate by coordinate (cdist's roundoff),
-    rooted and turned into phi in place, then copied, transposed, into one bordered matrix.
+    rooted and turned into phi in place, then copied, transposed, into one bordered matrix
+    and again into Fortran-ordered factor storage, each system from a 64-byte boundary (off
+    it, OpenBLAS's Sandybridge kernels round otherwise).  LAPACK factors in place: LU with
+    partial pivoting and the solve in one ``dgesv`` call, then the 1-norm condition estimate
+    from the factors, inf for an exact zero pivot or a reciprocal below machine epsilon.  One
+    refinement step follows, its residual formed in ``np.longdouble`` (each entry a
+    left-to-right dot) and its correction solved with the same factors.
     """
     n_sys, p, _ = centers.shape
-    sol, cond = np.empty((n_sys, p + 1)), np.empty(n_sys)
+    n = p + 1
+    sol, cond = np.empty((n_sys, n)), np.empty(n_sys)
     size = min(n_sys, _CHUNK)
-    matrices, (r2, delta) = np.empty((size, p + 1, p + 1)), np.empty((2, p, p, size))
+    matrices, (r2, delta) = np.empty((size, n, n)), np.empty((2, p, p, size))
     matrices[:, p], matrices[:, :, p], matrices[:, p, p] = 1.0, 1.0, 0.0
+    stride = -(-n * n // 8) * 8  # doubles per system, a multiple of 64 bytes
+    buffer = np.empty(size * stride + 8)
+    buffer = buffer[-buffer.ctypes.data % 64 // 8:][:size * stride].reshape(size, stride)
+    factors = buffer[:, :n * n].reshape(size, n, n).transpose(0, 2, 1)
+    pivots = np.empty((size, n), dtype=np.int32)
     for start in range(0, n_sys, _CHUNK):
         part = slice(start, start + _CHUNK)
         c = np.ascontiguousarray(centers[part].transpose(2, 1, 0))
@@ -115,5 +96,18 @@ def solve_rbf_systems(centers, rhs, kernel):
         for axis in (1, 2):
             r += np.square(np.subtract(c[axis, :, None], c[axis, None, :], out=d), out=d)
         A[:, :p, :p] = kernel._phi_into(np.sqrt(r, out=r), r).transpose(2, 0, 1)
-        sol[part], cond[part] = solve_with_cond(A, rhs[part])
+        anorm = np.abs(A).sum(axis=1).max(axis=1)
+        lu, piv, x = factors[:len(A)], pivots[:len(A)], sol[part]
+        lu[...], x[...] = A, rhs[part]
+        for k in range(len(A)):
+            _, piv[k], _, info = sla.lapack.dgesv(lu[k], x[k], overwrite_a=True,
+                                                  overwrite_b=True)
+            if info:  # an exact zero pivot: dgesv skips the solve and leaves b
+                x[k] = np.nan
+            rcond, _ = sla.lapack.dgecon(lu[k], anorm[k], norm="1")
+            cond[start + k] = 1.0 / rcond if info == 0 and rcond >= _EPS else np.inf
+        residual = (rhs[part] - np.vecdot(A, x[:, None, :], dtype=np.longdouble)).astype(float)
+        for k in range(len(A)):
+            sla.lapack.dgetrs(lu[k], piv[k], residual[k], overwrite_b=True)
+        x += residual
     return sol, cond

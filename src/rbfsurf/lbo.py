@@ -94,11 +94,9 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
 
     indices, w, cond = weight_table(nodes, frames, m, kernel)
     check_conditioning(cond, indices[:, 0])
-    order = np.argsort(indices, axis=1)
-    matrix = sparse.csr_matrix(
-        (np.take_along_axis(w, order, axis=1).ravel(),
-         np.take_along_axis(indices, order, axis=1).ravel(), np.arange(0, (n + 1) * m, m)),
-        shape=(n, n))
+    matrix = sparse.csr_matrix((w.ravel(), indices.ravel(), np.arange(0, (n + 1) * m, m)),
+                               shape=(n, n))
+    matrix.sort_indices()  # a row's columns are distinct, so this only permutes them
     op = SparseOperator(matrix, stencil_size=m)
     if logger.isEnabledFor(logging.DEBUG):
         sums, radii = np.abs(op.row_sums()), knn_table(nodes, m)[1][:, -1]

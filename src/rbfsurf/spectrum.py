@@ -84,10 +84,11 @@ def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
     part sort by imaginary part descending.  Raises ``ValueError`` before any
     ARPACK call unless the radius is finite and positive, and when the disc
     needs k >= N - 1, which ARPACK cannot do; ``RbfSurfError`` when ARPACK
-    does not converge.  With DEBUG on, one record on this module's logger
-    (values also in its ``stats``) gives N, the eigenvalue count, the radius,
-    the final k, the largest real part, the largest magnitude, the factor's
-    ordering, nonzeros and seconds, and the seconds taken.
+    does not converge, or when SuperLU finds ``L - SHIFT*I`` exactly singular.
+    With DEBUG on, one record on this module's logger (values also in its
+    ``stats``) gives N, the eigenvalue count, the radius, the final k, the
+    largest real part, the largest magnitude, the factor's ordering,
+    nonzeros and seconds, and the seconds taken.
     """
     if not 0 < radius < np.inf:
         raise ValueError(f"disc radius must be finite and positive, got {radius}")
@@ -98,7 +99,11 @@ def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
     # leaves the diagonal of a column whose largest entry lies off it
     diagonal_pivots = np.all(abs(shifted).max(axis=0).toarray() <= np.abs(shifted.diagonal()))
     ordering = "MMD_AT_PLUS_A" if diagonal_pivots else "COLAMD"
-    factor = splu(shifted, permc_spec=ordering)
+    try:
+        factor = splu(shifted, permc_spec=ordering)
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise RbfSurfError(f"the shift {SHIFT:g} is an eigenvalue of the N = {n} operator: "
+                           f"L - {SHIFT:g} I is exactly singular ({exc})") from exc
     factor_s = time.perf_counter() - started
     solve = LinearOperator(matrix.shape, matvec=factor.solve, dtype=float)
     k = 0

@@ -245,6 +245,17 @@ class TestGeomAndOperator:
         assert message in err
         assert not (tmp_path / "spec.csv").exists()
 
+    def test_singular_shift_exits_2_writing_nothing(self, tmp_path, capsys):
+        op_path = tmp_path / "op.txt"
+        SparseOperator(sparse.diags(np.r_[0.5, -np.arange(60.0, 160.0)]).tocsr(), 1).save(op_path)
+        code, out, err = run_cli(capsys, "spectrum", "--operator", str(op_path),
+                                 "--out", str(tmp_path / "spec.csv"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: the shift 0.5 is an eigenvalue of the N = 101 "
+                                    "operator: L - 0.5 I is exactly singular (Factor is "
+                                    "exactly singular)"]
+        assert not (tmp_path / "spec.csv").exists()
+
 
 class TestSimulate:
     def test_turing_snapshots(self, sphere_file, tmp_path, capsys):

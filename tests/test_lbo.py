@@ -16,7 +16,7 @@ from scipy import linalg as sla
 from scipy import sparse
 
 from rbfsurf import lbo, surface_geom
-from rbfsurf._linalg import check_conditioning, solve_rbf_systems, solve_with_cond
+from rbfsurf._linalg import check_conditioning, solve_rbf_systems
 from rbfsurf.errors import ConditioningError
 from rbfsurf.kernels import Kernel, KernelFamily, lbo_of_rbf_rows
 from rbfsurf.lbo import (
@@ -228,7 +228,8 @@ class TestStencilWeights:
 
 
 def factor_then_solve(A, b):
-    """The two-call form :func:`solve_with_cond` replaced: dgetrf, then dgetrs."""
+    """Factor, estimate and refine each system of ``A`` (K, P, P) from fresh copies:
+    dgetrf, dgecon and dgetrs, the two-call form of the in-place ``dgesv``."""
     anorm = np.abs(A).sum(axis=1).max(axis=1)
     x, cond, factors = np.empty(b.shape), np.empty(len(A)), []
     for k in range(len(A)):
@@ -246,8 +247,8 @@ def factor_then_solve(A, b):
 def fresh_rbf_systems(centers, rhs, kernel):
     """The form :func:`solve_rbf_systems` replaced: each chunk of 64 builds its
     squared distances from strided views into fresh arrays, copies phi into a
-    matrix of ones, and solves as :func:`factor_then_solve` (which equals
-    :func:`solve_with_cond` bit for bit) with its longdouble copy of A."""
+    matrix of ones, and solves as :func:`factor_then_solve` with its longdouble
+    copy of A."""
     n_sys, p, _ = centers.shape
     sol, cond = np.empty((n_sys, p + 1)), np.empty(n_sys)
     for start in range(0, n_sys, 64):
@@ -297,54 +298,58 @@ class TestLocalSolve:
         assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
 
     @pytest.mark.parametrize("eps", [2.0, 1.0])
-    def test_one_call_matches_factor_then_solve(self, sphere1000, sphere1000_frames, eps):
-        # 100 weight systems per kernel, M = 31: cond 5e8-7e9 at eps = 2, 2e12-4e13 at eps = 1
+    def test_ill_conditioned_weights_match_fresh_form(self, sphere1000, sphere1000_frames,
+                                                      monkeypatch, eps):
+        # 100 weight systems, M = 31: cond 5e8-7e9 at eps = 2, 2e12-4e13 at eps = 1
         kernel = Kernel(KernelFamily.GAUSSIAN, eps)
+        args = captured_systems(monkeypatch, lbo, lambda: lbo.weight_table(
+            sphere1000, sphere1000_frames, 31, kernel, np.arange(0, 1000, 10)))
+        sol, cond = solve_rbf_systems(*args)
+        sol_ref, cond_ref = fresh_rbf_systems(*args)
+        assert cond.min() > (1e8 if eps == 2.0 else 1e12) and cond.max() < 1e15
+        assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
+
+    def test_coincident_centers_give_nan_and_inf_cond(self, sphere1000):
+        # two equal kernel rows factor to an exact zero pivot; the rest of the batch is untouched
         indices, _ = knn_table(sphere1000, 31, np.arange(0, 1000, 10))
-        points = sphere1000.points[indices]
-        r = points[:, :1] - points
-        A = np.ones((len(points), 32, 32))
-        A[:, :31, :31] = kernel.phi(np.linalg.norm(points[:, :, None] - points[:, None], axis=-1))
-        A[:, 31, 31] = 0.0
-        b = np.pad(lbo_of_rbf_rows(kernel, r, np.linalg.norm(r, axis=-1),
-                                   sphere1000_frames.normals[indices[:, 0]],
-                                   sphere1000_frames.curvatures[indices[:, 0]]), ((0, 0), (0, 1)))
-        x, cond = solve_with_cond(A, b)
-        x_ref, cond_ref = factor_then_solve(A, b)
-        assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
-
-    def test_exactly_singular_system_gives_nan(self):
-        A = np.array([[[1.0, 2.0], [2.0, 4.0]]])
-        with np.errstate(invalid="ignore"):
-            x, cond = solve_with_cond(A, np.array([[1.0, 1.0]]))
-        assert np.isnan(x).all() and cond[0] == np.inf
+        centers = sphere1000.points[indices]
+        centers[7, 1] = centers[7, 0]
+        rhs = np.random.default_rng(7).normal(size=(100, 32))
+        sol, cond = solve_rbf_systems(centers, rhs, GAUSS2)
+        with np.errstate(invalid="ignore"):  # the fresh form's longdouble residual meets inf
+            sol_ref, cond_ref = fresh_rbf_systems(centers, rhs, GAUSS2)
+        assert np.isnan(sol[7]).all() and cond[7] == np.inf
+        assert np.isfinite(sol[np.arange(100) != 7]).all()
+        assert np.array_equal(sol, sol_ref, equal_nan=True) and np.array_equal(cond, cond_ref)
 
 
-class TestLocalSolveNonSymmetric:
-    """``solve_with_cond`` solves A, not its transpose: the local systems it is
-    handed are symmetric, so only a non-symmetric A can tell the two apart."""
+class TestLocalSolveSizes:
+    """Systems of odd size P = M + 1 packed P^2 doubles apart would start every other one 8
+    bytes off a 16-byte boundary, where OpenBLAS's Sandybridge kernels factor into other
+    bits; the solve's 64-byte system stride keeps them equal to the fresh form's factors."""
 
-    @pytest.mark.parametrize("p", [5, 32, 33])
-    def test_matches_factor_then_solve(self, p):
-        rng = np.random.default_rng(p)
-        A = rng.normal(size=(70, p, p)) + p * np.eye(p)
-        b = rng.normal(size=(70, p))
-        assert not np.array_equal(A, A.transpose(0, 2, 1))
-        x, cond = solve_with_cond(A, b)
-        x_ref, cond_ref = factor_then_solve(A, b)
-        assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
-        assert np.abs(np.einsum("kij,kj->ki", A, x) - b).max() <= 1e-12 * np.abs(b).max()
+    @pytest.mark.parametrize("m", [4, 31, 32])
+    def test_matches_fresh_form(self, sphere1000, m):
+        # 70 systems make a full chunk of 64 and a partial one; P = 5, 32 and 33
+        indices, _ = knn_table(sphere1000, m, np.arange(70) * 13)
+        rhs = np.random.default_rng(m).normal(size=(70, m + 1))
+        args = (sphere1000.points[indices], rhs, Kernel(KernelFamily.GAUSSIAN, 3.0))
+        sol, cond = solve_rbf_systems(*args)
+        sol_ref, cond_ref = fresh_rbf_systems(*args)
+        assert np.all(cond < 1e12)
+        assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
 
-    def test_strided_input_is_left_unchanged(self):
-        # a transposed (non-contiguous) batch: the solve copies it and factors the copy
-        rng = np.random.default_rng(1)
-        At = rng.normal(size=(8, 6, 6)) + 6 * np.eye(6)
-        A, b = At.transpose(0, 2, 1), rng.normal(size=(8, 6))
-        before = (A.copy(), b.copy())
-        x, cond = solve_with_cond(A, b)
-        x_ref, cond_ref = factor_then_solve(np.ascontiguousarray(A), b)
-        assert np.array_equal(x, x_ref) and np.array_equal(cond, cond_ref)
-        assert np.array_equal(A, before[0]) and np.array_equal(b, before[1])
+    def test_strided_inputs_are_left_unchanged(self, sphere1000):
+        # centers and rhs in Fortran order, not C-contiguous: read, never written
+        indices, _ = knn_table(sphere1000, 32, np.arange(70))
+        centers = np.asfortranarray(sphere1000.points[indices])
+        rhs = np.asfortranarray(np.random.default_rng(1).normal(size=(70, 33)))
+        assert not (centers.flags.c_contiguous or rhs.flags.c_contiguous)
+        before = (centers.copy(), rhs.copy())
+        sol, cond = solve_rbf_systems(centers, rhs, GAUSS2)
+        sol_ref, cond_ref = fresh_rbf_systems(*before, GAUSS2)
+        assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
+        assert np.array_equal(centers, before[0]) and np.array_equal(rhs, before[1])
 
 
 class TestConditioningRecord:
@@ -437,6 +442,21 @@ class TestAssembleOperator:
         for i in (0, 57, 199):
             row = op.matrix.getrow(i)
             assert np.array_equal(np.sort(row.indices), np.sort(knn_table(nodes, 15, [i])[0][0]))
+
+    @pytest.mark.parametrize("method", ["fibonacci", "repulsion"])
+    def test_columns_sorted_as_by_argsort(self, method):
+        # SciPy's in-place sort gives the CSR arrays that a per-row argsort of the kNN
+        # rows and the weight rows gave
+        nodes = gen_sphere_nodes(1000) if method == "fibonacci" else repulsion_nodes(1000)
+        frames = analytic_frames(unit_sphere(), nodes.points)
+        matrix = assemble_operator(nodes, frames, 31, GAUSS2).matrix
+        indices, w, _ = weight_table(nodes, frames, 31, GAUSS2)
+        order = np.argsort(indices, axis=1)
+        assert matrix.has_sorted_indices
+        assert np.all(np.diff(matrix.indices.reshape(1000, 31), axis=1) > 0)
+        assert np.array_equal(matrix.indptr, np.arange(0, 1001 * 31, 31))
+        assert np.array_equal(matrix.indices, np.take_along_axis(indices, order, axis=1).ravel())
+        assert np.array_equal(matrix.data, np.take_along_axis(w, order, axis=1).ravel())
 
     def test_constants_annihilated(self, small_setup):
         _, _, op = small_setup

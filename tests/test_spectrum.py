@@ -151,6 +151,14 @@ class TestEigenvalues:
                                                r"converge on the N = 200 operator"):
             eigenvalues(sphere_op(200, 15))
 
+    def test_singular_shift_is_one_clear_error(self):
+        # SHIFT itself is an eigenvalue, so L - SHIFT*I has an exact zero pivot
+        op = block_operator(sparse.diags(np.r_[spectrum.SHIFT, FAR]))
+        with pytest.raises(RbfSurfError, match=r"^the shift 0.5 is an eigenvalue of the "
+                                               r"N = 98 operator: L - 0.5 I is exactly "
+                                               r"singular \(Factor is exactly singular\)$"):
+            eigenvalues(op)
+
 
 @pytest.fixture(scope="module", params=[(200, 15), (400, 21), (1000, 31)],
                 ids=["sphere200", "sphere400", "sphere1000"])
