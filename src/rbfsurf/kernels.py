@@ -56,6 +56,8 @@ class Kernel:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.family, KernelFamily):
+            raise ValueError(f"kernel family must be a KernelFamily, got {self.family!r}")
         if not self.epsilon > 0:
             raise ValueError(f"shape parameter must be positive, got {self.epsilon}")
         if not np.isfinite(self.epsilon):

@@ -94,10 +94,8 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
 
     indices, w, cond = weight_table(nodes, frames, m, kernel)
     check_conditioning(cond, indices[:, 0])
-    matrix = sparse.csr_matrix((w.ravel(), indices.ravel(), np.arange(0, (n + 1) * m, m)),
-                               shape=(n, n))
-    matrix.sort_indices()  # a row's columns are distinct, so this only permutes them
-    op = SparseOperator(matrix, stencil_size=m)
+    op = SparseOperator(sparse.csr_matrix((w.ravel(), indices.ravel(),
+                                           np.arange(0, (n + 1) * m, m)), shape=(n, n)))
     if logger.isEnabledFor(logging.DEBUG):
         sums, radii = np.abs(op.row_sums()), knn_table(nodes, m)[1][:, -1]
         stats = {"rowsum_max": float(sums.max()), "rowsum_argmax": int(sums.argmax()),
@@ -108,17 +106,16 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
 
 
 class SparseOperator:
-    """Sparse differentiation matrix with a fixed number of entries per row."""
+    """Sparse differentiation matrix, made canonical CSR in place: sorted, distinct row columns."""
 
-    def __init__(self, matrix, stencil_size):
+    def __init__(self, matrix):
         matrix = sparse.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("operator must be square")
+        if matrix.shape[0] != matrix.shape[1] or not matrix.shape[0]:
+            raise ValueError(f"operator must be square with N >= 1, got shape {matrix.shape}")
         if np.iscomplexobj(matrix.data):
             raise ValueError(f"operator must be real, got dtype {matrix.dtype}")
-        self.matrix = matrix
-        self.n = matrix.shape[0]
-        self.stencil_size = int(stencil_size)
+        matrix.sum_duplicates()  # sorts each row, sums a repeated column into one entry
+        self.matrix, self.n = matrix, matrix.shape[0]
 
     def apply(self, field):
         """Matrix-vector product against a nodal field (N,) or a stack of them (k, N):
@@ -128,27 +125,30 @@ class SparseOperator:
         if field.ndim not in (1, 2) or field.shape[-1] != n:
             raise ValueError(f"field shape {field.shape} does not match (N,) or (k, N), N={n}")
         out = np.zeros(field.shape)
-        if field.ndim == 1:
-            csr_matvec(n, n, a.indptr, a.indices, a.data, field, out)
-        else:
-            for k in range(len(field)):
-                csr_matvec(n, n, a.indptr, a.indices, a.data, field[k], out[k])
+        rows, out_rows = field.reshape(-1, n), out.reshape(-1, n)
+        for k in range(len(rows)):  # indexing makes views faster than iterating does
+            csr_matvec(n, n, a.indptr, a.indices, a.data, rows[k], out_rows[k])
         return out
 
     def row_sums(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def save(self, path):
-        """Text format: header ``N M``, then 0-based ``row col weight`` triplets."""
+        """Text format: header ``N M``, then 0-based ``row col weight`` triplets in (row, col)
+        order.  Raises ValueError, writing nothing, unless every row holds M >= 1 finite weights."""
+        counts = np.diff(self.matrix.indptr)
+        m, r = max(counts.max(), 1), counts.argmin()  # the first shortest row
+        if counts[r] != m:
+            raise ValueError(f"cannot save: row {r} holds {counts[r]} entries, not M={m}")
+        if not np.all(np.isfinite(self.matrix.data)):
+            raise ValueError("operator weights must be finite")
         coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        np.savetxt(path, np.column_stack([coo.row[order], coo.col[order], coo.data[order]]),
-                   fmt=["%d", "%d", "%.17g"], header=f"{self.n} {self.stencil_size}",
-                   comments="", encoding="utf-8")
+        np.savetxt(path, np.column_stack([coo.row, coo.col, coo.data]), fmt=["%d", "%d", "%.17g"],
+                   header=f"{self.n} {m}", comments="", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
-        """Read the :meth:`save` format.
+        """Read the :meth:`save` format; the entries may come in any order.
 
         Raises FileFormatError on a line that is not two integers and a number
         (two integers for the header), and ValueError unless every row holds
@@ -173,9 +173,8 @@ class SparseOperator:
         if np.any(counts != m):
             r = int(np.flatnonzero(counts != m)[0])
             raise ValueError(f"row {r} has {counts[r]} entries, expected M={m}")
-        # sorted by (row, col), the entries form N blocks of M columns each
-        row_cols = cols[np.lexsort((cols, rows))].reshape(n, m)
-        repeated = np.flatnonzero((np.diff(row_cols, axis=1) == 0).any(axis=1))
-        if len(repeated):
-            raise ValueError(f"row {repeated[0]} repeats a column")
-        return cls(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)), stencil_size=m)
+        op = cls(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        short = np.flatnonzero(np.diff(op.matrix.indptr) != m)  # repeats were summed into one
+        if len(short):
+            raise ValueError(f"row {short[0]} repeats a column")
+        return op

@@ -298,7 +298,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     ------
     ValueError
         Before the first step, unless ``t_end`` is finite and both diffusivities
-        are finite and >= 0.
+        are finite and >= 0, and all zero when ``op`` is None.
     StiffnessError
         If the step size underflows below 1e-12 * t_end, or after 10^7 steps.
     DivergenceError
@@ -316,7 +316,9 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     diff = np.asarray(model.diffusivities, dtype=float)
     if diff.shape != (2,) or not np.all(np.isfinite(diff) & (diff >= 0)):
         raise ValueError(f"diffusivities must be two finite values >= 0, got {diff}")
-    nonzero = np.flatnonzero(diff) if op is not None else []
+    if op is None and np.any(diff):
+        raise ValueError(f"diffusivities {diff} need an operator, got op=None")
+    nonzero = np.flatnonzero(diff)
     # of two fields, those that diffuse form one range; a slice of it is a view
     diffusing = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0)
     d_diffusing = diff[diffusing, None]

@@ -121,7 +121,7 @@ class TestGeomAndOperator:
         assert "200x200" in out
         op = SparseOperator.load(op_path)
         assert op.n == 200
-        assert op.stencil_size == 15
+        assert np.all(np.diff(op.matrix.indptr) == 15)
 
     @pytest.mark.parametrize("family", list(KernelFamily), ids=lambda f: f.value)
     def test_kernel_option_builds_the_named_family(self, sphere_file, tmp_path, capsys, family):
@@ -215,7 +215,7 @@ class TestGeomAndOperator:
         vals = np.column_stack([-np.arange(n, dtype=float),
                                 np.r_[np.full(n - 1, 0.5), 0.0]]).ravel()
         op_path, spec_path = tmp_path / "op.txt", tmp_path / "spec.csv"
-        SparseOperator(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)), 2).save(op_path)
+        SparseOperator(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))).save(op_path)
         code, out, _ = run_cli(capsys, "spectrum", "--operator", str(op_path),
                                "--kmax", "2", "--out", str(spec_path))
         assert code == 0
@@ -237,7 +237,7 @@ class TestGeomAndOperator:
     def test_spectrum_options_checked_before_the_solve(self, tmp_path, capsys, monkeypatch,
                                                        option, value, message):
         op_path = tmp_path / "op.txt"
-        SparseOperator(sparse.diags(-np.arange(1.0, 7.0)).tocsr(), 1).save(op_path)
+        SparseOperator(sparse.diags(-np.arange(1.0, 7.0)).tocsr()).save(op_path)
         monkeypatch.setattr(cli, "eigenvalues", lambda *a, **k: pytest.fail("solve started"))
         code, _, err = run_cli(capsys, "spectrum", "--operator", str(op_path), option, value,
                                "--out", str(tmp_path / "spec.csv"))
@@ -247,7 +247,7 @@ class TestGeomAndOperator:
 
     def test_singular_shift_exits_2_writing_nothing(self, tmp_path, capsys):
         op_path = tmp_path / "op.txt"
-        SparseOperator(sparse.diags(np.r_[0.5, -np.arange(60.0, 160.0)]).tocsr(), 1).save(op_path)
+        SparseOperator(sparse.diags(np.r_[0.5, -np.arange(60.0, 160.0)]).tocsr()).save(op_path)
         code, out, err = run_cli(capsys, "spectrum", "--operator", str(op_path),
                                  "--out", str(tmp_path / "spec.csv"))
         assert code == 2 and out == ""

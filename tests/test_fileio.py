@@ -78,7 +78,7 @@ def old_save_operator(op, path):
     coo = op.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{op.n} {op.stencil_size}\n")
+        fh.write(f"{op.n} {np.diff(op.matrix.indptr)[0]}\n")
         for r, c, w in zip(coo.row[order], coo.col[order], coo.data[order]):
             fh.write(f"{r} {c} {w:.17g}\n")
 

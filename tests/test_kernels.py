@@ -35,6 +35,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shape parameter must be positive, got nan"):
             Kernel(KernelFamily.GAUSSIAN, np.nan)
 
+    @pytest.mark.parametrize("family", ["gaussian", "iq", None])
+    def test_family_must_be_a_kernel_family(self, family):
+        # a plain string would fall through each method's family tests to a
+        # different default, mixing the formulas of two families
+        with pytest.raises(ValueError, match=f"kernel family must be a KernelFamily, got {family!r}"):
+            Kernel(family, 2.0)
+
 
 class TestPhi:
     def test_gaussian_at_zero(self):

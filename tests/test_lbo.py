@@ -437,7 +437,7 @@ class TestAssembleOperator:
     def test_shape_and_row_support(self, small_setup):
         nodes, _, op = small_setup
         assert op.n == 200
-        assert op.stencil_size == 15
+        assert np.all(np.diff(op.matrix.indptr) == 15)
         assert op.matrix.nnz == 200 * 15
         for i in (0, 57, 199):
             row = op.matrix.getrow(i)
@@ -541,7 +541,7 @@ class TestSparseOperator:
         rng = np.random.default_rng(13)
         wide = sparse.csr_matrix(op.matrix, copy=True)
         wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
-        wide_op = SparseOperator(wide, stencil_size=op.stencil_size)
+        wide_op = SparseOperator(wide)
         assert wide_op.matrix.indices.dtype == wide_op.matrix.indptr.dtype == np.int64
         state = rng.standard_normal((2, op.n))
         cases = [(op, state[0]), (op, state), (op, nodes.points.T), (op, nodes.points[:, 1]),
@@ -573,9 +573,74 @@ class TestSparseOperator:
         op.save(path)
         back = SparseOperator.load(path)
         assert back.n == op.n
-        assert back.stencil_size == op.stencil_size
+        assert path.read_text().splitlines()[0] == "200 15"
         # %.17g prints doubles losslessly, so the round trip is exact
         assert np.array_equal(back.matrix.toarray(), op.matrix.toarray())
+
+    @staticmethod
+    def laplacian_1d(n, periodic):
+        """Second-difference matrix of a chain of n nodes, 3 entries per row on a
+        ring, 2 in the end rows of an open chain."""
+        ones = np.ones(n - 1)
+        matrix = sparse.diags([ones, -2.0 * np.ones(n), ones], [-1, 0, 1], format="lil")
+        if periodic:
+            matrix[0, n - 1] = matrix[n - 1, 0] = 1.0
+        return matrix.tocsr()
+
+    def test_constructor_puts_matrix_in_canonical_form(self):
+        # unsorted columns and a repeated one, as COO triplets may come
+        matrix = sparse.csr_matrix((np.array([2.0, 1.0, 0.5, 3.0]), np.array([1, 0, 1, 0]),
+                                    np.array([0, 3, 4])), shape=(2, 2))
+        op = SparseOperator(matrix)
+        assert op.matrix.has_canonical_format
+        assert np.array_equal(op.matrix.indptr, [0, 2, 3])
+        assert np.array_equal(op.matrix.indices, [0, 1, 0])
+        assert np.array_equal(op.matrix.data, [1.0, 2.5, 3.0])
+
+    def test_save_rejects_ragged_rows_writing_nothing(self, tmp_path):
+        path = tmp_path / "chain.txt"
+        with pytest.raises(ValueError, match="cannot save: row 0 holds 2 entries, not M=3"):
+            SparseOperator(self.laplacian_1d(10, periodic=False)).save(path)
+        assert not path.exists()
+
+    def test_save_rejects_empty_rows_and_nonfinite_weights(self, tmp_path):
+        path = tmp_path / "op.txt"
+        with pytest.raises(ValueError, match="cannot save: row 0 holds 0 entries, not M=1"):
+            SparseOperator(sparse.csr_matrix((3, 3))).save(path)
+        with pytest.raises(ValueError, match="finite"):
+            SparseOperator(sparse.diags([1.0, np.inf, 2.0]).tocsr()).save(path)
+        assert not path.exists()
+
+    def test_ring_round_trips_bit_for_bit(self, tmp_path):
+        # uniform rows that assembly did not build; row 0 wraps to column 9
+        op = SparseOperator(self.laplacian_1d(10, periodic=True))
+        path = tmp_path / "ring.txt"
+        op.save(path)
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["10 3", "0 0 -2", "0 1 1", "0 9 1"]
+        back = SparseOperator.load(path)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back.matrix, name), getattr(op.matrix, name))
+        again = tmp_path / "again.txt"
+        back.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_load_takes_columns_in_any_order(self, small_setup, tmp_path):
+        # each row's columns in descending order load to the sorted file's
+        # arrays and save back to its bytes
+        _, _, op = small_setup
+        path, reversed_path, again = (tmp_path / name for name in ("op.txt", "rev.txt", "again.txt"))
+        op.save(path)
+        header, *lines = path.read_text().splitlines()
+        m = int(header.split()[1])
+        rows = [lines[k:k + m][::-1] for k in range(0, len(lines), m)]
+        reversed_path.write_text("\n".join([header, *(ln for row in rows for ln in row)]) + "\n")
+        assert reversed_path.read_bytes() != path.read_bytes()
+        back = SparseOperator.load(reversed_path)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back.matrix, name), getattr(op.matrix, name))
+        back.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -620,9 +685,14 @@ class TestSparseOperator:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            SparseOperator(sparse.csr_matrix(np.ones((2, 3))), stencil_size=3)
+            SparseOperator(sparse.csr_matrix(np.ones((2, 3))))
+
+    def test_empty_rejected(self):
+        # no row to hold the M >= 1 entries of the file format
+        with pytest.raises(ValueError, match=r"square with N >= 1, got shape \(0, 0\)"):
+            SparseOperator(sparse.csr_matrix((0, 0)))
 
     def test_complex_rejected(self):
         # the CSR kernel writes into a real output, so a complex matrix cannot apply
         with pytest.raises(ValueError, match="complex128"):
-            SparseOperator(sparse.csr_matrix([[1j, 0], [0, 1.0]]), stencil_size=1)
+            SparseOperator(sparse.csr_matrix([[1j, 0], [0, 1.0]]))

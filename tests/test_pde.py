@@ -538,6 +538,20 @@ class TestIntegrate:
             integrate(BadDiffusion(), op, state0, 1.0)
         assert calls == []
 
+    def test_diffusing_model_needs_an_operator(self):
+        # without an operator the diffusion term would silently drop out
+        calls = []
+
+        class Counted(PureDiffusion):
+            def reaction(self, t, fields, out=None):
+                calls.append(t)
+                return super().reaction(t, fields, out)
+
+        state0 = RdState(np.ones((2, 3)), 0.0)
+        with pytest.raises(ValueError, match=r"diffusivities \[1\. 0\.\] need an operator"):
+            integrate(Counted(), None, state0, 1.0)
+        assert calls == []
+
     @pytest.mark.parametrize("make_model, shape", [
         (lambda nodes: TuringModel(TuringParams.preset("stripes")), (2, 200)),
         (membrane_on, (1, 200)),  # the gate does not diffuse

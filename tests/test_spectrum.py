@@ -49,8 +49,7 @@ def sphere_op(n, m):
 
 
 def block_operator(*blocks):
-    matrix = sparse.block_diag(blocks, format="csr")
-    return SparseOperator(matrix, stencil_size=max(np.diff(matrix.indptr)))
+    return SparseOperator(sparse.block_diag(blocks, format="csr"))
 
 
 class TestSphereMultiplicity:
