@@ -50,7 +50,6 @@ from .spectrum import (
     SpectrumReport,
     eigenvalues,
     save_spectrum_csv,
-    sphere_multiplicity,
     stability_report,
 )
 from .pde import (
@@ -86,8 +85,7 @@ __all__ = [
     "SurfaceFrame", "analytic_frames", "estimate_frames", "fit_levelset",
     "levelset_curvature", "levelset_normal", "load_frames", "save_frames",
     "SparseOperator", "StencilGeometry", "assemble_operator", "stencil_weights",
-    "SpectrumReport", "eigenvalues", "save_spectrum_csv",
-    "sphere_multiplicity", "stability_report",
+    "SpectrumReport", "eigenvalues", "save_spectrum_csv", "stability_report",
     "RdState", "SchaefferModel", "SchaefferParams", "StimulusSpec",
     "TuringModel", "TuringParams", "integrate", "run_schaeffer", "run_turing",
     "save_snapshots",

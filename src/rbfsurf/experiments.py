@@ -99,12 +99,12 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
 
     Conditioning is never gated here; the caller sees the worst condition
     number and how many solves failed outright.  A solve fails by the
-    assembly gate's rule (cond of 1e15 and above) or with non-finite
-    weights, and its node is left out of the error.
+    assembly gate's rule, :func:`solve_failed` (cond of 1e15 and above, a
+    zero pivot giving an infinite cond), and its node is left out of the error.
     """
     indices, w, cond = weight_table(nodes, frames, m, kernel,
                                     None if node is None else [node])
-    ok = ~solve_failed(cond) & np.all(np.isfinite(w), axis=1)
+    ok = ~solve_failed(cond)
     failures = int(len(ok) - ok.sum())
     approx = np.einsum("ij,ij->i", w[ok], f[indices[ok]])
     worst_err = float(np.abs(approx - lf[indices[ok, 0]]).max(initial=0.0))

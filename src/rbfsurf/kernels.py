@@ -42,7 +42,7 @@ class Kernel:
 
     The shape parameter ``epsilon`` controls flatness: small values flatten
     the basis (accurate but ill-conditioned interpolation), large values
-    localize it.
+    localize it.  Both are required; there is no default kernel.
 
     Parameters
     ----------
@@ -52,8 +52,8 @@ class Kernel:
         Positive, finite shape parameter, relative to unit geometry.
     """
 
-    family: KernelFamily = KernelFamily.GAUSSIAN
-    epsilon: float = 1.0
+    family: KernelFamily
+    epsilon: float
 
     def __post_init__(self):
         if not isinstance(self.family, KernelFamily):

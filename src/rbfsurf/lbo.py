@@ -168,13 +168,11 @@ class SparseOperator:
         if len(rows) != n * m:  # before any array of the header's size N
             raise ValueError(f"operator holds {len(rows)} entries, header N={n} M={m} "
                              f"needs {n * m}")
-        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
-        counts = np.bincount(rows, minlength=n)
-        if np.any(counts != m):
-            r = int(np.flatnonzero(counts != m)[0])
-            raise ValueError(f"row {r} has {counts[r]} entries, expected M={m}")
-        op = cls(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
-        short = np.flatnonzero(np.diff(op.matrix.indptr) != m)  # repeats were summed into one
-        if len(short):
-            raise ValueError(f"row {short[0]} repeats a column")
+        op = cls(sparse.csr_matrix((vals, (rows.astype(np.intp), cols.astype(np.intp))),
+                                   shape=(n, n)))
+        # of N*M entries, a long row leaves another short, and repeats are summed into one
+        counts = np.diff(op.matrix.indptr)
+        r = int(np.argmax(counts < m))  # the first short row, if any
+        if counts[r] < m:
+            raise ValueError(f"row {r} holds {counts[r]} distinct columns, expected M={m}")
         return op

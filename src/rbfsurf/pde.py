@@ -93,8 +93,9 @@ class SchaefferParams:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if min(self.tau_open, self.tau_close, self.tau_in, self.tau_out) <= 0:
-            raise ValueError("all time constants must be positive")
+        taus = (self.tau_open, self.tau_close, self.tau_in, self.tau_out)
+        if not all(0 < tau < np.inf for tau in taus):  # a NaN fails both comparisons
+            raise ValueError(f"all time constants must be finite and positive, got {taus}")
         if not 0 < self.v_crit < 1:
             raise ValueError(f"v_crit must lie in (0, 1), got {self.v_crit}")
 
@@ -277,6 +278,14 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end - t0)
 
 
+def _check_times(t_end, snapshot_every):
+    """Reject a snapshot spacing that is not positive and a ``t_end`` that is not finite."""
+    if snapshot_every is not None and not snapshot_every > 0:
+        raise ValueError("snapshot_every must be positive")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+
+
 def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
               t_end, rtol=1e-5, atol=1e-8, snapshot_every=None, step_callback=None):
     """Advance the reaction-diffusion state to ``t_end``.
@@ -297,8 +306,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     Raises
     ------
     ValueError
-        Before the first step, unless ``t_end`` is finite and both diffusivities
-        are finite and >= 0, and all zero when ``op`` is None.
+        Before the first step, unless ``t_end`` is finite, ``snapshot_every`` None or
+        positive, and both diffusivities finite and >= 0, all zero when ``op`` is None.
     StiffnessError
         If the step size underflows below 1e-12 * t_end, or after 10^7 steps.
     DivergenceError
@@ -308,10 +317,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
         raise ValueError("rtol and atol must be positive")
     if op is not None and state0.fields.shape[1] != op.n:
         raise ValueError(f"state has {state0.fields.shape[1]} nodes but operator has {op.n}")
-    if snapshot_every is not None and not snapshot_every > 0:
-        raise ValueError("snapshot_every must be positive")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    _check_times(t_end, snapshot_every)
 
     diff = np.asarray(model.diffusivities, dtype=float)
     if diff.shape != (2,) or not np.all(np.isfinite(diff) & (diff >= 0)):
@@ -370,7 +376,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     y_new, weighted_err, scale = inputs[5:]
     h_lo, h_hi = np.inf, 0.0
 
-    while t < t_end - 1e-14 * t_end:
+    while t < t_end:  # a step that ends near a stop, t_end included, is set onto it
         if stats["accepted"] + stats["rejected"] >= _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted at t = {t:g}", time=t)
         h = min(h, t_stop - t)
@@ -454,7 +460,6 @@ class SchaefferRun:
     """Trajectory of a membrane simulation plus dense probe series."""
 
     states: list
-    probe_nodes: list
     probe_t: np.ndarray
     probe_v: np.ndarray
     probe_h: np.ndarray
@@ -471,12 +476,11 @@ class SchaefferRun:
         return float(self.probe_t[above[0]]) if len(above) else None
 
 
-def _check_span(t_end):
-    """Reject, before any assembly, a span that is not positive or not finite."""
+def _check_span(t_end, snapshot_every):
+    """Reject, before any assembly, a span that is not positive, then as :func:`integrate` does."""
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    _check_times(t_end, snapshot_every)
 
 
 def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
@@ -489,9 +493,9 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
     the inhibitor starts at zero.  With :func:`integrate`'s tolerances the run
     ends at a finite ``t_end > 0``, or once the sup norm of du/dt (its last
     value is ``final_rate_inf``) has stayed below ``steady_tol`` for
-    ``steady_window``.
+    ``steady_window``.  The span and snapshot spacing are checked before assembly.
     """
-    _check_span(t_end)
+    _check_span(t_end, snapshot_every)
     params = TuringParams.preset(preset)
     if op is None:
         op = assemble_operator(nodes, frames, m, kernel)
@@ -521,12 +525,6 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
     return TuringRun(states, tracker["steady_at"], tracker["rate"], params, tracker["steps"])
 
 
-def estimate_diameter(points):
-    """Cheap deterministic size estimate: twice the max distance from the centroid."""
-    points = np.asarray(points, dtype=float)
-    return 2.0 * float(np.linalg.norm(points - points.mean(axis=0), axis=1).max())
-
-
 def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *, stim_node=0,
                   t_stim=5.0, delta=None, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0),
                   op=None, snapshot_every=None):
@@ -534,19 +532,21 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
     (v = 0, h = 1) under a stimulus to a finite ``t_end > 0``.
 
     The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has
-    width ``delta``, by default 0.15 times the geometry diameter.  ``probe`` is
-    a node id or list of ids in [0, N) whose (t, v, h) history is recorded at
-    every accepted step.  The run takes :func:`integrate`'s default tolerances.
+    width ``delta``, by default 0.15 times twice the largest distance from the
+    centroid.  ``probe`` is a node id or list of ids in [0, N) whose (t, v, h)
+    history is recorded at every accepted step.  The run takes :func:`integrate`'s
+    default tolerances, and checks its arguments before it assembles.
     """
-    _check_span(t_end)
+    _check_span(t_end, snapshot_every)
     probes = [probe] if np.isscalar(probe) else list(probe)
     check_node_ids(nodes, probes + [stim_node])
     params = SchaefferParams()
+    if delta is None:
+        radii = np.linalg.norm(nodes.points - nodes.points.mean(axis=0), axis=1)
+        delta = 0.15 * (2.0 * float(radii.max()))
+    stim = StimulusSpec(t_stim=t_stim, center=nodes.points[stim_node], delta=delta)
     if op is None:
         op = assemble_operator(nodes, frames, m, kernel)
-    if delta is None:
-        delta = 0.15 * estimate_diameter(nodes.points)
-    stim = StimulusSpec(t_stim=t_stim, center=nodes.points[stim_node], delta=delta)
 
     model = SchaefferModel(params, nodes.points, stim)
     n = len(nodes)
@@ -562,7 +562,7 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
 
     states = integrate(model, op, state0, t_end, snapshot_every=snapshot_every,
                        step_callback=record)
-    return SchaefferRun(states, probes, np.array(times), np.array(v_hist),
+    return SchaefferRun(states, np.array(times), np.array(v_hist),
                         np.array(h_hist), params, stim)
 
 

@@ -130,13 +130,6 @@ def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
     return found
 
 
-def sphere_multiplicity(k):
-    """Multiplicity 2k + 1 of the sphere eigenvalue -k(k+1)."""
-    if k < 0:
-        raise ValueError(f"mode index must be nonnegative, got {k}")
-    return 2 * k + 1
-
-
 def check_cluster_options(k_max, tol):
     """Raise ValueError unless the cluster tolerance is finite and positive, ``k_max`` >= 0."""
     if not tol > 0:
@@ -150,8 +143,8 @@ def check_cluster_options(k_max, tol):
 def stability_report(eigs, k_max, tol, real_part_tol=None):
     """Cluster the spectrum around the exact sphere eigenvalues.
 
-    For each k up to ``k_max``, counts eigenvalues with real part within
-    ``tol`` of ``-k(k+1)`` and imaginary part at most ``tol`` in magnitude.
+    For each k up to ``k_max``, counts eigenvalues with real part within ``tol`` of ``-k(k+1)``
+    and imaginary part at most ``tol`` in magnitude, against the exact multiplicity ``2k+1``.
     ``unstable`` flags any real part above ``real_part_tol``, by default
     ``len(eigs) * eps * max|lambda|``.  Over the partial spectrum of
     ``eigenvalues`` that count is K, not N: the largest-magnitude eigenvalue
@@ -170,7 +163,7 @@ def stability_report(eigs, k_max, tol, real_part_tol=None):
     for k in range(k_max + 1):
         target = -k * (k + 1)
         near = (np.abs(eigs.real - target) <= tol) & (np.abs(eigs.imag) <= tol)
-        table.append(ClusterRow(k, float(target), int(near.sum()), sphere_multiplicity(k)))
+        table.append(ClusterRow(k, float(target), int(near.sum()), 2 * k + 1))
     max_real = float(eigs.real.max())
     return SpectrumReport(
         eigenvalues=eigs,

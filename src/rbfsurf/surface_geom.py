@@ -56,7 +56,8 @@ class LevelSetFit:
 
 @dataclass
 class SurfaceFrame:
-    """Per-node unit normals (N, 3) and curvatures (N,), all finite; read-only copies."""
+    """Per-node unit normals (N, 3) and curvatures (N,), all finite; read-only copies.
+    A normal whose length is not 1 within 1e-6 raises ValueError naming its node."""
 
     normals: np.ndarray
     curvatures: np.ndarray
@@ -68,12 +69,17 @@ class SurfaceFrame:
         self.curvatures.setflags(write=False)
         if self.normals.shape != (len(self.curvatures), 3):
             raise ValueError("normals must be (N, 3) matching curvatures (N,)")
-        # the conditioning gate cannot see the frames: the kernel matrix
-        # does not involve them, so a non-finite one would reach the weights
+        # the conditioning gate cannot see the frames (the kernel matrix does not involve
+        # them), so a non-finite frame or a scaled normal would reach the weights unnoticed
         bad = np.flatnonzero(~(np.isfinite(self.normals).all(axis=1)
                                & np.isfinite(self.curvatures)))
         if len(bad):
             raise ValueError(f"frame of node {bad[0]} is not finite")
+        lengths = np.linalg.norm(self.normals, axis=1)
+        bad = np.flatnonzero(np.abs(lengths - 1.0) > 1e-6)
+        if len(bad):
+            raise ValueError(f"normal of node {bad[0]} has length {lengths[bad[0]]:.9g}, "
+                             "not 1 within 1e-6")
 
     def __len__(self):
         return len(self.curvatures)

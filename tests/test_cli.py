@@ -191,6 +191,22 @@ class TestGeomAndOperator:
         assert code == 2
         assert "node 7" in err
 
+    def test_build_rejects_scaled_normal(self, sphere_file, tmp_path, capsys):
+        frames_path = tmp_path / "frames.csv"
+        run_cli(capsys, "geom", "estimate", "--nodes", str(sphere_file),
+                "--stencil", "15", "--out", str(frames_path))
+        lines = frames_path.read_text().splitlines()
+        fields = lines[8].split(",")  # node 7, after the header
+        fields[3:6] = [repr(2.0 * float(x)) for x in fields[3:6]]
+        lines[8] = ",".join(fields)
+        frames_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),
+                               "--frames", str(frames_path), "--stencil", "15",
+                               "--out", str(tmp_path / "op.txt"))
+        assert code == 2
+        assert "error: normal of node 7 has length 2" in err
+        assert not (tmp_path / "op.txt").exists()
+
     def test_spectrum_report(self, sphere_file, tmp_path, capsys):
         op_path = tmp_path / "op.txt"
         run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),
@@ -299,6 +315,34 @@ def test_simulate_needs_positive_span(sphere_file, tmp_path, capsys, model, t_en
                            "--stencil", "15", "--out", str(out_dir))
     assert code == 2
     assert f"error: t_end must be {message}, got {float(t_end)}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model", [["turing", "--preset", "stripes"], ["schaeffer"]],
+                         ids=["turing", "schaeffer"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--snapshot-every", "0", "snapshot_every must be positive"),
+    ("--snapshot-every", "-5", "snapshot_every must be positive"),
+    ("--t-end", "inf", "t_end must be finite, got inf"),
+])
+def test_simulate_options_checked_before_the_frame_fit(sphere_file, tmp_path, capsys,
+                                                       monkeypatch, model, option, value, message):
+    monkeypatch.setattr(cli, "estimate_frames", lambda *a, **k: pytest.fail("frames fitted"))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "simulate", *model, "--nodes", str(sphere_file),
+                             "--frames", "estimate", option, value, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("option, message", [("--t-stim", "duration"), ("--delta", "width")])
+def test_stimulus_checked_before_the_nodes_are_read(tmp_path, capsys, option, message):
+    out_dir = tmp_path / "wave"
+    code, _, err = run_cli(capsys, "simulate", "schaeffer", "--nodes", str(tmp_path / "none.txt"),
+                           "--frames", "estimate", option, "0", "--out", str(out_dir))
+    assert code == 2
+    assert err.splitlines() == [f"error: stimulus {message} must be positive"]
     assert not out_dir.exists()
 
 

@@ -35,6 +35,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shape parameter must be positive, got nan"):
             Kernel(KernelFamily.GAUSSIAN, np.nan)
 
+    @pytest.mark.parametrize("args", [(), (KernelFamily.GAUSSIAN,)], ids=["none", "family-only"])
+    def test_family_and_epsilon_required(self, args):
+        with pytest.raises(TypeError):
+            Kernel(*args)
+
     @pytest.mark.parametrize("family", ["gaussian", "iq", None])
     def test_family_must_be_a_kernel_family(self, family):
         # a plain string would fall through each method's family tests to a

@@ -658,8 +658,8 @@ class TestSparseOperator:
 
     @pytest.mark.parametrize("body, message", [
         ("0 0 1.0\n0 1 -1.0\n1 1 1.0\n", "operator holds 3 entries, header N=2 M=2 needs 4"),
-        ("0 0 1.0\n0 1 -1.0\n0 1 0.5\n1 1 1.0\n", "row 0 has 3 entries, expected M=2"),
-        ("0 0 1.0\n0 0 2.0\n1 0 1.0\n1 1 -1.0\n", "row 0 repeats a column"),
+        ("0 0 1.0\n0 1 -1.0\n0 1 0.5\n1 1 1.0\n", "row 1 holds 1 distinct columns, expected M=2"),
+        ("0 0 1.0\n0 0 2.0\n1 0 1.0\n1 1 -1.0\n", "row 0 holds 1 distinct columns, expected M=2"),
         ("0 0 1.0\n0 2 -1.0\n1 0 1.0\n1 1 -1.0\n", r"\[0, 2\)"),
         ("0 0 nan\n0 1 -1.0\n1 0 1.0\n1 1 -1.0\n", "finite"),
     ], ids=["entries-per-row", "uneven-rows", "repeated-column", "index-range",
@@ -668,6 +668,13 @@ class TestSparseOperator:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n" + body)
         with pytest.raises(ValueError, match=message):
+            SparseOperator.load(path)
+
+    def test_load_names_the_short_row_beside_a_long_one(self, tmp_path):
+        # N*M entries in all: row 0 holds three distinct columns, so row 1 holds one
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n0 0 1.0\n0 1 -1.0\n0 2 0.5\n1 1 1.0\n2 0 1.0\n2 2 -1.0\n")
+        with pytest.raises(ValueError, match="row 1 holds 1 distinct columns, expected M=2"):
             SparseOperator.load(path)
 
     def test_load_memory_is_bounded_by_the_file(self, tmp_path):

@@ -17,7 +17,7 @@ from rbfsurf import pde
 from rbfsurf.errors import DivergenceError, StiffnessError
 from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import assemble_operator
-from rbfsurf.nodesets import gen_sphere_nodes, unit_sphere
+from rbfsurf.nodesets import NodeSet, gen_sphere_nodes, unit_sphere
 from rbfsurf.pde import (
     RdModel,
     RdState,
@@ -26,7 +26,6 @@ from rbfsurf.pde import (
     StimulusSpec,
     TuringModel,
     TuringParams,
-    estimate_diameter,
     integrate,
     run_schaeffer,
     run_turing,
@@ -79,6 +78,13 @@ class TestParams:
             SchaefferParams(tau_in=0.0)
         with pytest.raises(ValueError):
             SchaefferParams(v_crit=1.5)
+
+    @pytest.mark.parametrize("name", ["tau_open", "tau_close", "tau_in", "tau_out"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_membrane_time_constants(self, name, value):
+        # a NaN compares False with everything, so a "tau <= 0" test lets it through
+        with pytest.raises(ValueError, match="time constants must be finite and positive"):
+            SchaefferParams(**{name: value})
 
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_membrane_sigma_validation(self, sigma):
@@ -861,7 +867,9 @@ class TestRunSchaeffer:
         nodes, frames, op = sphere200
         run = run_schaeffer(nodes, frames, t_end=1.0, op=op)
         assert np.array_equal(run.stimulus.center, nodes.points[0])
-        assert run.stimulus.delta == pytest.approx(0.15 * estimate_diameter(nodes.points))
+        # 0.15 times twice the largest distance from the centroid, bit for bit
+        radius = np.linalg.norm(nodes.points - nodes.points.mean(axis=0), axis=1).max()
+        assert run.stimulus.delta == 0.15 * (2.0 * radius)
 
     def test_custom_stimulus_respected(self, sphere200):
         nodes, frames, op = sphere200
@@ -886,33 +894,57 @@ class TestRunSchaeffer:
     def test_scalar_probe(self, sphere200):
         nodes, frames, op = sphere200
         run = run_schaeffer(nodes, frames, t_end=1.0, op=op, probe=7)
-        assert run.probe_nodes == [7]
         assert run.probe_v.shape[1] == 1
+        assert run.probe_v[-1, 0] == run.final.fields[0, 7]
+
+
+@pytest.fixture
+def no_assembly(monkeypatch):
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled before the run options were checked")
+
+    monkeypatch.setattr(pde, "assemble_operator", assemble)
 
 
 @pytest.mark.parametrize("driver", [lambda *a, **k: run_turing(*a, preset="spots", **k),
                                     run_schaeffer], ids=["turing", "schaeffer"])
-@pytest.mark.parametrize("t_end, message", [(0.0, "positive"), (-1.0, "positive"),
-                                            (np.nan, "positive"), (np.inf, "finite")])
-def test_span_checked_before_assembly(sphere200, monkeypatch, driver, t_end, message):
-    def assemble(*args, **kwargs):
-        raise AssertionError("assembled before the span check")
-
-    monkeypatch.setattr(pde, "assemble_operator", assemble)
+@pytest.mark.parametrize("t_end, snapshot_every, message", [
+    (0.0, None, "t_end must be positive, got 0.0"),
+    (-1.0, None, "t_end must be positive, got -1.0"),
+    (np.nan, None, "t_end must be positive, got nan"),
+    (np.inf, None, "t_end must be finite, got inf"),
+    (1.0, 0.0, "snapshot_every must be positive"),
+    (1.0, -5.0, "snapshot_every must be positive"),
+], ids=["zero", "negative", "nan", "inf", "zero-spacing", "negative-spacing"])
+def test_span_checked_before_assembly(sphere200, no_assembly, driver, t_end, snapshot_every,
+                                      message):
     nodes, frames, _ = sphere200
-    with pytest.raises(ValueError, match=f"t_end must be {message}, got {t_end}"):
-        driver(nodes, frames, t_end=t_end)
+    with pytest.raises(ValueError, match=message):
+        driver(nodes, frames, t_end=t_end, snapshot_every=snapshot_every)
 
 
-class TestEstimateDiameter:
-    def test_unit_sphere(self):
-        # near 2, not exactly: the nodal centroid is not the exact center
-        pts = gen_sphere_nodes(64).points
-        assert estimate_diameter(pts) == pytest.approx(2.0, rel=1e-2)
+@pytest.mark.parametrize("stimulus, message", [({"t_stim": 0.0}, "duration"),
+                                               ({"delta": 0.0}, "width"),
+                                               ({"delta": np.nan}, "width")],
+                         ids=["zero-duration", "zero-width", "nan-width"])
+def test_stimulus_checked_before_assembly(sphere200, no_assembly, stimulus, message):
+    nodes, frames, _ = sphere200
+    with pytest.raises(ValueError, match=f"stimulus {message} must be positive"):
+        run_schaeffer(nodes, frames, t_end=1.0, **stimulus)
 
-    def test_offset_invariant(self):
-        pts = gen_sphere_nodes(64).points
-        assert estimate_diameter(pts + 5.0) == pytest.approx(estimate_diameter(pts), rel=1e-12)
+
+class TestDefaultStimulusWidth:
+    def test_unit_sphere(self, sphere200):
+        # 0.15 times a diameter near 2, not exactly: the nodal centroid is not the center
+        nodes, frames, op = sphere200
+        run = run_schaeffer(nodes, frames, t_end=1.0, op=op)
+        assert run.stimulus.delta == pytest.approx(0.3, rel=1e-2)
+
+    def test_offset_invariant(self, sphere200):
+        nodes, frames, op = sphere200
+        moved = run_schaeffer(NodeSet(nodes.points + 5.0), frames, t_end=1.0, op=op)
+        delta = run_schaeffer(nodes, frames, t_end=1.0, op=op).stimulus.delta
+        assert moved.stimulus.delta == pytest.approx(delta, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from rbfsurf.spectrum import (
     SHIFT,
     eigenvalues,
     save_spectrum_csv,
-    sphere_multiplicity,
     stability_report,
 )
 from rbfsurf.surface_geom import analytic_frames
@@ -50,15 +49,6 @@ def sphere_op(n, m):
 
 def block_operator(*blocks):
     return SparseOperator(sparse.block_diag(blocks, format="csr"))
-
-
-class TestSphereMultiplicity:
-    def test_known_values(self):
-        assert [sphere_multiplicity(k) for k in range(6)] == [1, 3, 5, 7, 9, 11]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sphere_multiplicity(-1)
 
 
 class TestEigenvalues:

@@ -330,8 +330,18 @@ class TestOrientation:
 
 class TestSurfaceFrame:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        # the zero normals are not unit either: the shape error comes first
+        with pytest.raises(ValueError, match=r"normals must be \(N, 3\)"):
             SurfaceFrame(np.zeros((5, 3)), np.zeros(4))
+
+    @pytest.mark.parametrize("scale, length", [(2.0, "2"), (0.0, "0"), (1.0 + 2e-6, "1.000002")])
+    def test_unit_normals(self, scale, length):
+        # a scaled normal would give a wrong operator without any warning
+        normals = np.eye(3)[None, 0].repeat(4, 0)
+        normals[1, 0] = 1.0 + 5e-7  # within 1e-6 of unit length
+        normals[2] *= scale
+        with pytest.raises(ValueError, match=f"normal of node 2 has length {length}"):
+            SurfaceFrame(normals, np.full(4, 2.0))
 
     def test_read_only_copies(self):
         # a write after construction would get past the finiteness check
