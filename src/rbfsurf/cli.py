@@ -120,7 +120,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_simulate_turing(args):
-    pde._check_span(args.t_end, args.snapshot_every)  # the driver's checks, before _inputs
+    pde._check_span(args.t_end, args.snapshot_every)  # run_turing's checks, before _inputs
     nodes, kernel, frames = _inputs(args)
     run = pde.run_turing(nodes, frames, preset=args.preset, seed=args.seed,
                          t_end=args.t_end, m=args.stencil, kernel=kernel,
@@ -132,7 +132,7 @@ def _cmd_simulate_turing(args):
 
 
 def _cmd_simulate_schaeffer(args):
-    # the driver's checks that need no nodes, before _inputs: a placeholder center and width
+    # run_schaeffer's checks that need no nodes, before _inputs: a placeholder center and width
     pde._check_span(args.t_end, args.snapshot_every)
     pde.StimulusSpec(args.t_stim, np.zeros(3), 1.0 if args.delta is None else args.delta)
     nodes, kernel, frames = _inputs(args)
