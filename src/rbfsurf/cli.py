@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from . import experiments, pde
+from . import experiments, nodesets, pde
 from .errors import RbfSurfError
 from .kernels import Kernel, KernelFamily
 from .lbo import SparseOperator, assemble_operator
@@ -55,10 +55,12 @@ def _parse_ints(text):
     return values
 
 
-def _inputs(args):
+def _inputs(args, node_ids=()):
     """Nodes, kernel and frames of a pipeline command. The frames come from
-    --frames: a frame CSV path, 'analytic:<surface>' or 'estimate'."""
+    --frames: a frame CSV path, 'analytic:<surface>' or 'estimate'; ``node_ids``
+    are checked against the nodes before any frame is read or fitted."""
     nodes = load_nodes(args.nodes)
+    nodesets.check_node_ids(nodes, node_ids)
     kernel = Kernel(KernelFamily(args.kernel), args.eps)
     if args.frames.startswith("analytic:"):
         surface = surface_by_name(args.frames.split(":", 1)[1])
@@ -135,7 +137,7 @@ def _cmd_simulate_schaeffer(args):
     # run_schaeffer's checks that need no nodes, before _inputs: a placeholder center and width
     pde._check_span(args.t_end, args.snapshot_every)
     pde.StimulusSpec(args.t_stim, np.zeros(3), 1.0 if args.delta is None else args.delta)
-    nodes, kernel, frames = _inputs(args)
+    nodes, kernel, frames = _inputs(args, [args.probe, args.stim_node])
     run = pde.run_schaeffer(nodes, frames, t_end=args.t_end, probe=args.probe,
                             stim_node=args.stim_node, t_stim=args.t_stim, delta=args.delta,
                             m=args.stencil, kernel=kernel, snapshot_every=args.snapshot_every)

@@ -339,8 +339,13 @@ def project_radial(nodes, surface, drop_misses=False):
     the surface, or whose root leaves |F| above 1e-10, raises
     :class:`ProjectionError` with the lowest such node index; with
     ``drop_misses=True`` such nodes are silently removed from the output.
+    A node at the origin has no radial direction: it raises ValueError before any scan.
     """
-    dirs = nodes.points / np.linalg.norm(nodes.points, axis=1, keepdims=True)
+    norms = np.linalg.norm(nodes.points, axis=1, keepdims=True)
+    if not norms.all():
+        i = int(np.argmin(norms))  # the only one: NodeSet rejects duplicates
+        raise ValueError(f"node {i} lies at the origin: its radial direction is undefined")
+    dirs = nodes.points / norms
     points = _project_rays(dirs, surface)[:, None] * dirs
     hit = np.abs(surface.F(points)) <= _PROJECTION_RESIDUAL_TOL
     if not drop_misses and not hit.all():

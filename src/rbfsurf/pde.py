@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,8 +67,8 @@ class TuringParams:
     tau2: float
 
     def __post_init__(self):
-        if not (self.d_u > 0 and self.d_v > 0):
-            raise ValueError("diffusion coefficients must be positive")
+        if not (all(map(math.isfinite, astuple(self))) and self.d_u > 0 and self.d_v > 0):
+            raise ValueError(f"coefficients must be finite and diffusivities positive, got {self}")
 
     @classmethod
     def preset(cls, name):
@@ -257,12 +257,6 @@ def _rms(x):
     return math.sqrt(x @ x / x.size)
 
 
-def _log_stats(stats):
-    logger.debug("integrate: %(accepted)d accepted and %(rejected)d rejected steps, "
-                 "%(rhs_evals)d RHS evaluations, h from %(h_min)s to %(h_max)s, "
-                 "stopped at %(stop)s", stats, extra={"stats": stats})
-
-
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
     sc = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / sc)
@@ -278,12 +272,15 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end - t0)
 
 
-def _check_times(t_end, snapshot_every):
-    """Reject a snapshot spacing that is not positive and a ``t_end`` that is not finite."""
+def _check_span(t_end, snapshot_every, start=0.0):
+    """Reject a snapshot spacing that is not positive, a ``t_end`` that is not finite,
+    then one not after ``start``: the span rule of every run."""
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError("snapshot_every must be positive")
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    if not t_end > start:
+        raise ValueError(f"t_end must be after the start time {start}, got {t_end}")
 
 
 def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
@@ -293,8 +290,9 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     Steps are accepted when the RMS of the embedded error estimate over
     ``atol + rtol * max(|y|, |y_new|)`` is at most 1, under a PI step-size
     controller; ``run_turing`` and ``run_schaeffer`` use the default tolerances.
-    Returns the snapshots taken at multiples of ``snapshot_every`` (the
-    initial state included) plus the final state.
+    Returns the initial state, the snapshots at ``state0.time + k * snapshot_every``
+    (k = 1, 2, ...) before ``t_end``, and the final state; a step or snapshot time
+    within 1e-12 * max(1, |stop|) of a stop, ``t_end`` included, is set onto it.
 
     ``step_callback(t, fields, derivative)`` fires after every accepted
     step with arrays the integrator never writes to again; returning True
@@ -306,10 +304,11 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     Raises
     ------
     ValueError
-        Before the first step, unless ``t_end`` is finite, ``snapshot_every`` None or
-        positive, and both diffusivities finite and >= 0, all zero when ``op`` is None.
+        Before the first step, unless ``snapshot_every`` is None or positive, ``t_end``
+        finite and after ``state0.time``, and both diffusivities finite and >= 0, all
+        zero when ``op`` is None.
     StiffnessError
-        If the step size underflows below 1e-12 * t_end, or after 10^7 steps.
+        If the step size underflows below 1e-12 times the span, or after 10^7 steps.
     DivergenceError
         If the state stops being finite.
     """
@@ -317,7 +316,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
         raise ValueError("rtol and atol must be positive")
     if op is not None and state0.fields.shape[1] != op.n:
         raise ValueError(f"state has {state0.fields.shape[1]} nodes but operator has {op.n}")
-    _check_times(t_end, snapshot_every)
+    t = start = float(state0.time)
+    _check_span(t_end, snapshot_every, start)
 
     diff = np.asarray(model.diffusivities, dtype=float)
     if diff.shape != (2,) or not np.all(np.isfinite(diff) & (diff >= 0)):
@@ -329,15 +329,10 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     diffusing = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0)
     d_diffusing = diff[diffusing, None]
 
-    t = float(state0.time)
     t_end = float(t_end)
     y = state0.fields.astype(float, copy=True)
     snapshots = [RdState(y.copy(), t)]
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "h_min": None, "h_max": None,
-             "stop": "t_end"}
-    if t_end <= t:
-        _log_stats(stats)
-        return snapshots
+    stats = {"accepted": 0, "rejected": 0, "stop": "t_end"}
 
     work = np.empty((8,) + y.shape)
     rows = work.reshape(8, -1)
@@ -352,21 +347,22 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
             out[diffusing] += lap
         return out
 
-    def next_snapshot_time(now):
-        if snapshot_every is None:
-            return t_end
-        k = np.floor(now / snapshot_every + 1e-9) + 1
-        return min(k * snapshot_every, t_end)
+    def landed(t, stop):  # the one stop tolerance
+        return t >= stop - 1e-12 * max(1.0, abs(stop))
+
+    def next_stop():  # start + k * snapshot_every once k states are kept, or t_end
+        stop = t_end if snapshot_every is None else start + len(snapshots) * snapshot_every
+        return t_end if landed(stop, t_end) else stop
 
     work[0] = y
     f = rhs(t, y, work[1])
     if not np.all(np.isfinite(f)):
         raise DivergenceError(f"right-hand side not finite at t = {t:g}", time=t)
     h = _initial_step(rhs, t, y, f, t_end, rtol, atol)
-    h_min = _MIN_STEP_FRACTION * (t_end - state0.time)
+    h_min = _MIN_STEP_FRACTION * (t_end - start)
     err_prev = 1.0
     just_rejected = False
-    t_stop = next_snapshot_time(t)
+    t_stop = next_stop()
     # coef[s - 1] = [1, h a_s0, ..., h a_s,s-1] against rows[:s + 1];
     # coef[6, 1:] = h e against rows[1:]
     coef = np.zeros((7, 8))
@@ -404,11 +400,11 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
             stats["accepted"] += 1
             h_lo, h_hi = min(h_lo, h), max(h_hi, h)
             stop_requested = bool(step_callback and step_callback(t, y, f))
-            if t >= t_stop - 1e-12 * max(1.0, abs(t_stop)):
+            if landed(t, t_stop):
                 t = t_stop
-                if snapshot_every is not None and t < t_end:
+                if t < t_end:
                     snapshots.append(RdState(y.copy(), t))
-                t_stop = next_snapshot_time(t)
+                    t_stop = next_stop()
             if stop_requested:
                 stats["stop"] = "callback"
                 break
@@ -428,10 +424,11 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
                 h *= _FAC_MIN
             just_rejected = True
 
-    stats["rhs_evals"] = 2 + 6 * (stats["accepted"] + stats["rejected"])
-    if stats["accepted"]:
-        stats["h_min"], stats["h_max"] = h_lo, h_hi
-    _log_stats(stats)
+    # the loop ends on an accepted step, so h_lo and h_hi are steps taken
+    stats.update(rhs_evals=2 + 6 * (stats["accepted"] + stats["rejected"]), h_min=h_lo, h_max=h_hi)
+    logger.debug("integrate: %(accepted)d accepted and %(rejected)d rejected steps, "
+                 "%(rhs_evals)d RHS evaluations, h from %(h_min)s to %(h_max)s, "
+                 "stopped at %(stop)s", stats, extra={"stats": stats})
     snapshots.append(RdState(y.copy(), t))
     return snapshots
 
@@ -476,13 +473,6 @@ class SchaefferRun:
         return float(self.probe_t[above[0]]) if len(above) else None
 
 
-def _check_span(t_end, snapshot_every):
-    """Reject, before any assembly, a span that is not positive, then as :func:`integrate` does."""
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    _check_times(t_end, snapshot_every)
-
-
 def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
                t_end=2000.0, *, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0), op=None,
                snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
@@ -491,9 +481,10 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
 
     The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed,
     the inhibitor starts at zero.  With :func:`integrate`'s tolerances the run
-    ends at a finite ``t_end > 0``, or once the sup norm of du/dt (its last
-    value is ``final_rate_inf``) has stayed below ``steady_tol`` for
-    ``steady_window``.  The span and snapshot spacing are checked before assembly.
+    starts at t = 0, snapshots at multiples of ``snapshot_every`` and ends at a finite
+    ``t_end > 0``, or once the sup norm of du/dt (its last value is ``final_rate_inf``)
+    has stayed below ``steady_tol`` for ``steady_window``.  The span and snapshot
+    spacing are checked before assembly, by :func:`integrate`'s rule.
     """
     _check_span(t_end, snapshot_every)
     params = TuringParams.preset(preset)
@@ -529,13 +520,14 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
                   t_stim=5.0, delta=None, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0),
                   op=None, snapshot_every=None):
     """Integrate the membrane model, default :class:`SchaefferParams`, from rest
-    (v = 0, h = 1) under a stimulus to a finite ``t_end > 0``.
+    (v = 0, h = 1) at t = 0 under a stimulus to a finite ``t_end > 0``.
 
     The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has
     width ``delta``, by default 0.15 times twice the largest distance from the
     centroid.  ``probe`` is a node id or list of ids in [0, N) whose (t, v, h)
     history is recorded at every accepted step.  The run takes :func:`integrate`'s
-    default tolerances, and checks its arguments before it assembles.
+    default tolerances and snapshot times, and checks its span by its rule, then the
+    node ids and the stimulus, before it assembles.
     """
     _check_span(t_end, snapshot_every)
     probes = [probe] if np.isscalar(probe) else list(probe)

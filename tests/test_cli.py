@@ -306,7 +306,8 @@ class TestSimulate:
 
 @pytest.mark.parametrize("model", [["turing", "--preset", "stripes"], ["schaeffer"]],
                          ids=["turing", "schaeffer"])
-@pytest.mark.parametrize("t_end, message", [("0", "positive"), ("-1", "positive"),
+@pytest.mark.parametrize("t_end, message", [("0", "after the start time 0.0"),
+                                            ("-1", "after the start time 0.0"),
                                             ("inf", "finite")])
 def test_simulate_needs_positive_span(sphere_file, tmp_path, capsys, model, t_end, message):
     out_dir = tmp_path / "run"
@@ -343,6 +344,19 @@ def test_stimulus_checked_before_the_nodes_are_read(tmp_path, capsys, option, me
                            "--frames", "estimate", option, "0", "--out", str(out_dir))
     assert code == 2
     assert err.splitlines() == [f"error: stimulus {message} must be positive"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--probe", "999"), ("--probe", "-1"),
+                                           ("--stim-node", "300")])
+def test_node_ids_checked_before_the_frame_fit(sphere_file, tmp_path, capsys, monkeypatch,
+                                               option, value):
+    monkeypatch.setattr(cli, "estimate_frames", lambda *a, **k: pytest.fail("frames fitted"))
+    out_dir = tmp_path / "wave"
+    code, out, err = run_cli(capsys, "simulate", "schaeffer", "--nodes", str(sphere_file),
+                             "--frames", "estimate", option, value, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: node id {value} out of range [0, 200)"]
     assert not out_dir.exists()
 
 

@@ -1,5 +1,6 @@
 import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,17 @@ class TestProjectRadial:
         with pytest.raises(ProjectionError) as err:
             project_radial(NodeSet(pts), schwarz_p())
         assert err.value.node_index == 0
+
+    @pytest.mark.parametrize("drop_misses", [False, True])
+    @pytest.mark.parametrize("at", [0, 7])
+    def test_node_at_origin_rejected_before_the_scan(self, monkeypatch, drop_misses, at):
+        points = np.insert(gen_sphere_nodes(50).points, at, 0.0, axis=0)
+        monkeypatch.setattr(nodesets, "_project_rays", lambda *a: pytest.fail("rays scanned"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"node {at} lies at the origin: its radial "
+                                                 "direction is undefined"):
+                project_radial(NodeSet(points), schwarz_p(), drop_misses=drop_misses)
 
     def test_diagonal_direction_root(self):
         # all four cube diagonals hit the surface at t = sqrt(3)/4, since

@@ -19,6 +19,7 @@ from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import assemble_operator
 from rbfsurf.nodesets import NodeSet, gen_sphere_nodes, unit_sphere
 from rbfsurf.pde import (
+    TURING_PRESETS,
     RdModel,
     RdState,
     SchaefferModel,
@@ -65,6 +66,13 @@ class TestParams:
     def test_diffusion_must_be_positive(self):
         with pytest.raises(ValueError):
             TuringParams(d_u=0.0, d_v=1e-3, alpha=1, beta=-1, gamma=0, tau1=0, tau2=0)
+
+    @pytest.mark.parametrize("name", ["d_u", "d_v", "alpha", "beta", "gamma", "tau1", "tau2"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_coefficients_must_be_finite(self, name, value):
+        coefficients = dict(TURING_PRESETS["stripes"], **{name: value})
+        with pytest.raises(ValueError, match="must be finite and diffusivities positive"):
+            TuringParams(**coefficients)
 
     def test_membrane_defaults(self):
         p = SchaefferParams()
@@ -497,11 +505,36 @@ class TestIntegrate:
         y, f = seen[0]
         assert np.allclose(f, -y, rtol=1e-12)
 
-    def test_zero_span_returns_initial(self):
-        state0 = RdState(np.ones((2, 3)), 0.0)
-        states = integrate(Decay(), None, state0, 0.0)
-        assert len(states) == 1
-        assert states[0].time == 0.0
+    def test_snapshots_counted_from_the_start(self):
+        state0 = RdState(np.ones((2, 1)), 0.3)
+        states = integrate(Decay(), None, state0, 1.0, snapshot_every=0.25,
+                           rtol=1e-8, atol=1e-11)
+        # 0.3, 0.55, 0.8, then t_end, each stop set exactly onto start + k * snapshot_every
+        assert [s.time for s in states] == [0.3, 0.3 + 0.25, 0.3 + 2 * 0.25, 1.0]
+        for s in states:
+            assert np.allclose(s.fields, np.exp(0.3 - s.time), rtol=1e-6)
+
+    def test_snapshot_within_landing_tolerance_of_t_end_is_t_end(self):
+        # 3 * 0.3 is 0.8999999999999999: a separate stop there left a step below h_min
+        state0 = RdState(np.ones((2, 1)), 0.0)
+        states = integrate(Decay(), None, state0, 0.9, snapshot_every=0.3)
+        assert [s.time for s in states] == [0.0, 0.3, 0.6, 0.9]
+
+    @pytest.mark.parametrize("start, t_end", [(0.0, 0.0), (0.0, -1.0), (5.0, 5.0), (5.0, 2.0)],
+                             ids=["empty", "negative", "empty-late-start", "backward"])
+    def test_backward_or_empty_span_rejected_before_stepping(self, start, t_end):
+        calls = []
+
+        class Counted(Decay):
+            def reaction(self, t, fields, out=None):
+                calls.append(t)
+                return super().reaction(t, fields, out)
+
+        state0 = RdState(np.ones((2, 3)), start)
+        with pytest.raises(ValueError,
+                           match=f"t_end must be after the start time {start}, got {t_end}"):
+            integrate(Counted(), None, state0, t_end)
+        assert calls == []
 
     @pytest.mark.parametrize("t_end", [np.inf, np.nan])
     def test_nonfinite_span_rejected_before_stepping(self, t_end):
@@ -909,9 +942,9 @@ def no_assembly(monkeypatch):
 @pytest.mark.parametrize("driver", [lambda *a, **k: run_turing(*a, preset="spots", **k),
                                     run_schaeffer], ids=["turing", "schaeffer"])
 @pytest.mark.parametrize("t_end, snapshot_every, message", [
-    (0.0, None, "t_end must be positive, got 0.0"),
-    (-1.0, None, "t_end must be positive, got -1.0"),
-    (np.nan, None, "t_end must be positive, got nan"),
+    (0.0, None, "t_end must be after the start time 0.0, got 0.0"),
+    (-1.0, None, "t_end must be after the start time 0.0, got -1.0"),
+    (np.nan, None, "t_end must be finite, got nan"),
     (np.inf, None, "t_end must be finite, got inf"),
     (1.0, 0.0, "snapshot_every must be positive"),
     (1.0, -5.0, "snapshot_every must be positive"),
