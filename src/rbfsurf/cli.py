@@ -124,9 +124,9 @@ def _cmd_spectrum(args):
 def _cmd_simulate_turing(args):
     pde._check_span(args.t_end, args.snapshot_every)  # run_turing's checks, before _inputs
     nodes, kernel, frames = _inputs(args)
-    run = pde.run_turing(nodes, frames, preset=args.preset, seed=args.seed,
-                         t_end=args.t_end, m=args.stencil, kernel=kernel,
-                         snapshot_every=args.snapshot_every)
+    op = assemble_operator(nodes, frames, args.stencil, kernel)
+    run = pde.run_turing(nodes, frames, preset=args.preset, seed=args.seed, t_end=args.t_end,
+                         op=op, snapshot_every=args.snapshot_every)
     pde.save_snapshots(nodes, run.states, args.out, field_names=("u", "v"), vtk=args.vtk)
     steady = f"steady at t={run.steady_time:g}" if run.steady_time else "not steady"
     print(f"{len(run.states)} snapshots to {args.out}; {steady}; "
@@ -138,9 +138,10 @@ def _cmd_simulate_schaeffer(args):
     pde._check_span(args.t_end, args.snapshot_every)
     pde.StimulusSpec(args.t_stim, np.zeros(3), 1.0 if args.delta is None else args.delta)
     nodes, kernel, frames = _inputs(args, [args.probe, args.stim_node])
-    run = pde.run_schaeffer(nodes, frames, t_end=args.t_end, probe=args.probe,
+    op = assemble_operator(nodes, frames, args.stencil, kernel)
+    run = pde.run_schaeffer(nodes, frames, t_end=args.t_end, probe=args.probe, op=op,
                             stim_node=args.stim_node, t_stim=args.t_stim, delta=args.delta,
-                            m=args.stencil, kernel=kernel, snapshot_every=args.snapshot_every)
+                            snapshot_every=args.snapshot_every)
     pde.save_snapshots(nodes, run.states, args.out, field_names=("v", "h"), vtk=args.vtk)
     probe_path = f"{args.out}/probe_{args.probe}.csv"
     pde.save_probe_csv(probe_path, run)

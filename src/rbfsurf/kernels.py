@@ -101,10 +101,9 @@ class Kernel:
         s = e2 * r**2
         if self.family is KernelFamily.GAUSSIAN:
             return (4.0 * e2 * s - 2.0 * e2) * np.exp(-s)
-        if self.family is KernelFamily.INVERSE_QUADRATIC:
-            u = 1.0 + s
-            return -2.0 * e2 / u**2 + 8.0 * e2 * s / u**3
         u = 1.0 + s
+        if self.family is KernelFamily.INVERSE_QUADRATIC:
+            return -2.0 * e2 / u**2 + 8.0 * e2 * s / u**3
         return -e2 * u**-1.5 + 3.0 * e2 * s * u**-2.5
 
 

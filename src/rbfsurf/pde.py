@@ -37,10 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError, StiffnessError
-from .kernels import Kernel, KernelFamily
-from .lbo import SparseOperator, assemble_operator
+from .lbo import SparseOperator
 from .nodesets import NodeSet, check_node_ids
-from .surface_geom import SurfaceFrame
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -109,11 +107,14 @@ class StimulusSpec:
     delta: float
 
     def __post_init__(self):
-        if not self.t_stim > 0:
-            raise ValueError("stimulus duration must be positive")
-        if not self.delta > 0:
-            raise ValueError("stimulus width must be positive")
+        for name, value in (("duration", self.t_stim), ("width", self.delta)):
+            if not value > 0:  # a NaN fails it too
+                raise ValueError(f"stimulus {name} must be positive")
+            if value == np.inf:
+                raise ValueError(f"stimulus {name} must be finite, got {value}")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if self.center.shape != (3,) or not np.isfinite(self.center).all():
+            raise ValueError(f"stimulus center must be a finite 3-vector, got {self.center}")
 
 
 @dataclass
@@ -273,12 +274,13 @@ def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol):
 
 
 def _check_span(t_end, snapshot_every, start=0.0):
-    """Reject a snapshot spacing that is not positive, a ``t_end`` that is not finite,
-    then one not after ``start``: the span rule of every run."""
+    """Reject a snapshot spacing that is not positive, a ``start`` or ``t_end`` that is
+    not finite, then a ``t_end`` not after ``start``: the span rule of every run."""
     if snapshot_every is not None and not snapshot_every > 0:
         raise ValueError("snapshot_every must be positive")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    for name, value in (("start time", start), ("t_end", t_end)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not t_end > start:
         raise ValueError(f"t_end must be after the start time {start}, got {t_end}")
 
@@ -304,9 +306,9 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     Raises
     ------
     ValueError
-        Before the first step, unless ``snapshot_every`` is None or positive, ``t_end``
-        finite and after ``state0.time``, and both diffusivities finite and >= 0, all
-        zero when ``op`` is None.
+        Before the first step, unless ``rtol``, ``atol`` and ``snapshot_every`` (if given) are
+        positive, ``rtol``, ``atol``, ``state0.time`` and ``t_end`` finite with ``t_end`` after
+        ``state0.time``, and both diffusivities finite and >= 0, all zero when ``op`` is None.
     StiffnessError
         If the step size underflows below 1e-12 times the span, or after 10^7 steps.
     DivergenceError
@@ -314,6 +316,8 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
+    if np.inf in (rtol, atol):
+        raise ValueError(f"rtol and atol must be finite, got {rtol} and {atol}")
     if op is not None and state0.fields.shape[1] != op.n:
         raise ValueError(f"state has {state0.fields.shape[1]} nodes but operator has {op.n}")
     t = start = float(state0.time)
@@ -473,23 +477,21 @@ class SchaefferRun:
         return float(self.probe_t[above[0]]) if len(above) else None
 
 
-def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
-               t_end=2000.0, *, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0), op=None,
-               snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
-    """Integrate the Turing system with ``TuringParams.preset(preset)`` from a seeded
-    perturbation of the activator.
+def run_turing(nodes: NodeSet, frames, preset: str, seed=0, t_end=2000.0, *,
+               op: SparseOperator, snapshot_every=None, steady_tol=1e-4, steady_window=10.0):
+    """Integrate the Turing system with ``TuringParams.preset(preset)`` on the assembled
+    operator ``op`` from a seeded perturbation of the activator.
 
-    The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed,
-    the inhibitor starts at zero.  With :func:`integrate`'s tolerances the run
-    starts at t = 0, snapshots at multiples of ``snapshot_every`` and ends at a finite
-    ``t_end > 0``, or once the sup norm of du/dt (its last value is ``final_rate_inf``)
-    has stayed below ``steady_tol`` for ``steady_window``.  The span and snapshot
-    spacing are checked before assembly, by :func:`integrate`'s rule.
+    The initial activator is i.i.d. uniform(-0.5, 0.5) with the given seed, the inhibitor
+    starts at zero.  With :func:`integrate`'s tolerances the run starts at t = 0, snapshots
+    at multiples of ``snapshot_every`` and ends at a finite ``t_end > 0``, or once the sup
+    norm of du/dt (its last value is ``final_rate_inf``) has stayed below ``steady_tol`` for
+    ``steady_window``.  The span and snapshot spacing are checked before any step, by
+    :func:`integrate`'s rule.  ``frames`` is unread: the benchmark's workloads pass it, so it
+    goes with the benchmark change of ROADMAP item 1.
     """
     _check_span(t_end, snapshot_every)
     params = TuringParams.preset(preset)
-    if op is None:
-        op = assemble_operator(nodes, frames, m, kernel)
 
     rng = np.random.default_rng(seed)
     u0 = rng.uniform(-0.5, 0.5, size=len(nodes))
@@ -516,18 +518,17 @@ def run_turing(nodes: NodeSet, frames: SurfaceFrame, preset: str, seed=0,
     return TuringRun(states, tracker["steady_at"], tracker["rate"], params, tracker["steps"])
 
 
-def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *, stim_node=0,
-                  t_stim=5.0, delta=None, m=31, kernel=Kernel(KernelFamily.GAUSSIAN, 2.0),
-                  op=None, snapshot_every=None):
-    """Integrate the membrane model, default :class:`SchaefferParams`, from rest
-    (v = 0, h = 1) at t = 0 under a stimulus to a finite ``t_end > 0``.
+def run_schaeffer(nodes: NodeSet, frames, t_end=600.0, probe=0, *, op: SparseOperator,
+                  stim_node=0, t_stim=5.0, delta=None, snapshot_every=None):
+    """Integrate the membrane model, default :class:`SchaefferParams`, on the assembled
+    operator ``op`` from rest (v = 0, h = 1) at t = 0 under a stimulus to a finite ``t_end > 0``.
 
-    The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has
-    width ``delta``, by default 0.15 times twice the largest distance from the
-    centroid.  ``probe`` is a node id or list of ids in [0, N) whose (t, v, h)
-    history is recorded at every accepted step.  The run takes :func:`integrate`'s
-    default tolerances and snapshot times, and checks its span by its rule, then the
-    node ids and the stimulus, before it assembles.
+    The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has width ``delta``, by
+    default 0.15 times twice the largest distance from the centroid.  ``probe`` is a node id
+    or list of ids in [0, N) whose (t, v, h) history is recorded at every accepted step.  The
+    run takes :func:`integrate`'s default tolerances and snapshot times, and checks its span
+    by its rule, then the node ids and the stimulus, before any step.  ``frames`` is unread:
+    the benchmark's workloads pass it, so it goes with the benchmark change of ROADMAP item 1.
     """
     _check_span(t_end, snapshot_every)
     probes = [probe] if np.isscalar(probe) else list(probe)
@@ -537,8 +538,6 @@ def run_schaeffer(nodes: NodeSet, frames: SurfaceFrame, t_end=600.0, probe=0, *,
         radii = np.linalg.norm(nodes.points - nodes.points.mean(axis=0), axis=1)
         delta = 0.15 * (2.0 * float(radii.max()))
     stim = StimulusSpec(t_stim=t_stim, center=nodes.points[stim_node], delta=delta)
-    if op is None:
-        op = assemble_operator(nodes, frames, m, kernel)
 
     model = SchaefferModel(params, nodes.points, stim)
     n = len(nodes)

@@ -207,6 +207,23 @@ class TestGeomAndOperator:
         assert "error: normal of node 7 has length 2" in err
         assert not (tmp_path / "op.txt").exists()
 
+    @pytest.mark.parametrize("other_nodes, message", [
+        (lambda points: 1.001 * points, "frame file positions do not match the node file"),
+        (lambda points: points[:-1], "frame file covers 200 nodes but node set has 199"),
+    ], ids=["moved", "fewer"])
+    def test_build_rejects_frames_of_other_nodes(self, sphere_file, tmp_path, capsys,
+                                                 other_nodes, message):
+        frames_path, nodes_path = tmp_path / "frames.csv", tmp_path / "other.txt"
+        run_cli(capsys, "geom", "estimate", "--nodes", str(sphere_file),
+                "--stencil", "15", "--out", str(frames_path))
+        np.savetxt(nodes_path, other_nodes(load_nodes(sphere_file).points), fmt="%.17g")
+        code, out, err = run_cli(capsys, "lbo", "build", "--nodes", str(nodes_path),
+                                 "--frames", str(frames_path), "--stencil", "15",
+                                 "--out", str(tmp_path / "op.txt"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "op.txt").exists()
+
     def test_spectrum_report(self, sphere_file, tmp_path, capsys):
         op_path = tmp_path / "op.txt"
         run_cli(capsys, "lbo", "build", "--nodes", str(sphere_file),
@@ -344,6 +361,18 @@ def test_stimulus_checked_before_the_nodes_are_read(tmp_path, capsys, option, me
                            "--frames", "estimate", option, "0", "--out", str(out_dir))
     assert code == 2
     assert err.splitlines() == [f"error: stimulus {message} must be positive"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("option, message", [("--t-stim", "duration"), ("--delta", "width")])
+def test_infinite_stimulus_rejected_before_the_nodes_are_read(tmp_path, capsys, option,
+                                                              message):
+    out_dir = tmp_path / "wave"
+    code, out, err = run_cli(capsys, "simulate", "schaeffer", "--nodes",
+                             str(tmp_path / "none.txt"), "--frames", "estimate", option, "inf",
+                             "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: stimulus {message} must be finite, got inf"]
     assert not out_dir.exists()
 
 

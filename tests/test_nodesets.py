@@ -46,6 +46,12 @@ class TestNodeSet:
         with pytest.raises(ValueError):
             NodeSet(pts)
 
+    @pytest.mark.parametrize("points", [TETRA[:, :2], TETRA.ravel(), TETRA[None]],
+                             ids=["two-columns", "flat", "three-axes"])
+    def test_rejects_points_not_of_shape_n_by_3(self, points):
+        with pytest.raises(ValueError, match=r"points must have shape \(N, 3\), got"):
+            NodeSet(points)
+
     def test_rejects_non_finite(self):
         pts = TETRA.copy()
         pts[1, 2] = np.nan

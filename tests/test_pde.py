@@ -108,6 +108,17 @@ class TestParams:
         spec = StimulusSpec(t_stim=5.0, center=[0, 0, 1], delta=0.1)
         assert isinstance(spec.center, np.ndarray)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_stim": np.inf}, "stimulus duration must be finite, got inf"),
+        ({"delta": np.inf}, "stimulus width must be finite, got inf"),
+        ({"center": [0.0, np.nan, 1.0]}, r"stimulus center must be a finite 3-vector"),
+        ({"center": [0.0, 1.0]}, r"stimulus center must be a finite 3-vector"),
+    ], ids=["endless", "unbounded-width", "nan-center", "2-vector-center"])
+    def test_stimulus_must_be_finite(self, kwargs, message):
+        spec = dict(t_stim=5.0, center=[0.0, 0.0, 1.0], delta=0.1) | kwargs
+        with pytest.raises(ValueError, match=message):
+            StimulusSpec(**spec)
+
     def test_state_shape(self):
         with pytest.raises(ValueError):
             RdState(np.zeros((3, 5)), 0.0)
@@ -550,6 +561,39 @@ class TestIntegrate:
             integrate(Counted(), None, state0, t_end)
         assert calls == []
 
+    @pytest.mark.parametrize("start", [-np.inf, np.inf, np.nan])
+    def test_nonfinite_start_rejected_before_stepping(self, start):
+        calls = []
+
+        class Counted(Decay):
+            def reaction(self, t, fields, out=None):
+                calls.append(t)
+                return super().reaction(t, fields, out)
+
+        state0 = RdState(np.ones((2, 1)), start)
+        with pytest.raises(ValueError, match=f"start time must be finite, got {start}"):
+            integrate(Counted(), None, state0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"rtol": np.inf}, "rtol and atol must be finite, got inf and 1e-08"),
+        ({"atol": np.inf}, "rtol and atol must be finite, got 1e-05 and inf"),
+        ({"rtol": 0.0}, "rtol and atol must be positive$"),
+        ({"atol": np.nan}, "rtol and atol must be positive$"),
+    ], ids=["infinite-rtol", "infinite-atol", "zero-rtol", "nan-atol"])
+    def test_tolerances_finite_and_positive_before_stepping(self, tolerances, message):
+        calls = []
+
+        class Counted(Decay):
+            def reaction(self, t, fields, out=None):
+                calls.append(t)
+                return super().reaction(t, fields, out)
+
+        state0 = RdState(np.ones((2, 1)), 0.0)
+        with pytest.raises(ValueError, match=message):
+            integrate(Counted(), None, state0, 1.0, **tolerances)
+        assert calls == []
+
     def test_validation(self, sphere200):
         _, _, op = sphere200
         state0 = RdState(np.ones((2, 1)), 0.0)
@@ -931,12 +975,14 @@ class TestRunSchaeffer:
         assert run.probe_v[-1, 0] == run.final.fields[0, 7]
 
 
-@pytest.fixture
-def no_assembly(monkeypatch):
-    def assemble(*args, **kwargs):
-        raise AssertionError("assembled before the run options were checked")
+class UnsteppableOperator:
+    """An operator of the right size whose apply fails: no step may be taken."""
 
-    monkeypatch.setattr(pde, "assemble_operator", assemble)
+    def __init__(self, n):
+        self.n = n
+
+    def apply(self, field):
+        raise AssertionError("stepped before the run options were checked")
 
 
 @pytest.mark.parametrize("driver", [lambda *a, **k: run_turing(*a, preset="spots", **k),
@@ -949,21 +995,21 @@ def no_assembly(monkeypatch):
     (1.0, 0.0, "snapshot_every must be positive"),
     (1.0, -5.0, "snapshot_every must be positive"),
 ], ids=["zero", "negative", "nan", "inf", "zero-spacing", "negative-spacing"])
-def test_span_checked_before_assembly(sphere200, no_assembly, driver, t_end, snapshot_every,
-                                      message):
+def test_span_checked_before_any_step(sphere200, driver, t_end, snapshot_every, message):
     nodes, frames, _ = sphere200
     with pytest.raises(ValueError, match=message):
-        driver(nodes, frames, t_end=t_end, snapshot_every=snapshot_every)
+        driver(nodes, frames, t_end=t_end, snapshot_every=snapshot_every,
+               op=UnsteppableOperator(len(nodes)))
 
 
 @pytest.mark.parametrize("stimulus, message", [({"t_stim": 0.0}, "duration"),
                                                ({"delta": 0.0}, "width"),
                                                ({"delta": np.nan}, "width")],
                          ids=["zero-duration", "zero-width", "nan-width"])
-def test_stimulus_checked_before_assembly(sphere200, no_assembly, stimulus, message):
+def test_stimulus_checked_before_any_step(sphere200, stimulus, message):
     nodes, frames, _ = sphere200
     with pytest.raises(ValueError, match=f"stimulus {message} must be positive"):
-        run_schaeffer(nodes, frames, t_end=1.0, **stimulus)
+        run_schaeffer(nodes, frames, t_end=1.0, op=UnsteppableOperator(len(nodes)), **stimulus)
 
 
 class TestDefaultStimulusWidth:

@@ -412,6 +412,13 @@ class TestFrameCsv:
         np.testing.assert_array_equal(back.normals, frames.normals)
         np.testing.assert_array_equal(back.curvatures, frames.curvatures)
 
+    def test_save_rejects_frames_of_another_node_count(self, tmp_path, sphere_nodes):
+        frames = analytic_frames(unit_sphere(), sphere_nodes.points[:-1])
+        path = tmp_path / "frames.csv"
+        with pytest.raises(ValueError, match="frame count does not match node count"):
+            save_frames(sphere_nodes, frames, path)
+        assert not path.exists()
+
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "frames.csv"
         path.write_text("x,y,z,nx,ny,nz,kappa\n0,0,1,0,0,1,2\n1,0,0,1,0,0,nan\n")
