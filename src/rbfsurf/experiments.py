@@ -3,9 +3,9 @@ orders, and surface-frame errors.
 
 The reference field is f(x, y, z) = x (1 + y (1 + z)), a combination of
 degree 1..3 spherical harmonics whose surface Laplacian on the unit sphere
-is -2x (1 + 3y (1 + 2z)).  All sweeps report the max-over-nodes error and
-the worst stencil condition number so the ill-conditioned regime is visible
-in the output rather than fatal.
+is -2x (1 + 3y (1 + 2z)).  Each sweep row holds a max-over-nodes error.  The
+operator sweep adds the worst stencil condition number and the failed solves, which
+are never fatal; frame sweep rows hold max_cond = 0.0.  A failed frame fit raises.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .surface_geom import analytic_frames, estimate_frames
 
 _MIN_FIT_POINTS = 3
 _SPREAD_TOL = 1e-12
+_SPHERE_TOL = 1e-10
 
 
 def reference_field(points):
@@ -115,11 +116,15 @@ def _max_lbo_error(nodes, frames, m, kernel, f, lf, node=None):
 
 def _cells(n, m, eps_grid, family, nodes, method, seed):
     """Yield (node set, [(M, kernel), ...]) per node count, the cells in the grid
-    order M, eps: ``nodes``, whose size every count in ``n`` must name, or one
-    sphere set generated per count.  Scalar or iterable ``n``, ``m``, ``eps_grid``."""
+    order M, eps: ``nodes``, checked against every count in ``n`` and the unit sphere,
+    or one sphere set generated per count.  Scalar or iterable ``n``, ``m``, ``eps_grid``."""
     ns, ms, eps_list = ([x] if np.isscalar(x) else list(x) for x in (n, m, eps_grid))
-    if nodes is not None and any(n_i != len(nodes) for n_i in ns):
-        raise ValueError(f"n = {n} names node counts other than the {len(nodes)} given nodes")
+    if nodes is not None:
+        if any(n_i != len(nodes) for n_i in ns):
+            raise ValueError(f"n = {n} names node counts other than the {len(nodes)} given nodes")
+        off = np.abs(np.linalg.norm(nodes.points, axis=1) - 1.0)
+        if off.max() > _SPHERE_TOL:
+            raise ValueError(f"node {off.argmax()} lies {off.max():.3g} off the unit sphere")
     cells = [(m_i, Kernel(family, float(eps))) for m_i in ms for eps in eps_list]
     for n_i in ns:
         nodeset = nodes if nodes is not None else gen_sphere_nodes(n_i, method=method, seed=seed)
@@ -144,9 +149,9 @@ def lbo_error_sweep(surface: ImplicitSurface, n, m, eps_grid,
     Scalar or iterable ``n``, ``m``, ``eps_grid`` are accepted; the grid is
     the cartesian product in the given order.  With ``use_analytic_frames``
     off, frames are re-estimated per cell with the same stencil size and kernel.
-    ``node`` restricts the error to a single node id.  Given ``nodes``,
-    every count in ``n`` must be their number.  A frame estimate that fails
-    is re-raised with ``N=..., M=..., eps=...: `` before its message.
+    ``node`` restricts the error to a single node id.  Given ``nodes``, every count
+    in ``n`` must be their number and every node must lie on the unit sphere within
+    1e-10.  A failed frame estimate is re-raised with ``N=..., M=..., eps=...: ``.
     """
     if surface.name != "sphere":
         raise ValueError("the analytic reference field lives on the unit sphere")

@@ -486,11 +486,14 @@ def run_turing(nodes: NodeSet, frames, preset: str, seed=0, t_end=2000.0, *,
     starts at zero.  With :func:`integrate`'s tolerances the run starts at t = 0, snapshots
     at multiples of ``snapshot_every`` and ends at a finite ``t_end > 0``, or once the sup
     norm of du/dt (its last value is ``final_rate_inf``) has stayed below ``steady_tol`` for
-    ``steady_window``.  The span and snapshot spacing are checked before any step, by
-    :func:`integrate`'s rule.  ``frames`` is unread: the benchmark's workloads pass it, so it
-    goes with the benchmark change of ROADMAP item 1.
+    ``steady_window``, both finite and positive.  The span and snapshot spacing (by
+    :func:`integrate`'s rule), then these two, are checked before any step.  ``frames`` is
+    unread: the benchmark's workloads pass it, so it goes with ROADMAP item 1's change.
     """
     _check_span(t_end, snapshot_every)
+    for name, value in (("steady_tol", steady_tol), ("steady_window", steady_window)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     params = TuringParams.preset(preset)
 
     rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from rbfsurf.experiments import (
 )
 from rbfsurf.errors import ConditioningError
 from rbfsurf.kernels import Kernel, KernelFamily
-from rbfsurf.nodesets import gen_sphere_nodes, schwarz_p, unit_sphere
+from rbfsurf.nodesets import NodeSet, gen_sphere_nodes, project_radial, schwarz_p, unit_sphere
 from rbfsurf.surface_geom import estimate_frames
 
 from conftest import repulsion_nodes
@@ -114,6 +114,13 @@ class TestFitOrder:
     def test_needs_three_node_counts(self):
         with pytest.raises(ValueError):
             fit_order(power_law_rows(11, 2.0, (100, 400)))
+
+    def test_rejects_degenerate_spread(self):
+        # three distinct node counts whose log sqrt N spans 1e-13, below the 1e-12 floor
+        rows = power_law_rows(11, 2.0, [1000 + j * 1e-10 for j in range(3)])
+        assert len({row.n for row in rows}) == 3
+        with pytest.raises(ValueError, match="node counts for M=11 span a degenerate range"):
+            fit_order(rows)
 
     def test_rejects_nonpositive_errors(self):
         rows = power_law_rows(11, 2.0, (100, 400)) + [SweepRow(1600, 11, 2.0, 0.0, 1.0)]
@@ -224,6 +231,27 @@ class TestLboErrorSweep:
         with pytest.raises(ValueError, match="150 given nodes"):
             sweep([150, 200], nodes)
         assert [row.n for row in sweep([150, 150], nodes).rows] == [150, 150]
+
+    @pytest.mark.parametrize("sweep", [
+        lambda n, nodes: lbo_error_sweep(unit_sphere(), n, 11, [2.0], nodes=nodes),
+        lambda n, nodes: frame_error_sweep(n, 11, [2.0], nodes=nodes)[0],
+    ], ids=["lbo", "frame"])
+    def test_given_nodes_must_lie_on_the_unit_sphere(self, sweep, monkeypatch):
+        for name in ("weight_table", "estimate_frames", "analytic_frames"):
+            monkeypatch.setattr(experiments, name, lambda *a, **k: pytest.fail("a cell ran"))
+        points = gen_sphere_nodes(150).points.copy()
+        points[7] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match=r"^node 7 lies 1e-09 off the unit sphere$"):
+            sweep(150, NodeSet(points))
+        # the Schwarz P set that the turing-schwarz workload runs on
+        schwarz = project_radial(repulsion_nodes(1800), schwarz_p(), drop_misses=True)
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            sweep(len(schwarz), schwarz)
+
+    def test_nodes_within_the_sphere_tolerance_run(self):
+        points = gen_sphere_nodes(150).points.copy()
+        points[7] *= 1.0 + 5e-11
+        assert len(lbo_error_sweep(unit_sphere(), 150, 11, [2.0], nodes=NodeSet(points)).rows) == 1
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.filterwarnings("ignore:invalid value")

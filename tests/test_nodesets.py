@@ -2,8 +2,10 @@ import io
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize.elementwise import find_root
 from scipy.spatial import cKDTree
 
 from rbfsurf import (
@@ -234,26 +236,8 @@ def project_direction_oracle(direction, surface, t_lo=0.05, t_hi=1.5, samples=40
         return ts[exact[0]]
     if not len(sign_change):
         return None
-    a, b = ts[sign_change[0]], ts[sign_change[0] + 1]
-    fa = vals[sign_change[0]]
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        fm = float(surface.F(mid * direction))
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    t = 0.5 * (a + b)
-    for _ in range(4):
-        p = t * direction
-        g = float(surface.F(p))
-        dg = float(surface.gradF(p) @ direction)
-        if dg == 0.0:
-            break
-        t -= g / dg
-    return t
+    bracket = ts[sign_change[0]], ts[sign_change[0] + 1]
+    return float(find_root(lambda t: surface.F(t[..., None] * direction), bracket).x)
 
 
 def project_oracle(points, surface):
@@ -358,8 +342,7 @@ class TestProjectRadialOracle:
 
     @pytest.mark.parametrize("n", [500, 1000])
     def test_fibonacci_sphere_exact(self, n):
-        # Newton's g' is one dot per ray, taken as g @ d takes it; a summed
-        # elementwise product rounds differently in 2-3% of the rows
+        # every ray hits, and every root is refined from the bracket of samples 261 and 262
         nodes = gen_sphere_nodes(n)
         proj = project_radial(nodes, unit_sphere())
         assert_same_bits(proj.points, np.array(project_oracle(nodes.points, unit_sphere())))
@@ -383,6 +366,37 @@ class TestProjectRadialOracle:
         expected = [p for p in project_oracle(points, schwarz_p()) if p is not None]
         assert len(expected) == 300
         assert_same_bits(proj.points, np.array(expected))
+
+
+
+def exact_root(surface, direction, t):
+    """The root of F(s * direction) nearest ``t``, to 40 digits, for the float direction."""
+    with mpmath.workdps(40):
+        d = [mpmath.mpf(float(x)) for x in direction]
+        if surface.name == "sphere":
+            return 1 / mpmath.sqrt(mpmath.fsum(x * x for x in d))
+        w = 2 * mpmath.pi
+        return mpmath.findroot(lambda s: mpmath.fsum(mpmath.cos(w * s * x) for x in d),
+                               mpmath.mpf(float(t)))
+
+
+class TestProjectionRootsExact:
+    """Every hit ray's root against the exact root of F(t d): the bracketing solver's
+    default tolerances leave a few ulp, where a looser one would leave far more."""
+
+    @pytest.mark.parametrize("surface", [schwarz_p(), unit_sphere()], ids=["schwarz-p", "sphere"])
+    @pytest.mark.parametrize("nodes", [lambda: repulsion_nodes(1800),
+                                       lambda: gen_sphere_nodes(1000)],
+                             ids=["repulsion-1800", "fibonacci-1000"])
+    def test_within_a_few_ulp(self, nodes, surface):
+        points = nodes().points
+        dirs = points / np.linalg.norm(points, axis=1, keepdims=True)
+        t = nodesets._project_rays(dirs, surface)
+        hit = np.abs(surface.F(t[:, None] * dirs)) <= 1e-10
+        assert hit.sum() > 0.9 * len(points)
+        ulps = np.array([float(abs(mpmath.mpf(float(t_i)) - exact_root(surface, d, t_i)))
+                         for d, t_i in zip(dirs[hit], t[hit])]) / np.spacing(t[hit])
+        assert ulps.max() <= 8.0 and ulps.mean() <= 1.0
 
 
 SAMPLES = np.linspace(0.05, 1.5, 400)

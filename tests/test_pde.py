@@ -457,6 +457,17 @@ class TestIntegrate:
         assert np.allclose(states[-1].fields, np.array([[1.0], [2.0]]) * np.exp(-2.0),
                            rtol=1e-5)
 
+    def test_state_at_rest_steps_from_1e6_growing_fivefold(self):
+        # a zero state has zero rates: the at-rest initial step is 1e-6, and every
+        # step's error estimate is exactly 0, so each next step is _FAC_MAX times longer
+        steps = []
+        states = integrate(Decay(), None, RdState(np.zeros((2, 3)), 0.0), 1.0,
+                           step_callback=lambda t, y, f: steps.append(t))
+        taken = np.diff([0.0] + steps)
+        assert taken[:-1] == pytest.approx(1e-6 * pde._FAC_MAX ** np.arange(9), rel=1e-12)
+        assert len(steps) == 10 and steps[-1] == 1.0
+        assert not states[-1].fields.any()
+
     def test_oscillator_round_trip(self):
         state0 = RdState(np.array([[1.0], [0.0]]), 0.0)
         states = integrate(Oscillator(), None, state0, 2.0 * np.pi, rtol=1e-6, atol=1e-9)
@@ -1010,6 +1021,16 @@ def test_stimulus_checked_before_any_step(sphere200, stimulus, message):
     nodes, frames, _ = sphere200
     with pytest.raises(ValueError, match=f"stimulus {message} must be positive"):
         run_schaeffer(nodes, frames, t_end=1.0, op=UnsteppableOperator(len(nodes)), **stimulus)
+
+
+@pytest.mark.parametrize("name", ["steady_tol", "steady_window"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3, 0.0])
+def test_steady_stop_checked_before_any_step(sphere200, name, value):
+    # a NaN or negative value would turn the steady stop off and run on to t_end
+    nodes, frames, _ = sphere200
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
+        run_turing(nodes, frames, preset="stripes", t_end=1.0,
+                   op=UnsteppableOperator(len(nodes)), **{name: value})
 
 
 class TestDefaultStimulusWidth:
