@@ -121,3 +121,10 @@ def lbo_of_rbf_rows(kernel, r_vectors, distances, normal, kappa):
     return (1.0 + q - np.asarray(kappa)[..., None] * rn) * kernel.dphi_over_r(distances) + (
         1.0 - q
     ) * kernel.d2phi(distances)
+
+
+def _weight_rhs(kernel, points, normals, kappa):
+    """Right-hand sides (K, M + 1) of the weight systems of stencils ``points`` (K, M, 3)."""
+    r = points[:, :1] - points
+    rows = lbo_of_rbf_rows(kernel, r, np.linalg.norm(r, axis=-1), normals, kappa)
+    return np.pad(rows, ((0, 0), (0, 1)))

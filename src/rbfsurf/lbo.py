@@ -9,7 +9,8 @@ a point with unit normal ``n`` and curvature ``kappa``, has the closed form
 with ``r`` the vector from the evaluation point to ``x_i``.  Each stencil's
 weights come from the augmented interpolation system (constant term
 included, which forces every weight row to sum to zero), all stencils solved
-as one batch; rows are stacked into a sparse N x N differentiation matrix.
+as one batch, or kept from ``estimate_frames``; rows are stacked into a sparse
+N x N differentiation matrix.
 ``StencilGeometry`` and ``stencil_weights`` are one-stencil entry points to
 the same batched solve, kept for the benchmark's per-layer probes.
 """
@@ -17,6 +18,7 @@ the same batched solve, kept for the benchmark's per-layer probes.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec  # private: the kernel of `csr @ vector`
 
 from ._linalg import check_conditioning, solve_rbf_systems
-from .kernels import Kernel, lbo_of_rbf_rows
+from .kernels import Kernel, _weight_rhs
 from .nodesets import NodeSet, Stencil, _parse_row, _read_lines, knn_table
 from .surface_geom import SurfaceFrame
 
@@ -51,9 +53,7 @@ def _weight_rows(points, normals, curvatures, kernel):
     The unknown of the constant basis function is solved for and discarded;
     its constraint row makes each row sum to zero.  No gate is applied.
     """
-    r = points[:, :1] - points
-    rows = lbo_of_rbf_rows(kernel, r, np.linalg.norm(r, axis=-1), normals, curvatures)
-    sol, cond = solve_rbf_systems(points, np.pad(rows, ((0, 0), (0, 1))), kernel)
+    sol, cond = solve_rbf_systems(points, _weight_rhs(kernel, points, normals, curvatures), kernel)
     return sol[:, :-1], cond
 
 
@@ -67,15 +67,27 @@ def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_con
     return (w[0], cond[0]) if return_cond else w[0]
 
 
+def _kept_rows(nodes, frames, m, kernel, ctr):
+    """The rows and cond of centers ``ctr`` that :func:`estimate_frames` kept on ``nodes``, if
+    it used this M and kernel and fitted ``frames`` up to a sign per node; else None."""
+    kept_m, kept_kernel, fitted, rows, cond = nodes._fitted_rows or (None,) * 5
+    given = np.column_stack([frames.normals[ctr], frames.curvatures[ctr]])
+    if (kept_m, kept_kernel) == (m, kernel) and np.all(
+            (given == fitted[ctr]).all(axis=1) | (given == -fitted[ctr]).all(axis=1)):
+        return rows[ctr], cond[ctr]
+
+
 def weight_table(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel, centers=None):
     """Stencil indices (K, M), center first, weight rows and cond of many nodes at once.
 
-    No gate is applied; see :func:`check_conditioning`.
+    The rows :func:`estimate_frames` kept are reused for its frames, flipped or not:
+    (n, kappa) and (-n, -kappa) give the same rows, bit for bit.  No gate is applied;
+    see :func:`check_conditioning`.
     """
     indices, _ = knn_table(nodes, m, centers)
     ctr = indices[:, 0]
-    return (indices, *_weight_rows(nodes.points[indices], frames.normals[ctr],
-                                   frames.curvatures[ctr], kernel))
+    return (indices, *(_kept_rows(nodes, frames, m, kernel, ctr) or _weight_rows(
+        nodes.points[indices], frames.normals[ctr], frames.curvatures[ctr], kernel)))
 
 
 def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel):
@@ -85,9 +97,11 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
     Rows are independent, so assembly order cannot change the values.
     Conditioning failures are collected and reported together with the
     offending node indices.  With DEBUG on, one record on this module's logger
-    (values also in its ``stats``) gives the largest |row sum|, its row, and the
-    min, median and max stencil radius (distance to the M-th neighbour).
+    (values also in its ``stats``) gives the largest |row sum|, its row, the
+    min, median and max stencil radius (distance to the M-th neighbour), whether
+    the rows kept by :func:`estimate_frames` were reused, and the seconds taken.
     """
+    started = time.perf_counter()
     n = len(nodes)
     if len(frames) != n:
         raise ValueError("frames must cover every node")
@@ -100,7 +114,9 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
         sums, radii = np.abs(op.row_sums()), knn_table(nodes, m)[1][:, -1]
         stats = {"rowsum_max": float(sums.max()), "rowsum_argmax": int(sums.argmax()),
                  "radius_min": float(radii.min()), "radius_median": float(np.median(radii)),
-                 "radius_max": float(radii.max())}
+                 "radius_max": float(radii.max()),
+                 "rows_reused": _kept_rows(nodes, frames, m, kernel, slice(None)) is not None,
+                 "seconds": time.perf_counter() - started}
         logger.debug("operator health: %s", stats, extra={"stats": stats})
     return op
 

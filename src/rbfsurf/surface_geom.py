@@ -12,19 +12,24 @@ of the opposed-normal edges on its path to the root in the minimum spanning
 tree of the stencil graph, and each connected component is flipped, if
 needed, so normals point away from the centroid on average.  Curvature flips
 sign together with the normal.
+
+Each fit factors only the kernel block of its stencil nodes, the matrix of the
+node's operator weights, and solves those too: they do not depend on the sign.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ._linalg import check_conditioning, solve_rbf_systems
+from ._linalg import check_conditioning, factored_blocks, refine
 from .errors import FileFormatError, GeometryError
-from .kernels import Kernel, lbo_of_rbf_rows
+from .kernels import Kernel, _weight_rhs, lbo_of_rbf_rows
 from .nodesets import ImplicitSurface, NodeSet, Stencil, _parse_row, _read_lines, knn_table
 
 _COLLINEAR_TOL = 1e-10
@@ -34,6 +39,8 @@ _COLLINEAR_TOL = 1e-10
 # collinear pair yields a tangent (useless) normal guess
 _SELECTION_SIN = 0.5
 _GRAD_TOL = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,8 @@ class SurfaceFrame:
 
 
 def _fit_levelsets(points, h, nodes, kernel):
-    """Batched :class:`LevelSetFit` of K stencils ``points`` (K, M, 3), center first.
+    """Batched :class:`LevelSetFit` of K stencils ``points`` (K, M, 3), center first; a
+    generator of ``(part, fit, weights)``, chunk by chunk, whose first step checks them all.
 
     The off-surface centers sit at ``h`` either side of the stencil center
     along a rough normal: nearest neighbor cross the first later point whose
@@ -94,6 +102,13 @@ def _fit_levelsets(points, h, nodes, kernel):
     threshold), else the widest pair unless collinear, which raises
     :class:`GeometryError` for the first such node of ``nodes``.  Raises
     ValueError for stencils of fewer than 5 nodes or an offset that is not positive.
+
+    The (M + 3) system (Psi = 0 at the stencil nodes, +1 / -1 off the surface, zero-sum
+    coefficients) is solved from the factors of its (M + 1) block over the stencil nodes,
+    the weight system's matrix, by the 2 x 2 Schur complement S = C - B^T A^-1 B, with one
+    refinement of the full residual.  A fit's cond is the larger of the block's and S's
+    (1-norm, inf if singular).  ``weights(normals, curvatures)`` gives the chunk's weight
+    rows (k, M) and cond from the same factors, as :func:`solve_rbf_systems` does.
     """
     if points.shape[1] < 5:
         raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {points.shape[1]}")
@@ -117,23 +132,43 @@ def _fit_levelsets(points, h, nodes, kernel):
     del u, v, cross, scale, sin, healthy  # free the (K, M-2) selection arrays before the solve
     offset = h[:, None, None] * (guess / np.linalg.norm(guess, axis=-1)[:, None])[:, None]
     centers = np.concatenate([points, points[:, :1] + offset, points[:, :1] - offset], axis=1)
-    p = centers.shape[1]
-    rhs = np.zeros((len(centers), p + 1))
-    rhs[:, p - 2], rhs[:, p - 1] = 1.0, -1.0
-    sol, cond = solve_rbf_systems(centers, rhs, kernel)
-    return LevelSetFit(sol[:, :p], sol[:, p], centers, kernel, cond)
+    m, n = points.shape[1], points.shape[1] + 1
+    rhs = np.r_[np.zeros(n), 1.0, -1.0]
+    for part, A, z, cond, solve in factored_blocks(centers, m, kernel):
+        bt = A[:, n:, :n]
+        s = A[:, n:, n:] - np.einsum("kil,kjl->kij", bt, z)
+        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular S: cond inf
+            s_inv = np.swapaxes(s[:, ::-1, ::-1], 1, 2) * [[1.0, -1.0], [-1.0, 1.0]]
+            s_inv /= det[:, None, None]
+            s_cond = np.abs(s).sum(axis=1).max(axis=1) * np.abs(s_inv).sum(axis=1).max(axis=1)
+
+        def schur_solve(b):
+            solve(b[:, :n])
+            b_off = b[:, n:] - np.einsum("kil,kl->ki", bt, b[:, :n])
+            b[:, n:] = np.einsum("kij,kj->ki", s_inv, b_off)
+            b[:, :n] -= np.einsum("kjl,kj->kl", z, b[:, n:])
+
+        def weights(normals, curvatures):
+            w_rhs = _weight_rhs(kernel, points[part], normals, curvatures)
+            w = w_rhs.copy()
+            solve(w)
+            refine(A[:, :n, :n], w, w_rhs, solve)
+            return w[:, :m], cond
+
+        d = s_inv[:, :, 0] - s_inv[:, :, 1]
+        sol = np.concatenate([-np.einsum("kjl,kj->kl", z, d), d], axis=1)
+        refine(A, sol, rhs, schur_solve)
+        fit_cond = np.maximum(cond, np.where(s_cond < np.inf, s_cond, np.inf))  # NaN as inf
+        yield part, LevelSetFit(np.concatenate([sol[:, :m], sol[:, n:]], axis=1), sol[:, m],
+                                centers[part], kernel, fit_cond), weights
 
 
 def fit_levelset(stencil: Stencil, nodes: NodeSet, kernel: Kernel, h: float):
     """Fit the local level-set interpolant for one stencil, gated: a batch of one
-    through :func:`_fit_levelsets`, kept for the benchmark probes.
-
-    The augmented (M+3) x (M+3) system enforces Psi = 0 at the M stencil
-    nodes, Psi = +1 / -1 at the two points offset by ``h`` along the rough
-    normal, and a zero-sum constraint on the RBF coefficients.
-    """
-    fit = _fit_levelsets(nodes.points[stencil.all_indices()][None], np.array([h]),
-                         [stencil.center_index], kernel)
+    through :func:`_fit_levelsets`, kept for the benchmark probes."""
+    ((_, fit, _),) = _fit_levelsets(nodes.points[stencil.all_indices()][None], np.array([h]),
+                                    [stencil.center_index], kernel)
     check_conditioning(fit.cond)
     return LevelSetFit(fit.coefficients[0], fit.constant[0], fit.centers[0], kernel, fit.cond[0])
 
@@ -210,20 +245,42 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
 
     Each node gets an independent level-set fit over its M-node stencil,
     with the off-surface offset equal to the nearest-neighbor distance;
-    a deterministic orientation pass then fixes the global sign.  All fits
-    run as one batch: a collinear stencil raises first, then the
-    conditioning gate, then a vanishing gradient, each naming its node.
+    a deterministic orientation pass then fixes the global sign.  The fits run in
+    chunks that also solve the nodes' operator weight rows, kept on ``nodes`` for
+    :func:`assemble_operator`.  A collinear stencil raises first, then the gate on
+    each fit's cond (the larger of its (M + 1) block's and its 2 x 2 Schur
+    complement's), then a vanishing gradient, each naming its node.  With DEBUG on,
+    one record on this module's logger (values also in its ``stats``) gives N and
+    the seconds of the fits and rows, the gate and the orientation.
     """
+    started = time.perf_counter()
     indices, distances = knn_table(nodes, m)
-    fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
-    check_conditioning(fit.cond, indices[:, 0])
-    rv, r, g = _levelset_eval(fit, nodes.points)
-    grad_norm = _gradient_norm(g, indices[:, 0])
-    normals = g / grad_norm[:, None]
-    curvatures = np.einsum("...j,...j->...", fit.coefficients,
-                           lbo_of_rbf_rows(kernel, rv, r, normals, 0.0)) / grad_norm
-    sign = _orientation(nodes.points, normals, indices, distances)
-    return SurfaceFrame(normals * sign[:, None], curvatures * sign)
+    ids, n = indices[:, 0], len(nodes)
+    g, fitted, fit_cond = np.empty((n, 3)), np.empty((n, 4)), np.empty(n)
+    rows, cond = np.empty((n, m)), np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the gate and gradient check follow
+        for part, fit, weights in _fit_levelsets(nodes.points[indices], distances[:, 1], ids,
+                                                 kernel):
+            rv, r, g[part] = _levelset_eval(fit, fit.centers[:, 0])
+            grad_norm = np.linalg.norm(g[part], axis=-1)
+            normals = g[part] / grad_norm[:, None]
+            curvatures = np.einsum("...j,...j->...", fit.coefficients,
+                                   lbo_of_rbf_rows(kernel, rv, r, normals, 0.0)) / grad_norm
+            fitted[part] = np.column_stack([normals, curvatures])
+            fit_cond[part] = fit.cond
+            rows[part], cond[part] = weights(normals, curvatures)
+    fit_s = time.perf_counter() - started
+    check_conditioning(fit_cond, ids)
+    _gradient_norm(g, ids)
+    gate_s = time.perf_counter() - started - fit_s
+    sign = _orientation(nodes.points, fitted[:, :3], indices, distances)
+    nodes._fitted_rows = (m, kernel, fitted, rows, cond)
+    if logger.isEnabledFor(logging.DEBUG):
+        seconds = time.perf_counter() - started
+        stats = {"n": n, "fit_s": fit_s, "gate_s": gate_s, "orient_s": seconds - fit_s - gate_s,
+                 "seconds": seconds}
+        logger.debug("frame estimate: %s", stats, extra={"stats": stats})
+    return SurfaceFrame(fitted[:, :3] * sign[:, None], fitted[:, 3] * sign)
 
 
 def analytic_frames(surface: ImplicitSurface, points):

@@ -18,7 +18,7 @@ from scipy import sparse
 from rbfsurf import lbo, surface_geom
 from rbfsurf._linalg import check_conditioning, solve_rbf_systems
 from rbfsurf.errors import ConditioningError
-from rbfsurf.kernels import Kernel, KernelFamily, lbo_of_rbf_rows
+from rbfsurf.kernels import Kernel, KernelFamily, _weight_rhs, lbo_of_rbf_rows
 from rbfsurf.lbo import (
     SparseOperator,
     StencilGeometry,
@@ -26,7 +26,7 @@ from rbfsurf.lbo import (
     stencil_weights,
     weight_table,
 )
-from rbfsurf.nodesets import gen_sphere_nodes, knn_table, nearest_neighbors, unit_sphere
+from rbfsurf.nodesets import NodeSet, gen_sphere_nodes, knn_table, nearest_neighbors, unit_sphere
 from rbfsurf.surface_geom import (
     SurfaceFrame,
     _fit_levelsets,
@@ -106,6 +106,13 @@ def shipped1000():
     return nodes, surface_geom.estimate_frames(nodes, 31, GAUSS2)
 
 
+def level_set_chunks(nodes, m, kernel, centers=None):
+    """The chunks ``(part, fit, weights)`` of the level-set fits of ``centers`` (all nodes
+    by default), offset by the nearest-neighbor distance as estimate_frames runs them."""
+    indices, distances = knn_table(nodes, m, centers)
+    return _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
+
+
 class TestSingleStencilEntryPoints:
     """The one-stencil names the benchmark probes call, against the batched engine."""
 
@@ -120,8 +127,9 @@ class TestSingleStencilEntryPoints:
     def test_equal_the_batched_rows(self, shipped1000, m):
         # shipped sphere with the frames sphere-sweep estimates (M = 31)
         nodes, frames = shipped1000
-        indices, distances = knn_table(nodes, m)
-        fits = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], GAUSS2)
+        fits = [fit for _, fit, _ in level_set_chunks(nodes, m, GAUSS2)]
+        coefficients = np.concatenate([fit.coefficients for fit in fits])
+        fit_cond = np.concatenate([fit.cond for fit in fits])
         for i in (0, 123, 500, 999):
             st = nearest_neighbors(nodes, i, m)
             assert np.array_equal(st.all_indices(), knn_table(nodes, m, [i])[0][0])
@@ -130,8 +138,8 @@ class TestSingleStencilEntryPoints:
             _, w_table, cond_table = weight_table(nodes, frames, m, GAUSS2, centers=[i])
             assert np.array_equal(w, w_table[0]) and np.array_equal(cond, cond_table[0])
             fit = fit_levelset(st, nodes, GAUSS2, h=float(st.neighbor_distances[0]))
-            assert np.array_equal(fit.coefficients, fits.coefficients[i])
-            assert np.array_equal(fit.cond, fits.cond[i])
+            assert np.array_equal(fit.coefficients, coefficients[i])
+            assert np.array_equal(fit.cond, fit_cond[i])
             if m == 31:
                 # the frame of the fit, up to the sign the orientation pass fixes
                 normal = levelset_normal(fit, nodes.points[i])
@@ -275,26 +283,42 @@ def captured_systems(monkeypatch, module, run):
     return args
 
 
+def fused_weight_systems(nodes, frames, m, kernel, centers):
+    """The weight rows and cond that the level-set chunks of ``centers`` solve with their
+    block factors for the given frames, and the (points, rhs, kernel) of those systems."""
+    indices, _ = knn_table(nodes, m, centers)
+    normals, curvatures = frames.normals[indices[:, 0]], frames.curvatures[indices[:, 0]]
+    w, cond = np.empty((len(indices), m)), np.empty(len(indices))
+    for part, _, weights in level_set_chunks(nodes, m, kernel, centers):
+        w[part], cond[part] = weights(normals[part], curvatures[part])
+    points = nodes.points[indices]
+    return w, cond, (points, _weight_rhs(kernel, points, normals, curvatures), kernel)
+
+
 class TestLocalSolve:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    @pytest.mark.parametrize("kind", ["weights", "levelset"])
+    @pytest.mark.parametrize("kind", ["weights", "fused"])
     @pytest.mark.parametrize("count", [100, 1])
     def test_in_place_build_matches_fresh_form(self, sphere1000, sphere1000_frames, monkeypatch,
                                                family, kind, count):
-        # 100 systems make a full chunk of 64 and a partial one
+        # 100 systems make a full chunk of 64 and a partial one; "fused" solves the weight
+        # rows with the factors of the level-set fits' (M + 1) blocks, factored by dgesv
+        # together with the two off-surface columns
         kernel = Kernel(family, 3.0)
         centers = np.arange(0, 1000, 10)[:count]
         if kind == "weights":
             args = captured_systems(monkeypatch, lbo, lambda: lbo.weight_table(
                 sphere1000, sphere1000_frames, 31, kernel, centers))
+            sol, cond = solve_rbf_systems(*args)
         else:
-            indices, distances = knn_table(sphere1000, 31, centers)
-            args = captured_systems(monkeypatch, surface_geom, lambda: surface_geom._fit_levelsets(
-                sphere1000.points[indices], distances[:, 1], indices[:, 0], kernel))
-        assert args[0].shape == (count, 31 if kind == "weights" else 33, 3)
-        sol, cond = solve_rbf_systems(*args)
+            w, cond, args = fused_weight_systems(sphere1000, sphere1000_frames, 31, kernel,
+                                                 centers)
+            sol = np.pad(w, ((0, 0), (0, 1)))
+        assert args[0].shape == (count, 31, 3)
         sol_ref, cond_ref = fresh_rbf_systems(*args)
         assert np.all(cond < 1e15)
+        if kind == "fused":  # the constant's unknown is discarded
+            sol_ref[:, -1] = 0.0
         assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
 
     @pytest.mark.parametrize("eps", [2.0, 1.0])
@@ -321,6 +345,30 @@ class TestLocalSolve:
         assert np.isnan(sol[7]).all() and cond[7] == np.inf
         assert np.isfinite(sol[np.arange(100) != 7]).all()
         assert np.array_equal(sol, sol_ref, equal_nan=True) and np.array_equal(cond, cond_ref)
+
+
+class TestLocalSolveSchur:
+    """The level-set fits from the (M + 1) block's factors and a 2 x 2 Schur step, against
+    the dense (M + 3) system of the same centers solved in the fresh form."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_coefficients_match_dense_fresh_form(self, sphere1000, family):
+        # measured on these 100 stencils: coefficients within 3.6e-14 of their largest,
+        # the constant within 6.9e-18, cond 0.91-1.48 times the dense system's
+        kernel = Kernel(family, 3.0)
+        fits = [fit for _, fit, _ in level_set_chunks(sphere1000, 31, kernel,
+                                                      np.arange(0, 1000, 10))]
+        centers = np.concatenate([fit.centers for fit in fits])
+        rhs = np.zeros((100, 34))
+        rhs[:, 31], rhs[:, 32] = 1.0, -1.0
+        sol, cond = fresh_rbf_systems(centers, rhs, kernel)
+        scale = np.abs(sol[:, :33]).max(axis=1)
+        coefficients = np.concatenate([fit.coefficients for fit in fits])
+        constant = np.concatenate([fit.constant for fit in fits])
+        assert np.all(np.abs(coefficients - sol[:, :33]).max(axis=1) <= 1e-12 * scale)
+        assert np.all(np.abs(constant - sol[:, 33]) <= 1e-15 * scale)
+        ratio = np.concatenate([fit.cond for fit in fits]) / cond
+        assert np.all((0.5 <= ratio) & (ratio <= 2.0))
 
 
 class TestLocalSolveSizes:
@@ -413,6 +461,15 @@ class TestOperatorHealthRecord:
         assert [stats["radius_min"], stats["radius_median"], stats["radius_max"]] == pytest.approx(
             [min(radii), np.median(radii), max(radii)], rel=1e-14)
         assert "rowsum_max" in record.getMessage()
+        assert stats["rows_reused"] is False and stats["seconds"] > 0
+
+    def test_reuse_of_the_estimated_rows(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.lbo")
+        nodes = gen_sphere_nodes(200)
+        frames = surface_geom.estimate_frames(nodes, 15, GAUSS2)
+        assemble_operator(nodes, frames, 15, GAUSS2)
+        assemble_operator(nodes, frames, 16, GAUSS2)
+        assert [r.stats["rows_reused"] for r in self.records(caplog)] == [True, False]
 
     def test_silent_and_free_by_default(self, caplog, monkeypatch):
         log = logging.getLogger("rbfsurf.lbo")
@@ -423,6 +480,55 @@ class TestOperatorHealthRecord:
         nodes = gen_sphere_nodes(60)
         assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 7, GAUSS2)
         assert not self.records(caplog)
+
+
+class TestKeptRows:
+    """The weight rows estimate_frames keeps on its NodeSet, against a recomputation."""
+
+    @pytest.mark.parametrize("kernel", [GAUSS2, Kernel(KernelFamily.INVERSE_MULTIQUADRIC, 3.0)],
+                             ids=["gaussian", "imq"])
+    @pytest.mark.parametrize("method", ["repulsion", "fibonacci"])
+    def test_equal_a_recomputation(self, monkeypatch, method, kernel):
+        nodes = repulsion_nodes(1000) if method == "repulsion" else gen_sphere_nodes(1000)
+        frames = surface_geom.estimate_frames(nodes, 31, kernel)
+        flips = np.where(np.arange(1000) % 2, -1.0, 1.0)
+        flipped = SurfaceFrame(frames.normals * flips[:, None], frames.curvatures * flips)
+        other = Kernel(kernel.family, kernel.epsilon + 0.5)
+        fresh = NodeSet(nodes.points)
+        expected = {(m, k): weight_table(fresh, frames, m, k)
+                    for m, k in ((31, kernel), (31, other), (21, kernel))}
+        expected_op = assemble_operator(fresh, frames, 31, kernel).matrix
+        solved = []
+        real = lbo._weight_rows
+        monkeypatch.setattr(lbo, "_weight_rows", lambda *a: solved.append(a) or real(*a))
+        for f in (frames, flipped):  # kept: (n, kappa) and (-n, -kappa) give the same rows
+            for got, want in zip(weight_table(nodes, f, 31, kernel), expected[31, kernel]):
+                assert np.array_equal(got, want)
+        _, w, cond = weight_table(nodes, frames, 31, kernel, centers=[999, 3])
+        assert np.array_equal(w, expected[31, kernel][1][[999, 3]])
+        assert np.array_equal(cond, expected[31, kernel][2][[999, 3]])
+        op = assemble_operator(nodes, flipped, 31, kernel).matrix
+        assert all(np.array_equal(getattr(op, a), getattr(expected_op, a))
+                   for a in ("data", "indices", "indptr"))
+        assert not solved
+        for m, k in ((31, other), (21, kernel)):  # another eps or M: solved again
+            for got, want in zip(weight_table(nodes, frames, m, k), expected[m, k]):
+                assert np.array_equal(got, want)
+        assert len(solved) == 2
+
+    def test_other_frames_are_solved(self, monkeypatch):
+        nodes = gen_sphere_nodes(200)
+        frames = surface_geom.estimate_frames(nodes, 15, GAUSS2)
+        curvatures = frames.curvatures.copy()
+        curvatures[7] = np.nextafter(curvatures[7], np.inf)
+        moved = SurfaceFrame(frames.normals, curvatures)
+        expected = weight_table(NodeSet(nodes.points), moved, 15, GAUSS2)
+        solved = []
+        real = lbo._weight_rows
+        monkeypatch.setattr(lbo, "_weight_rows", lambda *a: solved.append(a) or real(*a))
+        for got, want in zip(weight_table(nodes, moved, 15, GAUSS2), expected):
+            assert np.array_equal(got, want)
+        assert len(solved) == 1
 
 
 @pytest.fixture(scope="module")

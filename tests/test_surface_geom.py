@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from rbfsurf import (
+    ConditioningError,
     GeometryError,
     ImplicitSurface,
     Kernel,
@@ -36,6 +38,12 @@ from rbfsurf.surface_geom import (
 from conftest import repulsion_nodes
 
 GAUSS2 = Kernel(KernelFamily.GAUSSIAN, 2.0)
+# node 0 at the origin, nodes 1 and 2 at its nearest-neighbor distance h = 0.5, so its rough
+# normal is (-e_1) x (-e_3) = -e_2 and its off-surface point at +h n is node 3 exactly; no
+# two nodes are closer than 0.5, where FLAT_FREE's kernel values underflow to 0
+SINGULAR_SCHUR = np.array([[0, 0, 0], [0.5, 0, 0], [0, 0, 0.5], [0, -0.5, 0], [0.6, 0.6, 0.3],
+                           [-0.7, 0.5, 0.4], [0.3, 0.8, -0.6], [-0.6, -0.2, -0.7]])
+FLAT_FREE = Kernel(KernelFamily.GAUSSIAN, 100.0)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +55,7 @@ def node_fit(nodes, i, m=16, kernel=GAUSS2):
     """The batched level-set fit of node i as estimate_frames runs it: a batch
     of one row, offset by the nearest-neighbor distance, through the gate."""
     indices, distances = knn_table(nodes, m, [i])
-    fit = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
+    ((_, fit, _),) = _fit_levelsets(nodes.points[indices], distances[:, 1], indices[:, 0], kernel)
     check_conditioning(fit.cond, indices[:, 0])
     return fit
 
@@ -74,12 +82,12 @@ class TestFitLevelset:
     def test_small_stencil_rejected(self, sphere_nodes):
         indices, _ = knn_table(sphere_nodes, 4, [0])
         with pytest.raises(ValueError, match="at least 5 nodes, got 4"):
-            _fit_levelsets(sphere_nodes.points[indices], np.array([0.1]), [0], GAUSS2)
+            next(_fit_levelsets(sphere_nodes.points[indices], np.array([0.1]), [0], GAUSS2))
 
     def test_nonpositive_offset_rejected(self, sphere_nodes):
         indices, _ = knn_table(sphere_nodes, 16, [0])
         with pytest.raises(ValueError, match="offset must be positive, got 0.0"):
-            _fit_levelsets(sphere_nodes.points[indices], np.array([0.0]), [0], GAUSS2)
+            next(_fit_levelsets(sphere_nodes.points[indices], np.array([0.0]), [0], GAUSS2))
 
     def test_planar_stencil_normal(self):
         # regular grid in the z=0 plane; fitted normal must be +-e_z
@@ -251,7 +259,8 @@ class TestEstimateFrames:
         assert str(exc_info.value) == "level-set gradient vanished at node 7 (|grad| = 0.000e+00)"
 
     def test_one_level_set_evaluation(self, sphere_nodes, monkeypatch):
-        # phi'/r runs once for the gradient and once in the curvature row
+        # per chunk of 64 nodes, phi'/r runs once for the gradient over the 18 centers,
+        # once in the curvature row and once in the weight row over the 16 stencil nodes
         calls = []
         dphi_over_r = Kernel.dphi_over_r
 
@@ -261,7 +270,50 @@ class TestEstimateFrames:
 
         monkeypatch.setattr(Kernel, "dphi_over_r", counted)
         estimate_frames(sphere_nodes, 16, GAUSS2)
-        assert calls == [(1000, 18), (1000, 18)]
+        assert calls == [shape for k in [64] * 15 + [40] for shape in ((k, 18), (k, 18), (k, 16))]
+
+    def test_gate_before_gradient_across_chunks(self):
+        # at eps = 100 every kernel value between nodes 0.5 or more apart underflows to 0,
+        # so every level-set gradient vanishes; 70 such nodes fill the first chunk of 64,
+        # and node 70 of the second has a singular fit: the gate runs over all chunks first
+        sphere = gen_sphere_nodes(70).points * 3.0 + 10.0
+        with pytest.raises(GeometryError, match="vanished at node 0 "):
+            estimate_frames(NodeSet(sphere), 6, FLAT_FREE)
+        with pytest.raises(ConditioningError) as exc_info:
+            estimate_frames(NodeSet(np.concatenate([sphere, SINGULAR_SCHUR])), 6, FLAT_FREE)
+        assert exc_info.value.node_indices == [70]
+
+    def test_singular_schur_complement_names_its_node(self):
+        # node 0's off-surface point +h n lands on node 3: the (M + 3) system has two
+        # equal rows while its (M + 1) block, the weight system, is the bordered identity
+        nodes = NodeSet(SINGULAR_SCHUR)
+        indices, distances = knn_table(nodes, 6)
+        ((_, fit, weights),) = _fit_levelsets(nodes.points[indices], distances[:, 1],
+                                              indices[:, 0], FLAT_FREE)
+        assert np.array_equal(fit.centers[0, 6], nodes.points[3])
+        assert fit.cond[0] == np.inf and fit.cond[1:] == pytest.approx(np.full(7, 7.0))
+        assert weights(np.tile([0.0, 0.0, 1.0], (8, 1)), np.zeros(8))[1] == pytest.approx(
+            np.full(8, 7.0))
+        with pytest.raises(ConditioningError) as exc_info:
+            estimate_frames(nodes, 6, FLAT_FREE)
+        assert exc_info.value.node_indices == [0]
+        assert "(nodes 0)" in str(exc_info.value)
+
+    def test_debug_record(self, sphere_nodes, caplog):
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.surface_geom")
+        estimate_frames(sphere_nodes, 16, GAUSS2)
+        (record,) = [r for r in caplog.records if r.name == "rbfsurf.surface_geom"]
+        stats = record.stats
+        assert stats["n"] == 1000 and "'fit_s'" in record.getMessage()
+        parts = [stats["fit_s"], stats["gate_s"], stats["orient_s"]]
+        assert min(parts) > 0 and sum(parts) == pytest.approx(stats["seconds"], rel=1e-9)
+
+    def test_silent_by_default(self, sphere_nodes, caplog, monkeypatch):
+        log = logging.getLogger("rbfsurf.surface_geom")
+        assert log.level == logging.NOTSET and not log.handlers
+        caplog.set_level(logging.INFO, logger="rbfsurf.surface_geom")
+        estimate_frames(sphere_nodes, 16, GAUSS2)
+        assert not [r for r in caplog.records if r.name == "rbfsurf.surface_geom"]
 
     def test_m_bounds(self, sphere_nodes):
         with pytest.raises(ValueError):
