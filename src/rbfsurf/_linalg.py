@@ -66,18 +66,20 @@ def factored_blocks(centers, m, kernel, rhs=None):
     """Build the local systems of K stencils ``centers`` (K, P, 3), ``_CHUNK`` at a time, factor
     their bordered (m + 1) blocks, and yield ``(part, A, x, cond, solve)`` for each chunk.
 
-    ``A`` interpolates with ``phi(|x - centers[k, j]|)`` plus a constant whose row and column
-    of ones follow the first m centers, so the block comes first.  ``dgesv`` factors it in
-    place and solves ``rhs[part]`` (k, m + 1) or, without ``rhs``, the block's columns of the
-    other centers (``x`` (k, P - m, m + 1)); ``cond`` is the 1-norm ``dgecon`` estimate, inf
-    and ``x`` NaN for an exact zero pivot, inf for a reciprocal below machine epsilon.
-    ``solve(b)`` applies the factors to ``b`` (k, m + 1) in place until the next chunk.  Built
-    batch-last (P, P, chunk), so each ufunc loop runs over the chunk: squared distances
-    summed coordinate by coordinate (cdist's roundoff), phi in place, copied transposed into
-    ``A`` and into factor storage, each system from a 64-byte boundary (off it, OpenBLAS's
-    Sandybridge kernels round otherwise).  No gate is applied.
+    ``A`` interpolates with ``phi(|x - centers[k, j]|)`` plus a constant whose row and column of
+    ones follow the first m centers, so the block comes first.  ``dgesv`` factors it in place
+    and solves ``rhs[part]`` (k, m + 1) or, without ``rhs``, the block's columns of the other
+    centers (``x`` (k, P - m, m + 1), or ValueError before any LAPACK call if P <= m); ``cond``
+    is the 1-norm ``dgecon`` estimate, inf and ``x`` NaN for an exact zero pivot, inf for a
+    reciprocal below machine epsilon.  ``solve(b)`` applies the factors to ``b`` (k, m + 1) in
+    place until the next chunk.  Built batch-last (P, P, chunk), so each ufunc loop runs over
+    the chunk: squared distances summed coordinate by coordinate (cdist's roundoff), phi in
+    place, copied transposed into ``A`` and into factor storage, each system from a 64-byte
+    boundary (off it, OpenBLAS's Sandybridge kernels round otherwise).  No gate is applied.
     """
     n_sys, p, _ = centers.shape
+    if rhs is None and p <= m:
+        raise ValueError(f"without rhs, each stencil needs more than m={m} centers, got {p}")
     n = m + 1
     size = min(n_sys, _CHUNK)
     matrices, (r2, delta) = np.empty((size, p + 1, p + 1)), np.empty((2, p, p, size))

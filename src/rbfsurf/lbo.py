@@ -9,8 +9,8 @@ a point with unit normal ``n`` and curvature ``kappa``, has the closed form
 with ``r`` the vector from the evaluation point to ``x_i``.  Each stencil's
 weights come from the augmented interpolation system (constant term
 included, which forces every weight row to sum to zero), all stencils solved
-as one batch, or kept from ``estimate_frames``; rows are stacked into a sparse
-N x N differentiation matrix.
+as one batch unless the frames of ``estimate_frames`` carry them; rows are
+stacked into a sparse N x N differentiation matrix.
 ``StencilGeometry`` and ``stencil_weights`` are one-stencil entry points to
 the same batched solve, kept for the benchmark's per-layer probes.
 """
@@ -67,26 +67,23 @@ def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_con
     return (w[0], cond[0]) if return_cond else w[0]
 
 
-def _kept_rows(nodes, frames, m, kernel, ctr):
-    """The rows and cond of centers ``ctr`` that :func:`estimate_frames` kept on ``nodes``, if
-    it used this M and kernel and fitted ``frames`` up to a sign per node; else None."""
-    kept_m, kept_kernel, fitted, rows, cond = nodes._fitted_rows or (None,) * 5
-    given = np.column_stack([frames.normals[ctr], frames.curvatures[ctr]])
-    if (kept_m, kept_kernel) == (m, kernel) and np.all(
-            (given == fitted[ctr]).all(axis=1) | (given == -fitted[ctr]).all(axis=1)):
-        return rows[ctr], cond[ctr]
+def _carried_rows(nodes, frames, m, kernel, ctr=slice(None)):
+    """Rows and cond of ``ctr`` if ``frames`` came from ``estimate_frames(nodes, m, kernel)``."""
+    fit = frames._fitted
+    if fit is not None and fit[0] is nodes and fit[1:3] == (m, kernel):
+        return fit[3][ctr], fit[4][ctr]
 
 
 def weight_table(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kernel, centers=None):
     """Stencil indices (K, M), center first, weight rows and cond of many nodes at once.
 
-    The rows :func:`estimate_frames` kept are reused for its frames, flipped or not:
-    (n, kappa) and (-n, -kappa) give the same rows, bit for bit.  No gate is applied;
-    see :func:`check_conditioning`.
+    Frames that :func:`estimate_frames` returned for ``nodes``, this M and kernel bring
+    their rows, a fresh solve's bit for bit: the orientation's flips do not change them.
+    Other frames are solved.  No gate is applied; see :func:`check_conditioning`.
     """
     indices, _ = knn_table(nodes, m, centers)
     ctr = indices[:, 0]
-    return (indices, *(_kept_rows(nodes, frames, m, kernel, ctr) or _weight_rows(
+    return (indices, *(_carried_rows(nodes, frames, m, kernel, ctr) or _weight_rows(
         nodes.points[indices], frames.normals[ctr], frames.curvatures[ctr], kernel)))
 
 
@@ -99,7 +96,7 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
     offending node indices.  With DEBUG on, one record on this module's logger
     (values also in its ``stats``) gives the largest |row sum|, its row, the
     min, median and max stencil radius (distance to the M-th neighbour), whether
-    the rows kept by :func:`estimate_frames` were reused, and the seconds taken.
+    the frames brought their rows (see :func:`weight_table`), and the seconds taken.
     """
     started = time.perf_counter()
     n = len(nodes)
@@ -115,7 +112,7 @@ def assemble_operator(nodes: NodeSet, frames: SurfaceFrame, m: int, kernel: Kern
         stats = {"rowsum_max": float(sums.max()), "rowsum_argmax": int(sums.argmax()),
                  "radius_min": float(radii.min()), "radius_median": float(np.median(radii)),
                  "radius_max": float(radii.max()),
-                 "rows_reused": _kept_rows(nodes, frames, m, kernel, slice(None)) is not None,
+                 "rows_reused": _carried_rows(nodes, frames, m, kernel) is not None,
                  "seconds": time.perf_counter() - started}
         logger.debug("operator health: %s", stats, extra={"stats": stats})
     return op

@@ -55,9 +55,8 @@ class NodeSet:
     """N surface sample points in 3D with neighbor-query support.
 
     Points are validated on construction, through ``kdtree``: at least 4
-    nodes, and no pair closer than 1e-12.  The points are read-only afterwards, so the tree,
-    the kNN tables stored by :func:`knn_table` (16 N M bytes) and the weight rows of the last
-    ``estimate_frames`` (8 N (M + 5) bytes) never go stale.
+    nodes, and no pair closer than 1e-12.  The points are read-only afterwards, so the tree
+    and the kNN tables stored by :func:`knn_table` (16 N M bytes) never go stale.
     """
 
     def __init__(self, points, label=None):
@@ -77,7 +76,6 @@ class NodeSet:
         self.points = pts
         self.kdtree = tree
         self._knn_tables = {}
-        self._fitted_rows = None  # (m, kernel, fitted n and kappa, rows, cond)
         self.label = label
 
     def __len__(self):

@@ -14,14 +14,15 @@ needed, so normals point away from the centroid on average.  Curvature flips
 sign together with the normal.
 
 Each fit factors only the kernel block of its stencil nodes, the matrix of the
-node's operator weights, and solves those too: they do not depend on the sign.
+node's operator weights, and solves those too (they do not depend on the sign);
+the returned frames carry them, and the node set is left as it was.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -61,19 +62,20 @@ class LevelSetFit:
     cond: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceFrame:
-    """Per-node unit normals (N, 3) and curvatures (N,), all finite; read-only copies.
-    A normal whose length is not 1 within 1e-6 raises ValueError naming its node."""
+    """Per-node unit normals (N, 3) and curvatures (N,), all finite; frozen, read-only copies.
+    A normal whose length is not 1 within 1e-6 raises ValueError naming its node.  Frames of
+    :func:`estimate_frames` carry its weight rows as ``(nodes, m, kernel, rows, cond)``."""
 
     normals: np.ndarray
     curvatures: np.ndarray
+    _fitted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.normals = np.array(self.normals, dtype=float)
-        self.curvatures = np.array(self.curvatures, dtype=float)
-        self.normals.setflags(write=False)
-        self.curvatures.setflags(write=False)
+        for name in ("normals", "curvatures"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
         if self.normals.shape != (len(self.curvatures), 3):
             raise ValueError("normals must be (N, 3) matching curvatures (N,)")
         # the conditioning gate cannot see the frames (the kernel matrix does not involve
@@ -243,44 +245,44 @@ def _orientation(points, normals, indices, distances):
 def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     """Estimate the SurfaceFrame at every node of a point cloud.
 
-    Each node gets an independent level-set fit over its M-node stencil,
-    with the off-surface offset equal to the nearest-neighbor distance;
-    a deterministic orientation pass then fixes the global sign.  The fits run in
-    chunks that also solve the nodes' operator weight rows, kept on ``nodes`` for
-    :func:`assemble_operator`.  A collinear stencil raises first, then the gate on
-    each fit's cond (the larger of its (M + 1) block's and its 2 x 2 Schur
-    complement's), then a vanishing gradient, each naming its node.  With DEBUG on,
-    one record on this module's logger (values also in its ``stats``) gives N and
-    the seconds of the fits and rows, the gate and the orientation.
+    Each node gets an independent level-set fit over its M-node stencil, with the off-surface
+    offset equal to the nearest-neighbor distance; a deterministic orientation pass then fixes
+    the global sign.  The fits run in chunks that also solve the nodes' operator weight rows,
+    which the frames carry to :func:`assemble_operator` for these nodes, M and kernel; ``nodes``
+    is left as it was, its kNN cache aside.  A collinear stencil raises first, then the gate on
+    each fit's cond (the larger of its (M + 1) block's and its 2 x 2 Schur complement's), then a
+    vanishing gradient, each naming its node.  With DEBUG on, one record on this module's logger
+    (values also in its ``stats``) gives N and the seconds of the fits and rows, the gate and
+    the orientation.
     """
     started = time.perf_counter()
     indices, distances = knn_table(nodes, m)
     ids, n = indices[:, 0], len(nodes)
-    g, fitted, fit_cond = np.empty((n, 3)), np.empty((n, 4)), np.empty(n)
-    rows, cond = np.empty((n, m)), np.empty(n)
+    g, normals, curvatures = np.empty((n, 3)), np.empty((n, 3)), np.empty(n)
+    fit_cond, rows, cond = np.empty(n), np.empty((n, m)), np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):  # the gate and gradient check follow
         for part, fit, weights in _fit_levelsets(nodes.points[indices], distances[:, 1], ids,
                                                  kernel):
             rv, r, g[part] = _levelset_eval(fit, fit.centers[:, 0])
             grad_norm = np.linalg.norm(g[part], axis=-1)
-            normals = g[part] / grad_norm[:, None]
-            curvatures = np.einsum("...j,...j->...", fit.coefficients,
-                                   lbo_of_rbf_rows(kernel, rv, r, normals, 0.0)) / grad_norm
-            fitted[part] = np.column_stack([normals, curvatures])
+            normals[part] = g[part] / grad_norm[:, None]
+            curvatures[part] = np.einsum("...j,...j->...", fit.coefficients, lbo_of_rbf_rows(
+                kernel, rv, r, normals[part], 0.0)) / grad_norm
             fit_cond[part] = fit.cond
-            rows[part], cond[part] = weights(normals, curvatures)
+            rows[part], cond[part] = weights(normals[part], curvatures[part])
     fit_s = time.perf_counter() - started
     check_conditioning(fit_cond, ids)
     _gradient_norm(g, ids)
     gate_s = time.perf_counter() - started - fit_s
-    sign = _orientation(nodes.points, fitted[:, :3], indices, distances)
-    nodes._fitted_rows = (m, kernel, fitted, rows, cond)
+    sign = _orientation(nodes.points, normals, indices, distances)
     if logger.isEnabledFor(logging.DEBUG):
         seconds = time.perf_counter() - started
         stats = {"n": n, "fit_s": fit_s, "gate_s": gate_s, "orient_s": seconds - fit_s - gate_s,
                  "seconds": seconds}
         logger.debug("frame estimate: %s", stats, extra={"stats": stats})
-    return SurfaceFrame(fitted[:, :3] * sign[:, None], fitted[:, 3] * sign)
+    frames = SurfaceFrame(normals * sign[:, None], curvatures * sign)
+    object.__setattr__(frames, "_fitted", (nodes, m, kernel, rows, cond))
+    return frames
 
 
 def analytic_frames(surface: ImplicitSurface, points):

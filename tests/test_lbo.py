@@ -16,7 +16,7 @@ from scipy import linalg as sla
 from scipy import sparse
 
 from rbfsurf import lbo, surface_geom
-from rbfsurf._linalg import check_conditioning, solve_rbf_systems
+from rbfsurf._linalg import check_conditioning, factored_blocks, solve_rbf_systems
 from rbfsurf.errors import ConditioningError
 from rbfsurf.kernels import Kernel, KernelFamily, _weight_rhs, lbo_of_rbf_rows
 from rbfsurf.lbo import (
@@ -387,6 +387,17 @@ class TestLocalSolveSizes:
         assert np.all(cond < 1e12)
         assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
 
+    def test_stencils_of_m_centers_need_a_rhs(self, monkeypatch):
+        # dgesv with no right-hand side returns before it factors, and the solves that
+        # follow would read its pivots out of range
+        monkeypatch.setattr(sla.lapack, "dgesv", lambda *a, **k: pytest.fail("dgesv called"))
+        nodes = repulsion_nodes(1000)
+        centers = nodes.points[knn_table(nodes, 11)[0]]
+        with pytest.raises(ValueError, match="more than m=11 centers, got 11"):
+            next(factored_blocks(centers, 11, GAUSS2))
+        with pytest.raises(ValueError, match="more than m=11 centers, got 10"):
+            next(factored_blocks(centers[:, :10], 11, GAUSS2))
+
     def test_strided_inputs_are_left_unchanged(self, sphere1000):
         # centers and rhs in Fortran order, not C-contiguous: read, never written
         indices, _ = knn_table(sphere1000, 32, np.arange(70))
@@ -483,7 +494,7 @@ class TestOperatorHealthRecord:
 
 
 class TestKeptRows:
-    """The weight rows estimate_frames keeps on its NodeSet, against a recomputation."""
+    """The weight rows that the frames of estimate_frames carry, against a recomputation."""
 
     @pytest.mark.parametrize("kernel", [GAUSS2, Kernel(KernelFamily.INVERSE_MULTIQUADRIC, 3.0)],
                              ids=["gaussian", "imq"])
@@ -494,27 +505,44 @@ class TestKeptRows:
         flips = np.where(np.arange(1000) % 2, -1.0, 1.0)
         flipped = SurfaceFrame(frames.normals * flips[:, None], frames.curvatures * flips)
         other = Kernel(kernel.family, kernel.epsilon + 0.5)
-        fresh = NodeSet(nodes.points)
-        expected = {(m, k): weight_table(fresh, frames, m, k)
-                    for m, k in ((31, kernel), (31, other), (21, kernel))}
-        expected_op = assemble_operator(fresh, frames, 31, kernel).matrix
         solved = []
         real = lbo._weight_rows
         monkeypatch.setattr(lbo, "_weight_rows", lambda *a: solved.append(a) or real(*a))
-        for f in (frames, flipped):  # kept: (n, kappa) and (-n, -kappa) give the same rows
-            for got, want in zip(weight_table(nodes, f, 31, kernel), expected[31, kernel]):
-                assert np.array_equal(got, want)
+        fresh = NodeSet(nodes.points)  # the same points in another node set: solved again
+        expected = {(m, k): weight_table(fresh, frames, m, k)
+                    for m, k in ((31, kernel), (31, other), (21, kernel))}
+        expected_op = assemble_operator(fresh, frames, 31, kernel).matrix
+        assert len(solved) == 4
+        for got, want in zip(weight_table(nodes, frames, 31, kernel), expected[31, kernel]):
+            assert np.array_equal(got, want)  # kept, with the orientation's flips
         _, w, cond = weight_table(nodes, frames, 31, kernel, centers=[999, 3])
         assert np.array_equal(w, expected[31, kernel][1][[999, 3]])
         assert np.array_equal(cond, expected[31, kernel][2][[999, 3]])
+        assert len(solved) == 4
+        # new frames are solved again: (n, kappa) and (-n, -kappa) give the kept rows' bits
+        for got, want in zip(weight_table(nodes, flipped, 31, kernel), expected[31, kernel]):
+            assert np.array_equal(got, want)
         op = assemble_operator(nodes, flipped, 31, kernel).matrix
         assert all(np.array_equal(getattr(op, a), getattr(expected_op, a))
                    for a in ("data", "indices", "indptr"))
-        assert not solved
+        assert len(solved) == 6
         for m, k in ((31, other), (21, kernel)):  # another eps or M: solved again
             for got, want in zip(weight_table(nodes, frames, m, k), expected[m, k]):
                 assert np.array_equal(got, want)
-        assert len(solved) == 2
+        assert len(solved) == 8
+
+    def test_a_second_estimate_keeps_the_first(self, caplog):
+        # the rows travel with their frames: an estimate at M = 21 leaves those of M = 31
+        caplog.set_level(logging.DEBUG, logger="rbfsurf.lbo")
+        nodes = gen_sphere_nodes(500)
+        frames = surface_geom.estimate_frames(nodes, 31, GAUSS2)
+        surface_geom.estimate_frames(nodes, 21, GAUSS2)
+        op = assemble_operator(nodes, frames, 31, GAUSS2).matrix
+        expected = assemble_operator(NodeSet(nodes.points), frames, 31, GAUSS2).matrix
+        records = [r for r in caplog.records if r.name == "rbfsurf.lbo"]
+        assert [r.stats["rows_reused"] for r in records] == [True, False]
+        assert all(np.array_equal(getattr(op, a), getattr(expected, a))
+                   for a in ("data", "indices", "indptr"))
 
     def test_other_frames_are_solved(self, monkeypatch):
         nodes = gen_sphere_nodes(200)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import warnings
 
@@ -182,6 +183,18 @@ class TestEstimateFrames:
         frames = estimate_frames(sphere_nodes, 31, GAUSS2)
         assert np.abs(frames.normals - sphere_nodes.points).max() <= 1e-2
         assert np.abs(frames.curvatures - 2.0).max() <= 1e-1
+
+    def test_leaves_its_nodes_alone(self):
+        # the kNN table it queries is cached; the weight rows travel with the frozen frames
+        nodes = gen_sphere_nodes(300)
+        assert not nodes._knn_tables
+        before = dict(vars(nodes))
+        frames = estimate_frames(nodes, 15, GAUSS2)
+        assert vars(nodes).keys() == before.keys()
+        assert all(vars(nodes)[key] is value for key, value in before.items())
+        assert list(nodes._knn_tables) == [15]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frames.normals = -frames.normals
 
     def test_normals_unit(self, sphere_nodes):
         frames = estimate_frames(sphere_nodes, 11, GAUSS2)
