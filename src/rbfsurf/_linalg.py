@@ -2,8 +2,9 @@
 
 Every local system (weight solve, level-set fit) is an augmented RBF
 interpolation system; :func:`factored_blocks` builds and factors its bordered
-block over the stencil nodes, many stencils at a time, :func:`refine` refines a
-solution once, and :func:`check_conditioning` applies the policy to the whole batch.
+block over the stencil nodes, many stencils at a time, :func:`solve_refined` is the one way
+a right-hand side becomes a solution (the factors' solve, then one :func:`refine` step),
+and :func:`check_conditioning` applies the policy to the whole batch.
 """
 
 from __future__ import annotations
@@ -62,24 +63,21 @@ def check_conditioning(cond, nodes=None):
                                 cond=float(cond[failed].max()), node_indices=ids)
 
 
-def factored_blocks(centers, m, kernel, rhs=None):
+def factored_blocks(centers, m, kernel):
     """Build the local systems of K stencils ``centers`` (K, P, 3), ``_CHUNK`` at a time, factor
-    their bordered (m + 1) blocks, and yield ``(part, A, x, cond, solve)`` for each chunk.
+    their bordered (m + 1) blocks, and yield ``(part, A, cond, solve)`` for each chunk.
 
     ``A`` interpolates with ``phi(|x - centers[k, j]|)`` plus a constant whose row and column of
-    ones follow the first m centers, so the block comes first.  ``dgesv`` factors it in place
-    and solves ``rhs[part]`` (k, m + 1) or, without ``rhs``, the block's columns of the other
-    centers (``x`` (k, P - m, m + 1), or ValueError before any LAPACK call if P <= m); ``cond``
-    is the 1-norm ``dgecon`` estimate, inf and ``x`` NaN for an exact zero pivot, inf for a
-    reciprocal below machine epsilon.  ``solve(b)`` applies the factors to ``b`` (k, m + 1) in
-    place until the next chunk.  Built batch-last (P, P, chunk), so each ufunc loop runs over
-    the chunk: squared distances summed coordinate by coordinate (cdist's roundoff), phi in
-    place, copied transposed into ``A`` and into factor storage, each system from a 64-byte
-    boundary (off it, OpenBLAS's Sandybridge kernels round otherwise).  No gate is applied.
+    ones follow the first m centers, so the block comes first.  ``dgetrf`` factors it in place;
+    ``cond`` is the 1-norm ``dgecon`` estimate, inf for an exact zero pivot or a reciprocal
+    below machine epsilon.  ``solve(b)`` applies the factors to ``b`` (k, m + 1) or
+    (k, j, m + 1) in place until the next chunk; a system with an exact zero pivot gets NaN.
+    Built batch-last (P, P, chunk), so each ufunc loop runs over the chunk: squared distances
+    summed coordinate by coordinate (cdist's roundoff), phi in place, copied transposed into
+    ``A`` and into factor storage, each system from a 64-byte boundary (off it, OpenBLAS's
+    Sandybridge kernels round otherwise).  No gate is applied.
     """
     n_sys, p, _ = centers.shape
-    if rhs is None and p <= m:
-        raise ValueError(f"without rhs, each stencil needs more than m={m} centers, got {p}")
     n = m + 1
     size = min(n_sys, _CHUNK)
     matrices, (r2, delta) = np.empty((size, p + 1, p + 1)), np.empty((2, p, p, size))
@@ -88,11 +86,12 @@ def factored_blocks(centers, m, kernel, rhs=None):
     buffer = np.empty(size * stride + 8)
     buffer = buffer[-buffer.ctypes.data % 64 // 8:][:size * stride].reshape(size, stride)
     factors = buffer[:, :n * n].reshape(size, n, n).transpose(0, 2, 1)
-    pivots = np.empty((size, n), dtype=np.int32)
+    pivots, singular = np.empty((size, n), dtype=np.int32), np.empty(size, dtype=bool)
 
     def solve(b):
         for k in range(len(b)):
-            sla.lapack.dgetrs(factors[k], pivots[k], b[k], overwrite_b=True)
+            sla.lapack.dgetrs(factors[k], pivots[k], b[k].T, overwrite_b=True)
+        b[singular[:len(b)]] = np.nan  # dgetrs divided by the zero pivot
 
     for start in range(0, n_sys, _CHUNK):
         part = slice(start, start + _CHUNK)
@@ -106,32 +105,28 @@ def factored_blocks(centers, m, kernel, rhs=None):
         A[:, n:, :m], A[:, n:, n:] = phi[:, m:, :m], phi[:, m:, m:]
         anorm = np.abs(A[:, :n, :n]).sum(axis=1).max(axis=1)
         factors[:len(A)] = A[:, :n, :n]
-        x = np.array(A[:, n:, :n] if rhs is None else rhs[part], order="C")
         cond = np.empty(len(A))
         for k in range(len(A)):
-            _, pivots[k], _, info = sla.lapack.dgesv(factors[k], x[k].T, overwrite_a=True,
-                                                     overwrite_b=True)
-            if info:  # an exact zero pivot: dgesv skips the solve and leaves b
-                x[k] = np.nan
+            _, pivots[k], singular[k] = sla.lapack.dgetrf(factors[k], overwrite_a=True)
             rcond, _ = sla.lapack.dgecon(factors[k], anorm[k], norm="1")
-            cond[k] = 1.0 / rcond if info == 0 and rcond >= _EPS else np.inf
-        yield part, A, x, cond, solve
+            cond[k] = 1.0 / rcond if not singular[k] and rcond >= _EPS else np.inf
+        yield part, A, cond, solve
 
 
 def refine(A, x, rhs, solve):
     """One refinement step of ``x`` (K, n) against ``A x = rhs``: the residual formed in
-    ``np.longdouble`` (each entry a left-to-right dot), its correction by ``solve`` in place."""
+    ``np.longdouble`` (each entry a left-to-right dot), its correction by ``solve`` in place.
+    A NaN solution stays NaN, without a floating-point warning."""
     residual = (rhs - np.vecdot(A, x[:, None, :], dtype=np.longdouble)).astype(float)
     solve(residual)
     x += residual
 
 
-def solve_rbf_systems(centers, rhs, kernel):
-    """Solve the augmented RBF systems of K stencils, the P x P kernel matrices of
-    ``centers`` bordered by ones, for ``rhs`` (K, P + 1): :func:`factored_blocks` and one
-    :func:`refine` step.  Returns ``(sol, cond)``; no gate is applied."""
-    sol, cond = np.empty(rhs.shape), np.empty(len(rhs))
-    for part, A, x, part_cond, solve in factored_blocks(centers, centers.shape[1], kernel, rhs):
-        refine(A, x, rhs[part], solve)
-        sol[part], cond[part] = x, part_cond
-    return sol, cond
+def solve_refined(A, rhs, solve):
+    """The solution (K, n) of ``A x = rhs`` for the chunk's matrices ``A`` (K, n, n) and
+    ``solve`` of :func:`factored_blocks`: ``solve`` on a C-ordered copy of ``rhs``, then one
+    :func:`refine` step.  ``rhs`` is only read."""
+    x = np.array(rhs, order="C")
+    solve(x)
+    refine(A, x, rhs, solve)
+    return x

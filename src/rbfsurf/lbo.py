@@ -8,9 +8,9 @@ a point with unit normal ``n`` and curvature ``kappa``, has the closed form
 
 with ``r`` the vector from the evaluation point to ``x_i``.  Each stencil's
 weights come from the augmented interpolation system (constant term
-included, which forces every weight row to sum to zero), all stencils solved
-as one batch unless the frames of ``estimate_frames`` carry them; rows are
-stacked into a sparse N x N differentiation matrix.
+included, which forces every weight row to sum to zero), all stencils solved as one
+batch by ``_linalg.solve_refined``, as the fits of ``estimate_frames`` solve the rows
+their frames carry; rows are stacked into a sparse N x N differentiation matrix.
 ``StencilGeometry`` and ``stencil_weights`` are one-stencil entry points to
 the same batched solve, kept for the benchmark's per-layer probes.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec  # private: the kernel of `csr @ vector`
 
-from ._linalg import check_conditioning, solve_rbf_systems
+from ._linalg import check_conditioning, factored_blocks, solve_refined
 from .kernels import Kernel, _weight_rhs
 from .nodesets import NodeSet, Stencil, _parse_row, _read_lines, knn_table
 from .surface_geom import SurfaceFrame
@@ -33,7 +33,7 @@ from .surface_geom import SurfaceFrame
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StencilGeometry:
     """One stencil's points (M, 3), center first, and the center's normal and curvature."""
 
@@ -53,8 +53,11 @@ def _weight_rows(points, normals, curvatures, kernel):
     The unknown of the constant basis function is solved for and discarded;
     its constraint row makes each row sum to zero.  No gate is applied.
     """
-    sol, cond = solve_rbf_systems(points, _weight_rhs(kernel, points, normals, curvatures), kernel)
-    return sol[:, :-1], cond
+    rhs = _weight_rhs(kernel, points, normals, curvatures)
+    w, cond = np.empty(points.shape[:2]), np.empty(len(points))
+    for part, A, part_cond, solve in factored_blocks(points, points.shape[1], kernel):
+        w[part], cond[part] = solve_refined(A, rhs[part], solve)[:, :-1], part_cond
+    return w, cond
 
 
 def stencil_weights(geom: StencilGeometry, kernel: Kernel, gate=True, return_cond=False):

@@ -34,7 +34,7 @@ _REPULSION_STEP = 0.1
 _REPULSION_MAX_MOVE = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stencil:
     """A node plus its nearest neighbors, ordered by increasing distance.
 

@@ -98,7 +98,7 @@ class SchaefferParams:
             raise ValueError(f"v_crit must lie in (0, 1), got {self.v_crit}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StimulusSpec:
     """Gaussian current bump applied for the first ``t_stim`` milliseconds."""
 
@@ -117,7 +117,7 @@ class StimulusSpec:
             raise ValueError(f"stimulus center must be a finite 3-vector, got {self.center}")
 
 
-@dataclass
+@dataclass(eq=False)
 class RdState:
     """Two nodal fields (2, N) at one time: (u, v) or (v, h)."""
 
@@ -456,7 +456,7 @@ class TuringRun:
         return self.states[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class SchaefferRun:
     """Trajectory of a membrane simulation plus dense probe series."""
 

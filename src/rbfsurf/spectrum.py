@@ -51,7 +51,7 @@ class ClusterRow:
     expected: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     eigenvalues: np.ndarray
     max_real_part: float

@@ -13,9 +13,9 @@ tree of the stencil graph, and each connected component is flipped, if
 needed, so normals point away from the centroid on average.  Curvature flips
 sign together with the normal.
 
-Each fit factors only the kernel block of its stencil nodes, the matrix of the
-node's operator weights, and solves those too (they do not depend on the sign);
-the returned frames carry them, and the node set is left as it was.
+Each fit factors only the kernel block of its stencil nodes, the matrix of the node's
+operator weights, and solves those too by ``_linalg.solve_refined`` (they do not depend on
+the sign); the returned frames carry them, and the node set is left as it was.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ._linalg import check_conditioning, factored_blocks, refine
+from ._linalg import check_conditioning, factored_blocks, refine, solve_refined
 from .errors import FileFormatError, GeometryError
 from .kernels import Kernel, _weight_rhs, lbo_of_rbf_rows
 from .nodesets import ImplicitSurface, NodeSet, Stencil, _parse_row, _read_lines, knn_table
@@ -44,7 +44,7 @@ _GRAD_TOL = 1e-12
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSetFit:
     """Local implicit surface model around one stencil.
 
@@ -62,7 +62,7 @@ class LevelSetFit:
     cond: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceFrame:
     """Per-node unit normals (N, 3) and curvatures (N,), all finite; frozen, read-only copies.
     A normal whose length is not 1 within 1e-6 raises ValueError naming its node.  Frames of
@@ -70,7 +70,7 @@ class SurfaceFrame:
 
     normals: np.ndarray
     curvatures: np.ndarray
-    _fitted: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fitted: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("normals", "curvatures"):
@@ -107,10 +107,11 @@ def _fit_levelsets(points, h, nodes, kernel):
 
     The (M + 3) system (Psi = 0 at the stencil nodes, +1 / -1 off the surface, zero-sum
     coefficients) is solved from the factors of its (M + 1) block over the stencil nodes,
-    the weight system's matrix, by the 2 x 2 Schur complement S = C - B^T A^-1 B, with one
-    refinement of the full residual.  A fit's cond is the larger of the block's and S's
-    (1-norm, inf if singular).  ``weights(normals, curvatures)`` gives the chunk's weight
-    rows (k, M) and cond from the same factors, as :func:`solve_rbf_systems` does.
+    the weight system's matrix, solved for the two off-surface columns: the closed-form
+    inverse of the 2 x 2 Schur complement S = C - B^T A^-1 B starts one refinement of the
+    full residual.  A fit's cond is the larger of the block's and S's (1-norm, inf if
+    singular).  ``weights(normals, curvatures)`` gives the chunk's weight rows (k, M) and cond
+    by :func:`solve_refined` from the same factors; an exact zero pivot makes both NaN.
     """
     if points.shape[1] < 5:
         raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {points.shape[1]}")
@@ -136,8 +137,10 @@ def _fit_levelsets(points, h, nodes, kernel):
     centers = np.concatenate([points, points[:, :1] + offset, points[:, :1] - offset], axis=1)
     m, n = points.shape[1], points.shape[1] + 1
     rhs = np.r_[np.zeros(n), 1.0, -1.0]
-    for part, A, z, cond, solve in factored_blocks(centers, m, kernel):
+    for part, A, cond, solve in factored_blocks(centers, m, kernel):
         bt = A[:, n:, :n]
+        z = np.array(bt, order="C")
+        solve(z)
         s = A[:, n:, n:] - np.einsum("kil,kjl->kij", bt, z)
         det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
         with np.errstate(divide="ignore", invalid="ignore"):  # a singular S: cond inf
@@ -153,10 +156,7 @@ def _fit_levelsets(points, h, nodes, kernel):
 
         def weights(normals, curvatures):
             w_rhs = _weight_rhs(kernel, points[part], normals, curvatures)
-            w = w_rhs.copy()
-            solve(w)
-            refine(A[:, :n, :n], w, w_rhs, solve)
-            return w[:, :m], cond
+            return solve_refined(A[:, :n, :n], w_rhs, solve)[:, :m], cond
 
         d = s_inv[:, :, 0] - s_inv[:, :, 1]
         sol = np.concatenate([-np.einsum("kjl,kj->kl", z, d), d], axis=1)

@@ -16,7 +16,7 @@ from scipy import linalg as sla
 from scipy import sparse
 
 from rbfsurf import lbo, surface_geom
-from rbfsurf._linalg import check_conditioning, factored_blocks, solve_rbf_systems
+from rbfsurf._linalg import check_conditioning, factored_blocks, solve_refined
 from rbfsurf.errors import ConditioningError
 from rbfsurf.kernels import Kernel, KernelFamily, _weight_rhs, lbo_of_rbf_rows
 from rbfsurf.lbo import (
@@ -253,7 +253,7 @@ def factor_then_solve(A, b):
 
 
 def fresh_rbf_systems(centers, rhs, kernel):
-    """The form :func:`solve_rbf_systems` replaced: each chunk of 64 builds its
+    """The form the factored blocks replaced: each chunk of 64 builds its
     squared distances from strided views into fresh arrays, copies phi into a
     matrix of ones, and solves as :func:`factor_then_solve` with its longdouble
     copy of A."""
@@ -273,14 +273,28 @@ def fresh_rbf_systems(centers, rhs, kernel):
     return sol, cond
 
 
-def captured_systems(monkeypatch, module, run):
-    """The (centers, rhs, kernel) that ``run`` hands to ``module.solve_rbf_systems``."""
-    calls, real = [], module.solve_rbf_systems
-    monkeypatch.setattr(module, "solve_rbf_systems",
-                        lambda *args: calls.append(args) or real(*args))
+def refined_systems(centers, rhs, kernel):
+    """Solutions (K, P + 1) and cond of the augmented systems of ``centers`` (K, P, 3) for
+    ``rhs``: :func:`factored_blocks` and :func:`solve_refined`, chunk by chunk."""
+    sol, cond = np.empty(rhs.shape), np.empty(len(rhs))
+    for part, A, part_cond, solve in factored_blocks(centers, centers.shape[1], kernel):
+        sol[part], cond[part] = solve_refined(A, rhs[part], solve), part_cond
+    return sol, cond
+
+
+def captured_systems(monkeypatch, run):
+    """The weight rows and cond that ``run`` gets from ``lbo._weight_rows``, and the
+    (points, rhs, kernel) of those systems."""
+    calls, real = [], lbo._weight_rows
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lbo, "_weight_rows", record)
     run()
-    (args,) = calls
-    return args
+    (((points, normals, curvatures, kernel), (w, cond)),) = calls
+    return w, cond, (points, _weight_rhs(kernel, points, normals, curvatures), kernel)
 
 
 def fused_weight_systems(nodes, frames, m, kernel, centers):
@@ -301,37 +315,33 @@ class TestLocalSolve:
     @pytest.mark.parametrize("count", [100, 1])
     def test_in_place_build_matches_fresh_form(self, sphere1000, sphere1000_frames, monkeypatch,
                                                family, kind, count):
-        # 100 systems make a full chunk of 64 and a partial one; "fused" solves the weight
-        # rows with the factors of the level-set fits' (M + 1) blocks, factored by dgesv
-        # together with the two off-surface columns
+        # 100 systems make a full chunk of 64 and a partial one; "weights" factors the
+        # weight systems themselves, "fused" solves the rows with the factors of the
+        # level-set fits' (M + 1) blocks, factored together with the two off-surface columns
         kernel = Kernel(family, 3.0)
         centers = np.arange(0, 1000, 10)[:count]
         if kind == "weights":
-            args = captured_systems(monkeypatch, lbo, lambda: lbo.weight_table(
+            w, cond, args = captured_systems(monkeypatch, lambda: lbo.weight_table(
                 sphere1000, sphere1000_frames, 31, kernel, centers))
-            sol, cond = solve_rbf_systems(*args)
         else:
             w, cond, args = fused_weight_systems(sphere1000, sphere1000_frames, 31, kernel,
                                                  centers)
-            sol = np.pad(w, ((0, 0), (0, 1)))
         assert args[0].shape == (count, 31, 3)
         sol_ref, cond_ref = fresh_rbf_systems(*args)
         assert np.all(cond < 1e15)
-        if kind == "fused":  # the constant's unknown is discarded
-            sol_ref[:, -1] = 0.0
-        assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
+        # the constant's unknown is discarded
+        assert np.array_equal(w, sol_ref[:, :-1]) and np.array_equal(cond, cond_ref)
 
     @pytest.mark.parametrize("eps", [2.0, 1.0])
     def test_ill_conditioned_weights_match_fresh_form(self, sphere1000, sphere1000_frames,
                                                       monkeypatch, eps):
         # 100 weight systems, M = 31: cond 5e8-7e9 at eps = 2, 2e12-4e13 at eps = 1
         kernel = Kernel(KernelFamily.GAUSSIAN, eps)
-        args = captured_systems(monkeypatch, lbo, lambda: lbo.weight_table(
+        w, cond, args = captured_systems(monkeypatch, lambda: lbo.weight_table(
             sphere1000, sphere1000_frames, 31, kernel, np.arange(0, 1000, 10)))
-        sol, cond = solve_rbf_systems(*args)
         sol_ref, cond_ref = fresh_rbf_systems(*args)
         assert cond.min() > (1e8 if eps == 2.0 else 1e12) and cond.max() < 1e15
-        assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
+        assert np.array_equal(w, sol_ref[:, :-1]) and np.array_equal(cond, cond_ref)
 
     def test_coincident_centers_give_nan_and_inf_cond(self, sphere1000):
         # two equal kernel rows factor to an exact zero pivot; the rest of the batch is untouched
@@ -339,12 +349,49 @@ class TestLocalSolve:
         centers = sphere1000.points[indices]
         centers[7, 1] = centers[7, 0]
         rhs = np.random.default_rng(7).normal(size=(100, 32))
-        sol, cond = solve_rbf_systems(centers, rhs, GAUSS2)
+        sol, cond = refined_systems(centers, rhs, GAUSS2)
         with np.errstate(invalid="ignore"):  # the fresh form's longdouble residual meets inf
             sol_ref, cond_ref = fresh_rbf_systems(centers, rhs, GAUSS2)
         assert np.isnan(sol[7]).all() and cond[7] == np.inf
         assert np.isfinite(sol[np.arange(100) != 7]).all()
         assert np.array_equal(sol, sol_ref, equal_nan=True) and np.array_equal(cond, cond_ref)
+
+    def test_both_callers_solve_through_solve_refined(self, monkeypatch):
+        # 200 nodes make four chunks: one refined solve each, for analytic frames in
+        # assemble_operator and for the rows that estimate_frames fits and carries
+        calls = []
+        for module in (lbo, surface_geom):
+            real = module.solve_refined
+            monkeypatch.setattr(module, "solve_refined", lambda *args, module=module, real=real:
+                                calls.append(module.__name__) or real(*args))
+        nodes = gen_sphere_nodes(200)
+        assemble_operator(nodes, analytic_frames(unit_sphere(), nodes.points), 15, GAUSS2)
+        assert calls == ["rbfsurf.lbo"] * 4
+        assemble_operator(nodes, surface_geom.estimate_frames(nodes, 15, GAUSS2), 15, GAUSS2)
+        assert calls == ["rbfsurf.lbo"] * 4 + ["rbfsurf.surface_geom"] * 4
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("caller", ["weights", "fused"])
+    def test_coincident_neighbors_give_nan_rows_without_warnings(self, sphere1000,
+                                                                 sphere1000_frames, caller):
+        # neighbors 1 and 2 of node 0 coincide: its (M + 1) block factors to an exact zero
+        # pivot under the Sandybridge, Haswell and Prescott kernels alike, and both users
+        # of the factors give a NaN row and cond inf, warning-free; the other rows are finite
+        indices, distances = knn_table(sphere1000, 31, np.arange(0, 1000, 10))
+        points = sphere1000.points[indices]
+        points[0, 2] = points[0, 1]
+        ctr, bad = indices[:, 0], np.arange(100) == 0
+        normals, curvatures = sphere1000_frames.normals[ctr], sphere1000_frames.curvatures[ctr]
+        if caller == "weights":
+            w, cond = lbo._weight_rows(points, normals, curvatures, GAUSS2)
+        else:
+            w, cond = np.empty((100, 31)), np.empty(100)
+            for part, fit, weights in _fit_levelsets(points, distances[:, 1], ctr, GAUSS2):
+                w[part], cond[part] = weights(normals[part], curvatures[part])
+                assert np.array_equal(np.isnan(fit.coefficients).all(axis=1), bad[part])
+                assert np.array_equal(fit.cond == np.inf, bad[part])
+        assert np.isnan(w[bad]).all() and np.all(cond[bad] == np.inf)
+        assert np.isfinite(w[~bad]).all() and np.all(cond[~bad] < 1e15)
 
 
 class TestLocalSolveSchur:
@@ -382,21 +429,32 @@ class TestLocalSolveSizes:
         indices, _ = knn_table(sphere1000, m, np.arange(70) * 13)
         rhs = np.random.default_rng(m).normal(size=(70, m + 1))
         args = (sphere1000.points[indices], rhs, Kernel(KernelFamily.GAUSSIAN, 3.0))
-        sol, cond = solve_rbf_systems(*args)
+        sol, cond = refined_systems(*args)
         sol_ref, cond_ref = fresh_rbf_systems(*args)
         assert np.all(cond < 1e12)
         assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
 
-    def test_stencils_of_m_centers_need_a_rhs(self, monkeypatch):
-        # dgesv with no right-hand side returns before it factors, and the solves that
-        # follow would read its pivots out of range
-        monkeypatch.setattr(sla.lapack, "dgesv", lambda *a, **k: pytest.fail("dgesv called"))
-        nodes = repulsion_nodes(1000)
-        centers = nodes.points[knn_table(nodes, 11)[0]]
-        with pytest.raises(ValueError, match="more than m=11 centers, got 11"):
-            next(factored_blocks(centers, 11, GAUSS2))
-        with pytest.raises(ValueError, match="more than m=11 centers, got 10"):
-            next(factored_blocks(centers[:, :10], 11, GAUSS2))
+    @pytest.mark.parametrize("m", [4, 31, 32])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_solve_matches_dgesv(self, sphere1000, m, columns):
+        # dgesv factored and solved each system in one call before ``solve``; on a copy of
+        # each block it gives the same factors (cond) and, for one column, the same solution.
+        # Two columns are pinned to dgetrs on dgesv's factors: from order 32 on, OpenBLAS's
+        # Haswell and Prescott kernels solve two columns inside dgesv in other bits than
+        # dgetrs does (the Sandybridge kernels do not)
+        indices, _ = knn_table(sphere1000, m, np.arange(70) * 13)
+        shape = (70, m + 1) if columns == 1 else (70, columns, m + 1)
+        b = np.random.default_rng(m).normal(size=shape)
+        x, x_ref, cond_ref = b.copy(), np.empty(b.shape), np.empty(70)
+        for part, A, cond, solve in factored_blocks(sphere1000.points[indices], m, GAUSS2):
+            solve(x[part])
+            for k, block, anorm in zip(range(70)[part], A, np.abs(A).sum(axis=1).max(axis=1)):
+                lu, piv, sol, info = sla.lapack.dgesv(np.array(block, order="F"), b[k].T)
+                assert info == 0
+                x_ref[k] = (sol if columns == 1 else sla.lapack.dgetrs(lu, piv, b[k].T)[0]).T
+                cond_ref[k] = 1.0 / sla.lapack.dgecon(lu, anorm, norm="1")[0]
+            assert np.array_equal(cond, cond_ref[part])
+        assert np.array_equal(x, x_ref)
 
     def test_strided_inputs_are_left_unchanged(self, sphere1000):
         # centers and rhs in Fortran order, not C-contiguous: read, never written
@@ -405,7 +463,7 @@ class TestLocalSolveSizes:
         rhs = np.asfortranarray(np.random.default_rng(1).normal(size=(70, 33)))
         assert not (centers.flags.c_contiguous or rhs.flags.c_contiguous)
         before = (centers.copy(), rhs.copy())
-        sol, cond = solve_rbf_systems(centers, rhs, GAUSS2)
+        sol, cond = refined_systems(centers, rhs, GAUSS2)
         sol_ref, cond_ref = fresh_rbf_systems(*before, GAUSS2)
         assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
         assert np.array_equal(centers, before[0]) and np.array_equal(rhs, before[1])
