@@ -70,12 +70,14 @@ def factored_blocks(centers, m, kernel):
     ``A`` interpolates with ``phi(|x - centers[k, j]|)`` plus a constant whose row and column of
     ones follow the first m centers, so the block comes first.  ``dgetrf`` factors it in place;
     ``cond`` is the 1-norm ``dgecon`` estimate, inf for an exact zero pivot or a reciprocal
-    below machine epsilon.  ``solve(b)`` applies the factors to ``b`` (k, m + 1) or
-    (k, j, m + 1) in place until the next chunk; a system with an exact zero pivot gets NaN.
+    below machine epsilon.  ``solve(b)`` applies the factors to the chunk's ``b`` (k, m + 1)
+    or (k, j, m + 1) in place until the next chunk; a system with an exact zero pivot gets NaN.
     Built batch-last (P, P, chunk), so each ufunc loop runs over the chunk: squared distances
-    summed coordinate by coordinate (cdist's roundoff), phi in place, copied transposed into
-    ``A`` and into factor storage, each system from a 64-byte boundary (off it, OpenBLAS's
-    Sandybridge kernels round otherwise).  No gate is applied.
+    summed coordinate by coordinate (cdist's roundoff), phi in place, the 1-norm's column sums
+    in ``np.abs(A).sum(axis=1)``'s order (stencil rows, then the border's 1; the border column
+    sums to m).  The exactly symmetric block goes untransposed into factor storage, each system
+    from a 64-byte boundary (off it, OpenBLAS's Sandybridge kernels round otherwise).  No gate
+    is applied.
     """
     n_sys, p, _ = centers.shape
     n = m + 1
@@ -85,13 +87,14 @@ def factored_blocks(centers, m, kernel):
     stride = -(-n * n // 8) * 8  # doubles per system, a multiple of 64 bytes
     buffer = np.empty(size * stride + 8)
     buffer = buffer[-buffer.ctypes.data % 64 // 8:][:size * stride].reshape(size, stride)
-    factors = buffer[:, :n * n].reshape(size, n, n).transpose(0, 2, 1)
-    pivots, singular = np.empty((size, n), dtype=np.int32), np.empty(size, dtype=bool)
+    storage = buffer[:, :n * n].reshape(size, n, n)
+    factors, pivots = list(storage.transpose(0, 2, 1)), [None] * size  # Fortran-ordered views
+    getrf, gecon, getrs = sla.lapack.dgetrf, sla.lapack.dgecon, sla.lapack.dgetrs
 
     def solve(b):
         for k in range(len(b)):
-            sla.lapack.dgetrs(factors[k], pivots[k], b[k].T, overwrite_b=True)
-        b[singular[:len(b)]] = np.nan  # dgetrs divided by the zero pivot
+            getrs(factors[k], pivots[k], b[k].T, 0, 1)
+        b[info > 0] = np.nan  # dgetrs divided by the zero pivot
 
     for start in range(0, n_sys, _CHUNK):
         part = slice(start, start + _CHUNK)
@@ -103,20 +106,21 @@ def factored_blocks(centers, m, kernel):
         phi = kernel._phi_into(np.sqrt(r, out=r), r).transpose(2, 0, 1)
         A[:, :m, :m], A[:, :m, n:] = phi[:, :m, :m], phi[:, :m, m:]
         A[:, n:, :m], A[:, n:, n:] = phi[:, m:, :m], phi[:, m:, m:]
-        anorm = np.abs(A[:, :n, :n]).sum(axis=1).max(axis=1)
-        factors[:len(A)] = A[:, :n, :n]
-        cond = np.empty(len(A))
+        anorm = np.maximum(np.abs(phi[:, :m, :m]).sum(axis=1).max(axis=1) + 1.0, m)
+        storage[:len(A)] = A[:, :n, :n]
+        info, rcond = np.empty(len(A), dtype=int), np.empty(len(A))
         for k in range(len(A)):
-            _, pivots[k], singular[k] = sla.lapack.dgetrf(factors[k], overwrite_a=True)
-            rcond, _ = sla.lapack.dgecon(factors[k], anorm[k], norm="1")
-            cond[k] = 1.0 / rcond if not singular[k] and rcond >= _EPS else np.inf
+            _, pivots[k], info[k] = getrf(factors[k], 1)
+            rcond[k] = gecon(factors[k], anorm[k])[0]
+        ok = (info == 0) & (rcond >= _EPS)
+        cond = np.divide(1.0, rcond, out=np.full(len(A), np.inf), where=ok)
         yield part, A, cond, solve
 
 
 def refine(A, x, rhs, solve):
     """One refinement step of ``x`` (K, n) against ``A x = rhs``: the residual formed in
-    ``np.longdouble`` (each entry a left-to-right dot), its correction by ``solve`` in place.
-    A NaN solution stays NaN, without a floating-point warning."""
+    ``np.longdouble`` (each entry a left-to-right dot; a long-double ``A`` is read as it is),
+    its correction by ``solve`` in place.  A NaN solution stays NaN, warning-free."""
     residual = (rhs - np.vecdot(A, x[:, None, :], dtype=np.longdouble)).astype(float)
     solve(residual)
     x += residual

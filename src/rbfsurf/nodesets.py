@@ -346,13 +346,13 @@ def knn_table(nodes, m, centers=None):
     """Stencils of many nodes at once: ``(indices, distances)``, (len(centers), m).
 
     Rows are ordered by (exact distance, node index), so the center comes
-    first.  One k-d tree query fetches m + 8 candidates per row, in distance
+    first.  One k-d tree query fetches m + 1 candidates per row, in distance
     order, with the tree's distances (bit for bit the norms of the differences
     on the shipped sets); only rows holding an exact tie are sorted again, by
     index.  All points closer than the farthest candidate are fetched, so a
-    row whose m-th distance ties the farthest is queried again with twice as
-    many.  The all-node table (``centers=None``) is stored read-only on the
-    NodeSet, one per M, and returned by later calls.
+    row whose m-th distance ties the farthest, at first the (m + 1)-th, is
+    queried again with twice as many.  The all-node table (``centers=None``)
+    is stored read-only on the NodeSet, one per M, and returned by later calls.
     Raises ValueError unless ``1 <= m <= N`` and every center is an integer in [0, N).
     """
     n = len(nodes)
@@ -363,9 +363,9 @@ def knn_table(nodes, m, centers=None):
     rows = np.arange(n) if centers is None else check_node_ids(nodes, centers)
     indices, distances = np.empty((len(rows), m), dtype=np.intp), np.empty((len(rows), m))
     todo = np.arange(len(rows))
-    k = min(n, m + 8)
+    k = min(n, m + 1)
     while len(todo):
-        d, cand = nodes.kdtree.query(nodes.points[rows[todo]], k=k)  # k >= 4: (len(todo), k) each
+        d, cand = nodes.kdtree.query(nodes.points[rows[todo]], k=k)  # k >= 2: 2-D, not k = 1's 1-D
         # d is sorted already, so reordering a tie leaves it as it is
         tied = np.flatnonzero((d[:, 1:] == d[:, :-1]).any(axis=1))
         cand[tied] = np.take_along_axis(cand[tied], np.lexsort((cand[tied], d[tied])), axis=1)

@@ -111,7 +111,8 @@ def _fit_levelsets(points, h, nodes, kernel):
     inverse of the 2 x 2 Schur complement S = C - B^T A^-1 B starts one refinement of the
     full residual.  A fit's cond is the larger of the block's and S's (1-norm, inf if
     singular).  ``weights(normals, curvatures)`` gives the chunk's weight rows (k, M) and cond
-    by :func:`solve_refined` from the same factors; an exact zero pivot makes both NaN.
+    by :func:`solve_refined` from the same factors; an exact zero pivot makes both NaN.  Both
+    refinements read one long-double copy of the chunk's block, the weights' its (M + 1) corner.
     """
     if points.shape[1] < 5:
         raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {points.shape[1]}")
@@ -138,6 +139,7 @@ def _fit_levelsets(points, h, nodes, kernel):
     m, n = points.shape[1], points.shape[1] + 1
     rhs = np.r_[np.zeros(n), 1.0, -1.0]
     for part, A, cond, solve in factored_blocks(centers, m, kernel):
+        a_long = A.astype(np.longdouble)  # converted once for both refinements
         bt = A[:, n:, :n]
         z = np.array(bt, order="C")
         solve(z)
@@ -156,11 +158,11 @@ def _fit_levelsets(points, h, nodes, kernel):
 
         def weights(normals, curvatures):
             w_rhs = _weight_rhs(kernel, points[part], normals, curvatures)
-            return solve_refined(A[:, :n, :n], w_rhs, solve)[:, :m], cond
+            return solve_refined(a_long[:, :n, :n], w_rhs, solve)[:, :m], cond
 
         d = s_inv[:, :, 0] - s_inv[:, :, 1]
         sol = np.concatenate([-np.einsum("kjl,kj->kl", z, d), d], axis=1)
-        refine(A, sol, rhs, schur_solve)
+        refine(a_long, sol, rhs, schur_solve)
         fit_cond = np.maximum(cond, np.where(s_cond < np.inf, s_cond, np.inf))  # NaN as inf
         yield part, LevelSetFit(np.concatenate([sol[:, :m], sol[:, n:]], axis=1), sol[:, m],
                                 centers[part], kernel, fit_cond), weights

@@ -15,7 +15,7 @@ import pytest
 from scipy import linalg as sla
 from scipy import sparse
 
-from rbfsurf import lbo, surface_geom
+from rbfsurf import _linalg, lbo, surface_geom
 from rbfsurf._linalg import check_conditioning, factored_blocks, solve_refined
 from rbfsurf.errors import ConditioningError
 from rbfsurf.kernels import Kernel, KernelFamily, _weight_rhs, lbo_of_rbf_rows
@@ -370,6 +370,21 @@ class TestLocalSolve:
         assemble_operator(nodes, surface_geom.estimate_frames(nodes, 15, GAUSS2), 15, GAUSS2)
         assert calls == ["rbfsurf.lbo"] * 4 + ["rbfsurf.surface_geom"] * 4
 
+    def test_chunk_converts_its_block_once(self, monkeypatch):
+        # 200 nodes make four chunks; in each, the fit's refinement (surface_geom.refine)
+        # and the weights' (through solve_refined, _linalg.refine) read one long-double copy
+        calls = []
+        for module in (surface_geom, _linalg):
+            real = module.refine
+            monkeypatch.setattr(module, "refine", lambda A, *args, module=module, real=real:
+                                calls.append((module.__name__, A)) or real(A, *args))
+        surface_geom.estimate_frames(gen_sphere_nodes(200), 15, GAUSS2)
+        assert [name for name, _ in calls] == ["rbfsurf.surface_geom", "rbfsurf._linalg"] * 4
+        for (_, fit_A), (_, weight_A) in zip(calls[::2], calls[1::2]):
+            assert fit_A.dtype == weight_A.dtype == np.longdouble
+            assert fit_A.shape[1:] == (18, 18) and weight_A.shape[1:] == (16, 16)
+            assert np.shares_memory(fit_A, weight_A)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("caller", ["weights", "fused"])
     def test_coincident_neighbors_give_nan_rows_without_warnings(self, sphere1000,
@@ -434,21 +449,29 @@ class TestLocalSolveSizes:
         assert np.all(cond < 1e12)
         assert np.array_equal(sol, sol_ref) and np.array_equal(cond, cond_ref)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("extra", [0, 2])
     @pytest.mark.parametrize("m", [4, 31, 32])
     @pytest.mark.parametrize("columns", [1, 2])
-    def test_solve_matches_dgesv(self, sphere1000, m, columns):
+    def test_solve_matches_dgesv(self, sphere1000, m, columns, extra, family):
         # dgesv factored and solved each system in one call before ``solve``; on a copy of
         # each block it gives the same factors (cond) and, for one column, the same solution.
         # Two columns are pinned to dgetrs on dgesv's factors: from order 32 on, OpenBLAS's
         # Haswell and Prescott kernels solve two columns inside dgesv in other bits than
-        # dgetrs does (the Sandybridge kernels do not)
-        indices, _ = knn_table(sphere1000, m, np.arange(70) * 13)
+        # dgetrs does (the Sandybridge kernels do not).  P = m + 2 is the fits' shape, two
+        # centers past the block; the block goes into factor storage untransposed, which
+        # needs it to equal its transpose bit for bit
+        indices, _ = knn_table(sphere1000, m + extra, np.arange(70) * 13)
         shape = (70, m + 1) if columns == 1 else (70, columns, m + 1)
         b = np.random.default_rng(m).normal(size=shape)
         x, x_ref, cond_ref = b.copy(), np.empty(b.shape), np.empty(70)
-        for part, A, cond, solve in factored_blocks(sphere1000.points[indices], m, GAUSS2):
+        for part, A, cond, solve in factored_blocks(sphere1000.points[indices], m,
+                                                    Kernel(family, 2.0)):
+            blocks = A[:, :m + 1, :m + 1]
+            assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
             solve(x[part])
-            for k, block, anorm in zip(range(70)[part], A, np.abs(A).sum(axis=1).max(axis=1)):
+            for k, block, anorm in zip(range(70)[part], blocks,
+                                       np.abs(blocks).sum(axis=1).max(axis=1)):
                 lu, piv, sol, info = sla.lapack.dgesv(np.array(block, order="F"), b[k].T)
                 assert info == 0
                 x_ref[k] = (sol if columns == 1 else sla.lapack.dgetrs(lu, piv, b[k].T)[0]).T

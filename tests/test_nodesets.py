@@ -587,10 +587,14 @@ class TestKnnTable:
     def test_lattice_ties_match_brute_oracle(self, m):
         # on an integer lattice exact distance ties straddle the M-th
         # neighbor of most nodes (M=10 cuts through the 12-node sqrt(2)
-        # shell, which also overflows the first m + 8 candidates)
+        # shell), so those rows are queried again with 2(m + 1) candidates
         g = np.arange(5.0)
         pts = np.array(np.meshgrid(g, g, g[:3], indexing="ij")).reshape(3, -1).T
-        indices, distances = knn_table(NodeSet(pts), m)
+        nodes = NodeSet(pts)
+        nodes.kdtree = CountingTree(nodes.kdtree)
+        indices, distances = knn_table(nodes, m)
+        assert nodes.kdtree.queries[0] == (75, m + 1)
+        assert nodes.kdtree.queries[1][1] == 2 * (m + 1)
         for i in range(len(pts)):
             assert indices[i, 0] == i
             np.testing.assert_array_equal(indices[i, 1:], brute_oracle(pts, i, m))
@@ -645,10 +649,10 @@ class TestStoredTables:
         kernel = Kernel(KernelFamily.GAUSSIAN, 2.0)
         frames = estimate_frames(nodes, 31, kernel)
         assemble_operator(nodes, frames, 31, kernel)
-        assert nodes.kdtree.queries == [(300, 39)]
+        assert nodes.kdtree.queries == [(300, 32)]
         assemble_operator(nodes, frames, 15, kernel)
         knn_table(nodes, 15)
-        assert nodes.kdtree.queries == [(300, 39), (300, 23)]
+        assert nodes.kdtree.queries == [(300, 32), (300, 16)]
 
     def test_stored_table_read_only(self):
         nodes = gen_sphere_nodes(100)
@@ -667,7 +671,7 @@ class TestStoredTables:
         indices, distances = knn_table(nodes, 31, centers)
         stored = knn_table(nodes, 31)
         # an explicit-centers call is computed afresh and stores nothing
-        assert nodes.kdtree.queries == [(4, 39), (600, 39)]
+        assert nodes.kdtree.queries == [(4, 32), (600, 32)]
         assert indices.flags.writeable
         np.testing.assert_array_equal(indices, stored[0][centers])
         np.testing.assert_array_equal(distances, stored[1][centers])
