@@ -7,10 +7,9 @@ normalized to ``phi(0) = 1`` and strictly decreasing in ``r``:
 * inverse quadratic    ``phi(r) = 1 / (1 + (eps*r)**2)``
 * inverse multiquadric ``phi(r) = 1 / sqrt(1 + (eps*r)**2)``
 
-The derivative accessors return closed forms, written so that the removable
-singularity of ``phi'(r)/r`` at ``r = 0`` is evaluated through its analytic
-limit.  Stencil centers always contribute an ``r = 0`` entry, so that limit
-is on the hot path, not an edge case.
+The derivative accessors return closed forms, written so that the removable singularity
+of ``phi'(r)/r`` at ``r = 0``, every stencil center's entry, is evaluated through its
+analytic limit.  :func:`lbo_of_rbf_rows` combines their values: it takes no kernel.
 """
 
 from __future__ import annotations
@@ -107,24 +106,15 @@ class Kernel:
         return -e2 * u**-1.5 + 3.0 * e2 * s * u**-2.5
 
 
-def lbo_of_rbf_rows(kernel, r_vectors, distances, normal, kappa):
-    """Closed-form surface Laplacian of phi over stencil rows (..., M).
-
-    With c = (r.n)/r, taken as 0 at r = 0, the row is
+def lbo_of_rbf_rows(r_vectors, distances, radial, normal, kappa):
+    """Closed-form surface Laplacian of phi over stencil rows (..., M), from ``radial``, the
+    values (phi'/r, phi'') at ``distances``.  With c = (r.n)/r, taken as 0 at r = 0, the row is
     (1 + c^2 - kappa r.n) phi'/r + (1 - c^2) phi''.  Leading axes of ``r_vectors``
     (..., M, 3) batch stencils, matched by ``normal`` (..., 3) and ``kappa`` (...).
     The operator weights use it whole, level-set curvature at kappa = 0.
     """
+    dphi_over_r, d2phi = radial
     rn = (r_vectors * normal[..., None, :]).sum(axis=-1)
     ratio = np.divide(rn, distances, out=np.zeros_like(distances), where=distances > 0)
     q = ratio * ratio
-    return (1.0 + q - np.asarray(kappa)[..., None] * rn) * kernel.dphi_over_r(distances) + (
-        1.0 - q
-    ) * kernel.d2phi(distances)
-
-
-def _weight_rhs(kernel, points, normals, kappa):
-    """Right-hand sides (K, M + 1) of the weight systems of stencils ``points`` (K, M, 3)."""
-    r = points[:, :1] - points
-    rows = lbo_of_rbf_rows(kernel, r, np.linalg.norm(r, axis=-1), normals, kappa)
-    return np.pad(rows, ((0, 0), (0, 1)))
+    return (1.0 + q - np.asarray(kappa)[..., None] * rn) * dphi_over_r + (1.0 - q) * d2phi

@@ -6,11 +6,11 @@ a point with unit normal ``n`` and curvature ``kappa``, has the closed form
     (1 + (r.n)^2/r^2 - kappa*(r.n)) * phi'(r)/r
     + (1 - (r.n)^2/r^2) * phi''(r)
 
-with ``r`` the vector from the evaluation point to ``x_i``.  Each stencil's
-weights come from the augmented interpolation system (constant term
-included, which forces every weight row to sum to zero), all stencils solved as one
-batch by ``_linalg.solve_refined``, as the fits of ``estimate_frames`` solve the rows
-their frames carry; rows are stacked into a sparse N x N differentiation matrix.
+with ``r`` the vector from the evaluation point to ``x_i`` (``kernels.lbo_of_rbf_rows``).
+Each stencil's weights come from the augmented interpolation system (constant term included,
+which forces every weight row to sum to zero), all stencils solved as one batch by
+``_linalg.solve_refined``, as the fits of ``estimate_frames`` solve the rows their frames
+carry from their own radial terms; rows are stacked into a sparse N x N differentiation matrix.
 ``StencilGeometry`` and ``stencil_weights`` are one-stencil entry points to
 the same batched solve, kept for the benchmark's per-layer probes.
 """
@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec  # private: the kernel of `csr @ vector`
 
 from ._linalg import check_conditioning, factored_blocks, solve_refined
-from .kernels import Kernel, _weight_rhs
+from .kernels import Kernel, lbo_of_rbf_rows
 from .nodesets import NodeSet, Stencil, _parse_row, _read_lines, knn_table
 from .surface_geom import SurfaceFrame
 
@@ -50,10 +50,13 @@ class StencilGeometry:
 def _weight_rows(points, normals, curvatures, kernel):
     """Weight rows (K, M) and cond (K,) of K stencils ``points`` (K, M, 3), center first.
 
-    The unknown of the constant basis function is solved for and discarded;
-    its constraint row makes each row sum to zero.  No gate is applied.
+    Right-hand sides are :func:`lbo_of_rbf_rows` from the center.  The constant's unknown is
+    solved for and discarded; its constraint row makes each row sum to zero.  No gate is applied.
     """
-    rhs = _weight_rhs(kernel, points, normals, curvatures)
+    r = points[:, :1] - points
+    d = np.linalg.norm(r, axis=-1)
+    rhs = np.pad(lbo_of_rbf_rows(r, d, (kernel.dphi_over_r(d), kernel.d2phi(d)), normals,
+                                 curvatures), ((0, 0), (0, 1)))
     w, cond = np.empty(points.shape[:2]), np.empty(len(points))
     for part, A, part_cond, solve in factored_blocks(points, points.shape[1], kernel):
         w[part], cond[part] = solve_refined(A, rhs[part], solve)[:, :-1], part_cond

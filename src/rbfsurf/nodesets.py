@@ -247,8 +247,8 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
     force, by at most h/10 (h = sqrt(4 pi / n), the nominal spacing), then
     back onto the sphere.  Each step costs one k-d tree query.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4 nodes, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 4:
+        raise ValueError(f"need an integer n >= 4 nodes, got {n!r}")
     if method not in ("fibonacci", "repulsion"):
         raise ValueError(f"unknown method {method!r}; expected 'fibonacci' or 'repulsion'")
     pts = _fibonacci_sphere(n)

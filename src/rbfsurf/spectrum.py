@@ -146,12 +146,14 @@ def stability_report(eigs, k_max, tol, real_part_tol=None):
     For each k up to ``k_max``, counts eigenvalues with real part within ``tol`` of ``-k(k+1)``
     and imaginary part at most ``tol`` in magnitude, against the exact multiplicity ``2k+1``.
     ``unstable`` flags any real part above ``real_part_tol``, by default
-    ``len(eigs) * eps * max|lambda|``.  Over the partial spectrum of
-    ``eigenvalues`` that count is K, not N: the largest-magnitude eigenvalue
-    it holds keeps the operator's scale, and the tolerance is N / K times
-    tighter than the roundoff level of a dense solve.  Raises ``ValueError``
-    on an empty or non-finite spectrum and as :func:`check_cluster_options` does.
+    ``len(eigs) * eps * max|lambda|``.  Over the partial spectrum of ``eigenvalues`` that count
+    is K, not N: the largest-magnitude eigenvalue it holds keeps the operator's scale, and the
+    tolerance is N / K times tighter than the roundoff level of a dense solve.  Raises
+    ``ValueError`` on a NaN, infinite or negative ``real_part_tol``, an empty or non-finite
+    spectrum, and as :func:`check_cluster_options` does.
     """
+    if real_part_tol is not None and not 0 <= real_part_tol < np.inf:
+        raise ValueError(f"real-part tolerance must be finite and nonnegative, got {real_part_tol}")
     check_cluster_options(k_max, tol)
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.size == 0 or not np.isfinite(eigs).all():

@@ -13,9 +13,9 @@ tree of the stencil graph, and each connected component is flipped, if
 needed, so normals point away from the centroid on average.  Curvature flips
 sign together with the normal.
 
-Each fit factors only the kernel block of its stencil nodes, the matrix of the node's
-operator weights, and solves those too by ``_linalg.solve_refined`` (they do not depend on
-the sign); the returned frames carry them, and the node set is left as it was.
+Each fit factors only the kernel block of its stencil nodes, the matrix of the node's operator
+weights, and solves those too (they do not depend on the sign) from the r-vectors, phi'/r and
+phi'' that give its normal and curvature; the frames carry them, the node set is left as it was.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.sparse import csgraph
 
 from ._linalg import check_conditioning, factored_blocks, refine, solve_refined
 from .errors import FileFormatError, GeometryError
-from .kernels import Kernel, _weight_rhs, lbo_of_rbf_rows
+from .kernels import Kernel, lbo_of_rbf_rows
 from .nodesets import ImplicitSurface, NodeSet, Stencil, _parse_row, _read_lines, knn_table
 
 _COLLINEAR_TOL = 1e-10
@@ -110,9 +110,9 @@ def _fit_levelsets(points, h, nodes, kernel):
     the weight system's matrix, solved for the two off-surface columns: the closed-form
     inverse of the 2 x 2 Schur complement S = C - B^T A^-1 B starts one refinement of the
     full residual.  A fit's cond is the larger of the block's and S's (1-norm, inf if
-    singular).  ``weights(normals, curvatures)`` gives the chunk's weight rows (k, M) and cond
-    by :func:`solve_refined` from the same factors; an exact zero pivot makes both NaN.  Both
-    refinements read one long-double copy of the chunk's block, the weights' its (M + 1) corner.
+    singular).  ``weights(rows)`` turns the chunk's surface-Laplacian rows (k, M) into weight rows
+    and cond by :func:`solve_refined` from the same factors; an exact zero pivot makes both NaN.
+    Both refinements read one long-double copy of the block, the weights' its (M + 1) corner.
     """
     if points.shape[1] < 5:
         raise ValueError(f"level-set fit needs a stencil of at least 5 nodes, got {points.shape[1]}")
@@ -156,9 +156,9 @@ def _fit_levelsets(points, h, nodes, kernel):
             b[:, n:] = np.einsum("kij,kj->ki", s_inv, b_off)
             b[:, :n] -= np.einsum("kjl,kj->kl", z, b[:, n:])
 
-        def weights(normals, curvatures):
-            w_rhs = _weight_rhs(kernel, points[part], normals, curvatures)
-            return solve_refined(a_long[:, :n, :n], w_rhs, solve)[:, :m], cond
+        def weights(rows):
+            bordered = np.pad(rows, ((0, 0), (0, 1)))
+            return solve_refined(a_long[:, :n, :n], bordered, solve)[:, :m], cond
 
         d = s_inv[:, :, 0] - s_inv[:, :, 1]
         sol = np.concatenate([-np.einsum("kjl,kj->kl", z, d), d], axis=1)
@@ -178,13 +178,14 @@ def fit_levelset(stencil: Stencil, nodes: NodeSet, kernel: Kernel, h: float):
 
 
 def _levelset_eval(fit: LevelSetFit, x):
-    """The r-vectors ``x - centers`` (..., P, 3), their lengths (..., P) and the
+    """The r-vectors ``x - centers`` (..., P, 3), their lengths and phi'/r (..., P), and the
     gradient of the fitted Psi at a point (chain rule through phi(r))."""
     rv = np.asarray(x, dtype=float)[..., None, :] - fit.centers
     r = np.linalg.norm(rv, axis=-1)
     # phi'(r)/r is finite at r = 0 and the r-vector vanishes there, so the
     # center contributes nothing, as it should.
-    return rv, r, np.einsum("...j,...jd->...d", fit.kernel.dphi_over_r(r) * fit.coefficients, rv)
+    dphi_over_r = fit.kernel.dphi_over_r(r)
+    return rv, r, dphi_over_r, np.einsum("...j,...jd->...d", dphi_over_r * fit.coefficients, rv)
 
 
 def _gradient_norm(g, nodes=None):
@@ -202,7 +203,7 @@ def _gradient_norm(g, nodes=None):
 
 def levelset_normal(fit: LevelSetFit, x):
     """Unit normal grad(Psi)/|grad(Psi)| at a point."""
-    g = _levelset_eval(fit, x)[2]
+    g = _levelset_eval(fit, x)[3]
     return g / _gradient_norm(g)[..., None]
 
 
@@ -213,8 +214,9 @@ def levelset_curvature(fit: LevelSetFit, x, normal):
     enters, so the sign does not matter here).  It is the coefficients times
     the operator weights' surface-Laplacian row at kappa = 0, over |grad Psi|.
     """
-    rv, r, g = _levelset_eval(fit, x)
-    terms = lbo_of_rbf_rows(fit.kernel, rv, r, np.asarray(normal, dtype=float), 0.0)
+    rv, r, dphi_over_r, g = _levelset_eval(fit, x)
+    terms = lbo_of_rbf_rows(rv, r, (dphi_over_r, fit.kernel.d2phi(r)),
+                            np.asarray(normal, dtype=float), 0.0)
     return (np.einsum("...j,...j->...", fit.coefficients, terms) / _gradient_norm(g))[()]
 
 
@@ -265,13 +267,15 @@ def estimate_frames(nodes: NodeSet, m: int, kernel: Kernel):
     with np.errstate(divide="ignore", invalid="ignore"):  # the gate and gradient check follow
         for part, fit, weights in _fit_levelsets(nodes.points[indices], distances[:, 1], ids,
                                                  kernel):
-            rv, r, g[part] = _levelset_eval(fit, fit.centers[:, 0])
+            rv, r, dphi_over_r, g[part] = _levelset_eval(fit, fit.centers[:, 0])
+            radial = dphi_over_r, kernel.d2phi(r)
             grad_norm = np.linalg.norm(g[part], axis=-1)
             normals[part] = g[part] / grad_norm[:, None]
             curvatures[part] = np.einsum("...j,...j->...", fit.coefficients, lbo_of_rbf_rows(
-                kernel, rv, r, normals[part], 0.0)) / grad_norm
+                rv, r, radial, normals[part], 0.0)) / grad_norm
             fit_cond[part] = fit.cond
-            rows[part], cond[part] = weights(normals[part], curvatures[part])
+            rows[part], cond[part] = weights(lbo_of_rbf_rows(  # the first m centers: the stencil
+                rv[:, :m], r[:, :m], [t[:, :m] for t in radial], normals[part], curvatures[part]))
     fit_s = time.perf_counter() - started
     check_conditioning(fit_cond, ids)
     _gradient_norm(g, ids)

@@ -18,7 +18,7 @@ from scipy import sparse
 from rbfsurf import _linalg, lbo, surface_geom
 from rbfsurf._linalg import check_conditioning, factored_blocks, solve_refined
 from rbfsurf.errors import ConditioningError
-from rbfsurf.kernels import Kernel, KernelFamily, _weight_rhs, lbo_of_rbf_rows
+from rbfsurf.kernels import Kernel, KernelFamily, lbo_of_rbf_rows
 from rbfsurf.lbo import (
     SparseOperator,
     StencilGeometry,
@@ -41,6 +41,10 @@ from conftest import closed_form_phi, repulsion_nodes
 
 GAUSS2 = Kernel(KernelFamily.GAUSSIAN, 2.0)
 ALL_FAMILIES = list(KernelFamily)
+
+
+def radial(kernel, d):
+    return kernel.dphi_over_r(d), kernel.d2phi(d)
 
 
 def sphere_point(theta, phi):
@@ -75,7 +79,8 @@ class TestLboOfRbf:
     def test_zero_displacement_limit(self, family):
         # tangential approach: (r.n)/r -> 0, so the value is phi'/r + phi'' at 0
         ker = Kernel(family, 2.0)
-        got = lbo_of_rbf_rows(ker, np.zeros((1, 3)), np.zeros(1), np.array([0.0, 0.0, 1.0]),
+        d = np.zeros(1)
+        got = lbo_of_rbf_rows(np.zeros((1, 3)), d, radial(ker, d), np.array([0.0, 0.0, 1.0]),
                               2.0)[0]
         assert got == pytest.approx(ker.dphi_over_r(0.0) + ker.d2phi(0.0), rel=1e-14)
 
@@ -85,8 +90,8 @@ class TestLboOfRbf:
         # g'' + cot(t) g' = 4 e^-2 at t = pi/2
         ker = Kernel(KernelFamily.GAUSSIAN, 1.0)
         r_vec = np.array([[1.0, 0.0, -1.0]])
-        got = lbo_of_rbf_rows(ker, r_vec, np.linalg.norm(r_vec, axis=1), np.array([1.0, 0.0, 0.0]),
-                              2.0)[0]
+        d = np.linalg.norm(r_vec, axis=1)
+        got = lbo_of_rbf_rows(r_vec, d, radial(ker, d), np.array([1.0, 0.0, 0.0]), 2.0)[0]
         assert got == pytest.approx(4.0 * np.exp(-2.0), rel=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -96,7 +101,8 @@ class TestLboOfRbf:
         center = sphere_point(0.4, 1.9)
         x = sphere_point(theta, phi)
         r_vec = (x - center)[None]
-        got = lbo_of_rbf_rows(ker, r_vec, np.linalg.norm(r_vec, axis=1), x, 2.0)[0]
+        d = np.linalg.norm(r_vec, axis=1)
+        got = lbo_of_rbf_rows(r_vec, d, radial(ker, d), x, 2.0)[0]
         assert got == pytest.approx(angular_lbo(ker, center, theta, phi), abs=1e-7)
 
 
@@ -282,6 +288,19 @@ def refined_systems(centers, rhs, kernel):
     return sol, cond
 
 
+def laplacian_rows(kernel, points, normals, curvatures):
+    """The surface-Laplacian rows (K, M) of stencils ``points`` (K, M, 3), center first, at
+    their centers: :func:`lbo_of_rbf_rows` of the r-vectors from the center."""
+    r = points[:, :1] - points
+    d = np.linalg.norm(r, axis=-1)
+    return lbo_of_rbf_rows(r, d, radial(kernel, d), normals, curvatures)
+
+
+def bordered(rows):
+    """Weight-system right-hand sides (K, M + 1): ``rows`` and the constant's zero."""
+    return np.pad(rows, ((0, 0), (0, 1)))
+
+
 def captured_systems(monkeypatch, run):
     """The weight rows and cond that ``run`` gets from ``lbo._weight_rows``, and the
     (points, rhs, kernel) of those systems."""
@@ -294,7 +313,8 @@ def captured_systems(monkeypatch, run):
     monkeypatch.setattr(lbo, "_weight_rows", record)
     run()
     (((points, normals, curvatures, kernel), (w, cond)),) = calls
-    return w, cond, (points, _weight_rhs(kernel, points, normals, curvatures), kernel)
+    return w, cond, (points, bordered(laplacian_rows(kernel, points, normals, curvatures)),
+                     kernel)
 
 
 def fused_weight_systems(nodes, frames, m, kernel, centers):
@@ -302,11 +322,12 @@ def fused_weight_systems(nodes, frames, m, kernel, centers):
     block factors for the given frames, and the (points, rhs, kernel) of those systems."""
     indices, _ = knn_table(nodes, m, centers)
     normals, curvatures = frames.normals[indices[:, 0]], frames.curvatures[indices[:, 0]]
+    points = nodes.points[indices]
+    rows = laplacian_rows(kernel, points, normals, curvatures)
     w, cond = np.empty((len(indices), m)), np.empty(len(indices))
     for part, _, weights in level_set_chunks(nodes, m, kernel, centers):
-        w[part], cond[part] = weights(normals[part], curvatures[part])
-    points = nodes.points[indices]
-    return w, cond, (points, _weight_rhs(kernel, points, normals, curvatures), kernel)
+        w[part], cond[part] = weights(rows[part])
+    return w, cond, (points, bordered(rows), kernel)
 
 
 class TestLocalSolve:
@@ -401,8 +422,9 @@ class TestLocalSolve:
             w, cond = lbo._weight_rows(points, normals, curvatures, GAUSS2)
         else:
             w, cond = np.empty((100, 31)), np.empty(100)
+            rows = laplacian_rows(GAUSS2, points, normals, curvatures)
             for part, fit, weights in _fit_levelsets(points, distances[:, 1], ctr, GAUSS2):
-                w[part], cond[part] = weights(normals[part], curvatures[part])
+                w[part], cond[part] = weights(rows[part])
                 assert np.array_equal(np.isnan(fit.coefficients).all(axis=1), bad[part])
                 assert np.array_equal(fit.cond == np.inf, bad[part])
         assert np.isnan(w[bad]).all() and np.all(cond[bad] == np.inf)
@@ -577,8 +599,9 @@ class TestOperatorHealthRecord:
 class TestKeptRows:
     """The weight rows that the frames of estimate_frames carry, against a recomputation."""
 
-    @pytest.mark.parametrize("kernel", [GAUSS2, Kernel(KernelFamily.INVERSE_MULTIQUADRIC, 3.0)],
-                             ids=["gaussian", "imq"])
+    @pytest.mark.parametrize("kernel", [GAUSS2, Kernel(KernelFamily.INVERSE_QUADRATIC, 3.0),
+                                        Kernel(KernelFamily.INVERSE_MULTIQUADRIC, 3.0)],
+                             ids=["gaussian", "iq", "imq"])
     @pytest.mark.parametrize("method", ["repulsion", "fibonacci"])
     def test_equal_a_recomputation(self, monkeypatch, method, kernel):
         nodes = repulsion_nodes(1000) if method == "repulsion" else gen_sphere_nodes(1000)

@@ -152,6 +152,17 @@ class TestGenSphereNodes:
         with pytest.raises(ValueError):
             gen_sphere_nodes(100, method="lattice")
 
+    @pytest.mark.parametrize("n", [4.5, 100.0, np.float64(100.0), "100"],
+                             ids=["fraction", "float", "float64", "str"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ValueError, match="need an integer n >= 4 nodes, got"):
+            gen_sphere_nodes(n)
+
+    def test_numpy_integer_count_accepted(self):
+        nodes = gen_sphere_nodes(np.int64(100))
+        assert np.array_equal(nodes.points, gen_sphere_nodes(100).points)
+        assert nodes.label == "sphere-fibonacci-100"
+
     def test_fibonacci_deterministic(self):
         a = gen_sphere_nodes(200)
         b = gen_sphere_nodes(200)

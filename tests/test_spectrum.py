@@ -246,6 +246,15 @@ class TestStabilityReport:
         with pytest.raises(ValueError, match=message):
             stability_report(np.array([0.0, -2.0]), 1, tol)
 
+    @pytest.mark.parametrize("real_part_tol", [np.nan, np.inf, -np.inf, -1e-6])
+    def test_real_part_tol_must_be_finite_and_nonnegative(self, real_part_tol):
+        # a NaN tolerance would pass any spectrum as stable; the check comes before the
+        # spectrum's own (an empty one raises for the tolerance)
+        message = f"real-part tolerance must be finite and nonnegative, got {real_part_tol}"
+        for eigs in (np.array([5.0, -2.0]), np.array([])):
+            with pytest.raises(ValueError, match=message):
+                stability_report(eigs, 1, 0.5, real_part_tol=real_part_tol)
+
     @pytest.mark.parametrize("eigs", [np.array([np.nan, -2.0]), np.array([-2.0, np.inf]),
                                       np.array([-2.0, complex(0.0, np.nan)])],
                              ids=["nan", "inf", "nan-imag"])

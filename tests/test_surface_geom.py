@@ -104,11 +104,11 @@ class TestFitLevelset:
 class TestLevelsetDerivatives:
     def test_zero_coefficients_zero_gradient(self):
         fit = LevelSetFit(np.zeros(3), 0.5, np.eye(3), GAUSS2, 1.0)
-        np.testing.assert_array_equal(_levelset_eval(fit, [0.3, 0.2, 0.1])[2], np.zeros(3))
+        np.testing.assert_array_equal(_levelset_eval(fit, [0.3, 0.2, 0.1])[3], np.zeros(3))
 
     def test_gradient_at_center_single_rbf(self):
         fit = LevelSetFit(np.array([1.0]), 0.0, np.array([[0.2, 0.3, 0.4]]), GAUSS2, 1.0)
-        np.testing.assert_allclose(_levelset_eval(fit, [0.2, 0.3, 0.4])[2], np.zeros(3))
+        np.testing.assert_allclose(_levelset_eval(fit, [0.2, 0.3, 0.4])[3], np.zeros(3))
 
     def test_gradient_matches_finite_differences(self, sphere_nodes):
         fit = node_fit(sphere_nodes, 321)
@@ -118,7 +118,7 @@ class TestLevelsetDerivatives:
             e = np.zeros(3)
             e[a] = 1e-6
             fd[a] = (psi(fit, x + e) - psi(fit, x - e)) / 2e-6
-        np.testing.assert_allclose(_levelset_eval(fit, x[None])[2][0], fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(_levelset_eval(fit, x[None])[3][0], fd, rtol=1e-6, atol=1e-9)
 
     def test_sphere_normal_is_radial(self, sphere_nodes):
         # fixed equatorial node: the one nearest (1,0,0)
@@ -166,7 +166,7 @@ class TestLevelsetDerivatives:
         n = levelset_normal(fit, x[None])
 
         def unit_normal(p):
-            g = _levelset_eval(fit, p[None])[2][0]
+            g = _levelset_eval(fit, p[None])[3][0]
             return g / np.linalg.norm(g)
 
         step = 1e-5
@@ -261,9 +261,9 @@ class TestEstimateFrames:
 
     def test_vanishing_gradient_names_its_node(self, sphere_nodes, monkeypatch):
         def evaluation(fit, x):
-            rv, r, g = _levelset_eval(fit, x)
+            *terms, g = _levelset_eval(fit, x)
             g[7] = 0.0  # batch row 7 is node 7
-            return rv, r, g
+            return *terms, g
 
         monkeypatch.setattr(surface_geom, "_levelset_eval", evaluation)
         with pytest.raises(GeometryError) as exc_info:
@@ -272,18 +272,16 @@ class TestEstimateFrames:
         assert str(exc_info.value) == "level-set gradient vanished at node 7 (|grad| = 0.000e+00)"
 
     def test_one_level_set_evaluation(self, sphere_nodes, monkeypatch):
-        # per chunk of 64 nodes, phi'/r runs once for the gradient over the 18 centers,
-        # once in the curvature row and once in the weight row over the 16 stencil nodes
+        # per chunk of 64 nodes, phi'/r and phi'' run once each over the 18 centers: the
+        # gradient, the curvature row and the weight row over the 16 stencil nodes share them
         calls = []
-        dphi_over_r = Kernel.dphi_over_r
-
-        def counted(kernel, r):
-            calls.append(np.shape(r))
-            return dphi_over_r(kernel, r)
-
-        monkeypatch.setattr(Kernel, "dphi_over_r", counted)
+        for name in ("dphi_over_r", "d2phi"):
+            real = getattr(Kernel, name)
+            monkeypatch.setattr(Kernel, name, lambda kernel, r, name=name, real=real:
+                                calls.append((name, np.shape(r))) or real(kernel, r))
         estimate_frames(sphere_nodes, 16, GAUSS2)
-        assert calls == [shape for k in [64] * 15 + [40] for shape in ((k, 18), (k, 18), (k, 16))]
+        assert calls == [call for k in [64] * 15 + [40]
+                         for call in (("dphi_over_r", (k, 18)), ("d2phi", (k, 18)))]
 
     def test_gate_before_gradient_across_chunks(self):
         # at eps = 100 every kernel value between nodes 0.5 or more apart underflows to 0,
@@ -305,8 +303,7 @@ class TestEstimateFrames:
                                               indices[:, 0], FLAT_FREE)
         assert np.array_equal(fit.centers[0, 6], nodes.points[3])
         assert fit.cond[0] == np.inf and fit.cond[1:] == pytest.approx(np.full(7, 7.0))
-        assert weights(np.tile([0.0, 0.0, 1.0], (8, 1)), np.zeros(8))[1] == pytest.approx(
-            np.full(8, 7.0))
+        assert weights(np.zeros((8, 6)))[1] == pytest.approx(np.full(8, 7.0))
         with pytest.raises(ConditioningError) as exc_info:
             estimate_frames(nodes, 6, FLAT_FREE)
         assert exc_info.value.node_indices == [0]
