@@ -122,7 +122,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_simulate_turing(args):
-    pde._check_span(args.t_end, args.snapshot_every)  # run_turing's checks, before _inputs
+    pde._check_span(args.t_end, args.snapshot_every)  # integrate's span rule, before any frame fit
     nodes, kernel, frames = _inputs(args)
     op = assemble_operator(nodes, frames, args.stencil, kernel)
     run = pde.run_turing(nodes, frames, preset=args.preset, seed=args.seed, t_end=args.t_end,
@@ -134,7 +134,7 @@ def _cmd_simulate_turing(args):
 
 
 def _cmd_simulate_schaeffer(args):
-    # run_schaeffer's checks that need no nodes, before _inputs: a placeholder center and width
+    # integrate's span rule, then run_schaeffer's stimulus check on stand-ins, before _inputs
     pde._check_span(args.t_end, args.snapshot_every)
     pde.StimulusSpec(args.t_stim, np.zeros(3), 1.0 if args.delta is None else args.delta)
     nodes, kernel, frames = _inputs(args, [args.probe, args.stim_node])

@@ -139,6 +139,8 @@ class SparseOperator:
     def apply(self, field):
         """Matrix-vector product against a nodal field (N,) or a stack of them (k, N):
         one CSR kernel call per row, bit for bit ``matrix @ row`` without SciPy's dispatch."""
+        if np.iscomplexobj(field):  # a dtype test: float conversion would drop the imaginary part
+            raise ValueError("field must be real, got a complex one")
         field = np.asarray(field, dtype=float)
         n, a = self.n, self.matrix
         if field.ndim not in (1, 2) or field.shape[-1] != n:

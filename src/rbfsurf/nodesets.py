@@ -353,9 +353,11 @@ def knn_table(nodes, m, centers=None):
     row whose m-th distance ties the farthest, at first the (m + 1)-th, is
     queried again with twice as many.  The all-node table (``centers=None``)
     is stored read-only on the NodeSet, one per M, and returned by later calls.
-    Raises ValueError unless ``1 <= m <= N`` and every center is an integer in [0, N).
+    Raises ValueError unless m is an integer in [1, N] and every center an integer in [0, N).
     """
     n = len(nodes)
+    if not isinstance(m, (int, np.integer)):
+        raise ValueError(f"stencil size M must be an integer, got {m!r}")
     if not 1 <= m <= n:
         raise ValueError(f"stencil size must satisfy 1 <= M <= {n}, got {m}")
     if centers is None and m in nodes._knn_tables:

@@ -6,15 +6,14 @@ model for cardiac excitation.  Both advance the semidiscrete system
 
     d/dt fields = reaction(fields, t) + diag(D) * (operator @ fields)
 
-with an embedded Dormand-Prince 5(4) pair under proportional-integral step
-control.  Each right-hand side applies the operator only to the fields that
-diffuse (nonzero D): both Turing fields, the membrane voltage alone.
-Each model's ``reaction`` writes its (2, N) rates into the integrator's row
-``out`` and returns it (allocating one without ``out``).  The Turing
-reaction is du = alpha u + v - g, dv = gamma u + beta v + g with
-g = u v (alpha tau1 v + tau2): g enters with opposite signs, so du + dv is linear.
-The membrane model computes its stimulus profile once, at construction, and
-its ``reaction`` adds it to dv while t <= t_stim.
+with an embedded Dormand-Prince 5(4) pair under proportional-integral step control.  Each
+right-hand side applies the operator only to the fields that diffuse (nonzero D): both Turing
+fields, the membrane voltage alone.  :func:`integrate` states what a model provides, takes the
+assembled operator and checks a run's span; each built-in ``reaction`` writes its (2, N) rates
+into the integrator's row ``out`` and returns it (allocating one without ``out``).  The Turing
+reaction is du = alpha u + v - g, dv = gamma u + beta v + g with g = u v (alpha tau1 v + tau2):
+g enters with opposite signs, so du + dv is linear.  The membrane model computes its stimulus
+profile once, at construction, and its ``reaction`` adds it to dv while t <= t_stim.
 
 A step works in one (8, 2, N) array: the state, then the seven stage
 derivatives.  Each stage input y + h sum_j a_sj k_j is one BLAS
@@ -134,18 +133,7 @@ class RdState:
 # models
 # ---------------------------------------------------------------------------
 
-class RdModel:
-    """A two-field reaction plus per-field diffusivities."""
-
-    diffusivities: np.ndarray  # (2,), finite and >= 0; zero marks a field that does not diffuse
-
-    def reaction(self, t, fields, out=None):
-        """Write the (2, N) reaction term at time t into ``out``, a fresh array
-        if None, and return it.  ``out`` never overlaps ``fields``."""
-        raise NotImplementedError
-
-
-class TuringModel(RdModel):
+class TuringModel:
     """Activator-inhibitor system on (u, v); both fields diffuse."""
 
     def __init__(self, params: TuringParams):
@@ -181,7 +169,7 @@ class TuringModel(RdModel):
         return out
 
 
-class SchaefferModel(RdModel):
+class SchaefferModel:
     """Membrane model on (v, h) at the given node positions; only the voltage diffuses.
 
     The stimulus adds the Gaussian bump ``exp(-|x - center|^2 / delta^2)`` to
@@ -285,30 +273,33 @@ def _check_span(t_end, snapshot_every, start=0.0):
         raise ValueError(f"t_end must be after the start time {start}, got {t_end}")
 
 
-def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
+def integrate(model, op: SparseOperator, state0: RdState,
               t_end, rtol=1e-5, atol=1e-8, snapshot_every=None, step_callback=None):
-    """Advance the reaction-diffusion state to ``t_end``.
+    """Advance the reaction-diffusion state to ``t_end`` on the operator ``op``.
 
-    Steps are accepted when the RMS of the embedded error estimate over
-    ``atol + rtol * max(|y|, |y_new|)`` is at most 1, under a PI step-size
-    controller; ``run_turing`` and ``run_schaeffer`` use the default tolerances.
-    Returns the initial state, the snapshots at ``state0.time + k * snapshot_every``
-    (k = 1, 2, ...) before ``t_end``, and the final state; a step or snapshot time
-    within 1e-12 * max(1, |stop|) of a stop, ``t_end`` included, is set onto it.
+    ``model`` has ``diffusivities``, (2,), finite and >= 0 with zero for a field that does not
+    diffuse, and ``reaction(t, fields, out=None)``, which writes the (2, N) reaction term at t
+    into ``out``, never overlapping ``fields``, and returns it; only diffusing fields meet ``op``.
+    Steps are accepted when the RMS of the embedded error estimate over ``atol + rtol *
+    max(|y|, |y_new|)`` is at most 1, under a PI step-size controller; ``run_turing`` and
+    ``run_schaeffer`` use the default tolerances.  Returns the initial state, the snapshots at
+    ``state0.time + k * snapshot_every`` (k = 1, 2, ...) before ``t_end``, and the final state;
+    a step or snapshot time within 1e-12 * max(1, |stop|) of a stop, ``t_end`` included, is set
+    onto it.
 
-    ``step_callback(t, fields, derivative)`` fires after every accepted
-    step with arrays the integrator never writes to again; returning True
-    stops the integration early.  Each call logs one DEBUG record on
-    ``rbfsurf.pde``: accepted and rejected steps, RHS evaluations, the
-    range of accepted h and the stop reason (``t_end`` or ``callback``),
-    also as the record's ``stats`` dict.
+    ``step_callback(t, fields, derivative)`` fires after every accepted step with arrays the
+    integrator never writes to again; returning True stops the integration early.  Each call
+    logs one DEBUG record on ``rbfsurf.pde``: accepted and rejected steps, RHS evaluations, the
+    range of accepted h and the stop reason (``t_end`` or ``callback``), also as the record's
+    ``stats`` dict.
 
     Raises
     ------
     ValueError
-        Before the first step, unless ``rtol``, ``atol`` and ``snapshot_every`` (if given) are
-        positive, ``rtol``, ``atol``, ``state0.time`` and ``t_end`` finite with ``t_end`` after
-        ``state0.time``, and both diffusivities finite and >= 0, all zero when ``op`` is None.
+        Before the first step, in this order, unless ``rtol`` and ``atol`` are finite and
+        positive, the state has ``op.n`` nodes, the span passes the rule of every run (a positive
+        ``snapshot_every`` if given, then a finite ``state0.time`` and a finite ``t_end`` after
+        it), and both diffusivities are finite and >= 0.
     StiffnessError
         If the step size underflows below 1e-12 times the span, or after 10^7 steps.
     DivergenceError
@@ -318,7 +309,7 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
         raise ValueError("rtol and atol must be positive")
     if np.inf in (rtol, atol):
         raise ValueError(f"rtol and atol must be finite, got {rtol} and {atol}")
-    if op is not None and state0.fields.shape[1] != op.n:
+    if state0.fields.shape[1] != op.n:
         raise ValueError(f"state has {state0.fields.shape[1]} nodes but operator has {op.n}")
     t = start = float(state0.time)
     _check_span(t_end, snapshot_every, start)
@@ -326,8 +317,6 @@ def integrate(model: RdModel, op: Optional[SparseOperator], state0: RdState,
     diff = np.asarray(model.diffusivities, dtype=float)
     if diff.shape != (2,) or not np.all(np.isfinite(diff) & (diff >= 0)):
         raise ValueError(f"diffusivities must be two finite values >= 0, got {diff}")
-    if op is None and np.any(diff):
-        raise ValueError(f"diffusivities {diff} need an operator, got op=None")
     nonzero = np.flatnonzero(diff)
     # of two fields, those that diffuse form one range; a slice of it is a view
     diffusing = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0)
@@ -486,11 +475,10 @@ def run_turing(nodes: NodeSet, frames, preset: str, seed=0, t_end=2000.0, *,
     starts at zero.  With :func:`integrate`'s tolerances the run starts at t = 0, snapshots
     at multiples of ``snapshot_every`` and ends at a finite ``t_end > 0``, or once the sup
     norm of du/dt (its last value is ``final_rate_inf``) has stayed below ``steady_tol`` for
-    ``steady_window``, both finite and positive.  The span and snapshot spacing (by
-    :func:`integrate`'s rule), then these two, are checked before any step.  ``frames`` is
-    unread: the benchmark's workloads pass it, so it goes with ROADMAP item 1's change.
+    ``steady_window``, both finite and positive.  These two and the preset are checked, then
+    :func:`integrate` checks the span, before any step: of a bad option and a bad span, the option
+    is named.  ``frames`` is unread: the benchmark passes it, so it goes with ROADMAP item 1.
     """
-    _check_span(t_end, snapshot_every)
     for name, value in (("steady_tol", steady_tol), ("steady_window", steady_window)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -529,11 +517,11 @@ def run_schaeffer(nodes: NodeSet, frames, t_end=600.0, probe=0, *, op: SparseOpe
     The stimulus lasts ``t_stim`` ms, is centered at ``stim_node`` and has width ``delta``, by
     default 0.15 times twice the largest distance from the centroid.  ``probe`` is a node id
     or list of ids in [0, N) whose (t, v, h) history is recorded at every accepted step.  The
-    run takes :func:`integrate`'s default tolerances and snapshot times, and checks its span
-    by its rule, then the node ids and the stimulus, before any step.  ``frames`` is unread:
-    the benchmark's workloads pass it, so it goes with the benchmark change of ROADMAP item 1.
+    run takes :func:`integrate`'s default tolerances and snapshot times.  The node ids and the
+    stimulus are checked, then :func:`integrate` checks the span, before any step: of a bad
+    stimulus and a bad span, the stimulus is named.  ``frames`` is unread: the benchmark passes
+    it, so it goes with ROADMAP item 1.
     """
-    _check_span(t_end, snapshot_every)
     probes = [probe] if np.isscalar(probe) else list(probe)
     check_node_ids(nodes, probes + [stim_node])
     params = SchaefferParams()

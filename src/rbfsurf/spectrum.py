@@ -131,11 +131,14 @@ def eigenvalues(op: SparseOperator, radius=DISC_RADIUS):
 
 
 def check_cluster_options(k_max, tol):
-    """Raise ValueError unless the cluster tolerance is finite and positive, ``k_max`` >= 0."""
+    """Raise ValueError unless the cluster tolerance is finite and positive and ``k_max`` is an
+    integer >= 0."""
     if not tol > 0:
         raise ValueError(f"cluster tolerance must be positive, got {tol}")
     if not np.isfinite(tol):
         raise ValueError(f"cluster tolerance must be finite and positive, got {tol}")
+    if not isinstance(k_max, (int, np.integer)):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
 

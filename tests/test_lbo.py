@@ -31,6 +31,7 @@ from rbfsurf.surface_geom import (
     SurfaceFrame,
     _fit_levelsets,
     analytic_frames,
+    estimate_frames,
     fit_levelset,
     levelset_curvature,
     levelset_normal,
@@ -752,6 +753,17 @@ class TestAssembleOperator:
         with pytest.raises(ValueError, match="node 7"):
             assemble_operator(nodes, SurfaceFrame(normals, frames.curvatures), 15, GAUSS2)
 
+    @pytest.mark.parametrize("m", [15.0, np.float64(15.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("build", [
+        lambda nodes, frames, m: estimate_frames(nodes, m, GAUSS2),
+        lambda nodes, frames, m: assemble_operator(nodes, frames, m, GAUSS2),
+    ], ids=["estimate_frames", "assemble_operator"])
+    def test_non_integer_stencil_size_rejected(self, small_setup, build, m):
+        # a float M used to reach numpy's array shapes inside knn_table as a TypeError
+        nodes, frames, _ = small_setup
+        with pytest.raises(ValueError, match=r"stencil size M must be an integer, got .*15\.0"):
+            build(nodes, frames, m)
+
 
 class TestSparseOperator:
     def test_apply_matches_dense(self, small_setup):
@@ -941,3 +953,11 @@ class TestSparseOperator:
         # the CSR kernel writes into a real output, so a complex matrix cannot apply
         with pytest.raises(ValueError, match="complex128"):
             SparseOperator(sparse.csr_matrix([[1j, 0], [0, 1.0]]))
+
+    @pytest.mark.parametrize("field", [[1 + 1j, 2, 3], np.ones((2, 3), dtype=np.complex64)],
+                             ids=["list", "stack"])
+    def test_complex_field_rejected(self, field):
+        # a float conversion would drop the imaginary part with only a ComplexWarning
+        op = SparseOperator(sparse.csr_matrix([[1.0, 0, 1], [0, 1, 0], [2, 0, 2]]))
+        with pytest.raises(ValueError, match="field must be real"):
+            op.apply(field)

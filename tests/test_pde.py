@@ -11,16 +11,16 @@ import logging
 import mpmath
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from rbfsurf import pde
 from rbfsurf.errors import DivergenceError, StiffnessError
 from rbfsurf.kernels import Kernel, KernelFamily
-from rbfsurf.lbo import assemble_operator
+from rbfsurf.lbo import SparseOperator, assemble_operator
 from rbfsurf.nodesets import NodeSet, gen_sphere_nodes, unit_sphere
 from rbfsurf.pde import (
     TURING_PRESETS,
-    RdModel,
     RdState,
     SchaefferModel,
     SchaefferParams,
@@ -354,14 +354,20 @@ def rates_array(fields, out):
     return np.empty_like(fields) if out is None else out
 
 
-class Decay(RdModel):
+def no_entries(state):
+    """An operator with no entries, sized to the state: a reaction-only system on it."""
+    n = state.fields.shape[1]
+    return SparseOperator(sparse.csr_matrix((n, n)))
+
+
+class Decay:
     diffusivities = np.array([0.0, 0.0])
 
     def reaction(self, t, fields, out=None):
         return np.negative(fields, out=out)
 
 
-class Oscillator(RdModel):
+class Oscillator:
     diffusivities = np.array([0.0, 0.0])
 
     def reaction(self, t, fields, out=None):
@@ -370,7 +376,7 @@ class Oscillator(RdModel):
         return out
 
 
-class PureDiffusion(RdModel):
+class PureDiffusion:
     diffusivities = np.array([1.0, 0.0])
 
     def reaction(self, t, fields, out=None):
@@ -452,7 +458,7 @@ def reference_integrate(model, op, y0, t_end, rtol, atol, a=REF_A):
 class TestIntegrate:
     def test_exponential_decay(self):
         state0 = RdState(np.array([[1.0], [2.0]]), 0.0)
-        states = integrate(Decay(), None, state0, 2.0, rtol=1e-6, atol=1e-9)
+        states = integrate(Decay(), no_entries(state0), state0, 2.0, rtol=1e-6, atol=1e-9)
         assert states[-1].time == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(states[-1].fields, np.array([[1.0], [2.0]]) * np.exp(-2.0),
                            rtol=1e-5)
@@ -461,7 +467,8 @@ class TestIntegrate:
         # a zero state has zero rates: the at-rest initial step is 1e-6, and every
         # step's error estimate is exactly 0, so each next step is _FAC_MAX times longer
         steps = []
-        states = integrate(Decay(), None, RdState(np.zeros((2, 3)), 0.0), 1.0,
+        state0 = RdState(np.zeros((2, 3)), 0.0)
+        states = integrate(Decay(), no_entries(state0), state0, 1.0,
                            step_callback=lambda t, y, f: steps.append(t))
         taken = np.diff([0.0] + steps)
         assert taken[:-1] == pytest.approx(1e-6 * pde._FAC_MAX ** np.arange(9), rel=1e-12)
@@ -470,7 +477,8 @@ class TestIntegrate:
 
     def test_oscillator_round_trip(self):
         state0 = RdState(np.array([[1.0], [0.0]]), 0.0)
-        states = integrate(Oscillator(), None, state0, 2.0 * np.pi, rtol=1e-6, atol=1e-9)
+        states = integrate(Oscillator(), no_entries(state0), state0, 2.0 * np.pi,
+                           rtol=1e-6, atol=1e-9)
         assert np.allclose(states[-1].fields, [[1.0], [0.0]], atol=1e-4)
 
     def test_matches_matrix_exponential(self, sphere200):
@@ -487,31 +495,31 @@ class TestIntegrate:
         exact = np.exp(-2.0)
 
         def err_at(rtol, atol):
-            states = integrate(Decay(), None, state0, 2.0, rtol=rtol, atol=atol)
+            states = integrate(Decay(), no_entries(state0), state0, 2.0, rtol=rtol, atol=atol)
             return np.abs(states[-1].fields - exact).max()
 
         assert err_at(1e-9, 1e-12) < err_at(1e-3, 1e-6)
 
     def test_snapshot_times(self):
         state0 = RdState(np.ones((2, 1)), 0.0)
-        states = integrate(Decay(), None, state0, 1.0, snapshot_every=0.25)
+        states = integrate(Decay(), no_entries(state0), state0, 1.0, snapshot_every=0.25)
         assert [s.time for s in states] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_snapshot_interval_not_dividing_span(self):
         state0 = RdState(np.ones((2, 1)), 0.0)
-        states = integrate(Decay(), None, state0, 0.9, snapshot_every=0.4)
+        states = integrate(Decay(), no_entries(state0), state0, 0.9, snapshot_every=0.4)
         assert [s.time for s in states] == pytest.approx([0.0, 0.4, 0.8, 0.9])
 
     def test_snapshot_values_on_schedule(self):
         state0 = RdState(np.ones((2, 1)), 0.0)
-        states = integrate(Decay(), None, state0, 1.0, snapshot_every=0.5,
+        states = integrate(Decay(), no_entries(state0), state0, 1.0, snapshot_every=0.5,
                            rtol=1e-8, atol=1e-11)
         for s in states:
             assert np.allclose(s.fields, np.exp(-s.time), rtol=1e-6)
 
     def test_callback_early_stop(self):
         state0 = RdState(np.ones((2, 1)), 0.0)
-        states = integrate(Decay(), None, state0, 10.0,
+        states = integrate(Decay(), no_entries(state0), state0, 10.0,
                            step_callback=lambda t, y, f: t >= 0.3)
         assert 0.3 <= states[-1].time < 10.0
 
@@ -523,13 +531,13 @@ class TestIntegrate:
             return True
 
         state0 = RdState(np.ones((2, 1)), 0.0)
-        integrate(Decay(), None, state0, 1.0, step_callback=cb)
+        integrate(Decay(), no_entries(state0), state0, 1.0, step_callback=cb)
         y, f = seen[0]
         assert np.allclose(f, -y, rtol=1e-12)
 
     def test_snapshots_counted_from_the_start(self):
         state0 = RdState(np.ones((2, 1)), 0.3)
-        states = integrate(Decay(), None, state0, 1.0, snapshot_every=0.25,
+        states = integrate(Decay(), no_entries(state0), state0, 1.0, snapshot_every=0.25,
                            rtol=1e-8, atol=1e-11)
         # 0.3, 0.55, 0.8, then t_end, each stop set exactly onto start + k * snapshot_every
         assert [s.time for s in states] == [0.3, 0.3 + 0.25, 0.3 + 2 * 0.25, 1.0]
@@ -539,7 +547,7 @@ class TestIntegrate:
     def test_snapshot_within_landing_tolerance_of_t_end_is_t_end(self):
         # 3 * 0.3 is 0.8999999999999999: a separate stop there left a step below h_min
         state0 = RdState(np.ones((2, 1)), 0.0)
-        states = integrate(Decay(), None, state0, 0.9, snapshot_every=0.3)
+        states = integrate(Decay(), no_entries(state0), state0, 0.9, snapshot_every=0.3)
         assert [s.time for s in states] == [0.0, 0.3, 0.6, 0.9]
 
     @pytest.mark.parametrize("start, t_end", [(0.0, 0.0), (0.0, -1.0), (5.0, 5.0), (5.0, 2.0)],
@@ -555,7 +563,7 @@ class TestIntegrate:
         state0 = RdState(np.ones((2, 3)), start)
         with pytest.raises(ValueError,
                            match=f"t_end must be after the start time {start}, got {t_end}"):
-            integrate(Counted(), None, state0, t_end)
+            integrate(Counted(), no_entries(state0), state0, t_end)
         assert calls == []
 
     @pytest.mark.parametrize("t_end", [np.inf, np.nan])
@@ -569,7 +577,7 @@ class TestIntegrate:
 
         state0 = RdState(np.ones((2, 3)), 0.0)
         with pytest.raises(ValueError, match=f"t_end must be finite, got {t_end}"):
-            integrate(Counted(), None, state0, t_end)
+            integrate(Counted(), no_entries(state0), state0, t_end)
         assert calls == []
 
     @pytest.mark.parametrize("start", [-np.inf, np.inf, np.nan])
@@ -583,7 +591,7 @@ class TestIntegrate:
 
         state0 = RdState(np.ones((2, 1)), start)
         with pytest.raises(ValueError, match=f"start time must be finite, got {start}"):
-            integrate(Counted(), None, state0, 1.0)
+            integrate(Counted(), no_entries(state0), state0, 1.0)
         assert calls == []
 
     @pytest.mark.parametrize("tolerances, message", [
@@ -602,16 +610,16 @@ class TestIntegrate:
 
         state0 = RdState(np.ones((2, 1)), 0.0)
         with pytest.raises(ValueError, match=message):
-            integrate(Counted(), None, state0, 1.0, **tolerances)
+            integrate(Counted(), no_entries(state0), state0, 1.0, **tolerances)
         assert calls == []
 
     def test_validation(self, sphere200):
         _, _, op = sphere200
         state0 = RdState(np.ones((2, 1)), 0.0)
         with pytest.raises(ValueError):
-            integrate(Decay(), None, state0, 1.0, rtol=0.0)
+            integrate(Decay(), no_entries(state0), state0, 1.0, rtol=0.0)
         with pytest.raises(ValueError):
-            integrate(Decay(), None, state0, 1.0, snapshot_every=0.0)
+            integrate(Decay(), no_entries(state0), state0, 1.0, snapshot_every=0.0)
         with pytest.raises(ValueError):
             integrate(PureDiffusion(), op, state0, 1.0)  # size mismatch
 
@@ -630,20 +638,6 @@ class TestIntegrate:
         state0 = RdState(np.ones((2, len(nodes))), 0.0)
         with pytest.raises(ValueError, match="diffusivities"):
             integrate(BadDiffusion(), op, state0, 1.0)
-        assert calls == []
-
-    def test_diffusing_model_needs_an_operator(self):
-        # without an operator the diffusion term would silently drop out
-        calls = []
-
-        class Counted(PureDiffusion):
-            def reaction(self, t, fields, out=None):
-                calls.append(t)
-                return super().reaction(t, fields, out)
-
-        state0 = RdState(np.ones((2, 3)), 0.0)
-        with pytest.raises(ValueError, match=r"diffusivities \[1\. 0\.\] need an operator"):
-            integrate(Counted(), None, state0, 1.0)
         assert calls == []
 
     @pytest.mark.parametrize("make_model, shape", [
@@ -680,7 +674,7 @@ class TestIntegrate:
     def test_cached_reaction_left_unchanged(self, sphere200):
         # a model that copies an array it keeps into the integrator's row must
         # find it unchanged: the diffusion is added to the row, not to the cache
-        class Cached(RdModel):
+        class Cached:
             diffusivities = np.array([1.0, 0.5])
 
             def __init__(self, n):
@@ -701,10 +695,10 @@ class TestIntegrate:
     def test_divergent_initial_state(self):
         state0 = RdState(np.array([[np.nan], [0.0]]), 0.0)
         with pytest.raises(DivergenceError):
-            integrate(Decay(), None, state0, 1.0)
+            integrate(Decay(), no_entries(state0), state0, 1.0)
 
     def test_stiffness_on_poisoned_rhs(self):
-        class Poisoned(RdModel):
+        class Poisoned:
             diffusivities = np.array([0.0, 0.0])
 
             def reaction(self, t, fields, out=None):
@@ -714,13 +708,13 @@ class TestIntegrate:
 
         state0 = RdState(np.ones((2, 1)), 0.0)
         with pytest.raises(StiffnessError):
-            integrate(Poisoned(), None, state0, 1.0)
+            integrate(Poisoned(), no_entries(state0), state0, 1.0)
 
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(pde, "_MAX_STEPS", 2)
         state0 = RdState(np.array([[1.0], [0.0]]), 0.0)
         with pytest.raises(StiffnessError, match="step budget"):
-            integrate(Oscillator(), None, state0, 100.0)
+            integrate(Oscillator(), no_entries(state0), state0, 100.0)
 
 
 def stripes_start(nodes):
@@ -810,7 +804,8 @@ class TestHealthRecord:
 
     def test_callback_stop_reason(self, caplog):
         caplog.set_level(logging.DEBUG, logger="rbfsurf.pde")
-        integrate(Decay(), None, RdState(np.ones((2, 1)), 0.0), 10.0,
+        state0 = RdState(np.ones((2, 1)), 0.0)
+        integrate(Decay(), no_entries(state0), state0, 10.0,
                   step_callback=lambda t, y, f: t >= 0.3)
         (record,) = self.records(caplog)
         stats = record.stats
@@ -1011,6 +1006,17 @@ def test_span_checked_before_any_step(sphere200, driver, t_end, snapshot_every, 
     with pytest.raises(ValueError, match=message):
         driver(nodes, frames, t_end=t_end, snapshot_every=snapshot_every,
                op=UnsteppableOperator(len(nodes)))
+
+
+@pytest.mark.parametrize("driver, option, message", [
+    (lambda *a, **k: run_turing(*a, preset="spots", **k), {"steady_tol": 0.0}, "steady_tol"),
+    (run_schaeffer, {"t_stim": 0.0}, "stimulus duration"),
+], ids=["turing", "schaeffer"])
+def test_driver_options_checked_before_the_span(sphere200, driver, option, message):
+    # the span is checked once, by integrate, after the driver's own options
+    nodes, frames, _ = sphere200
+    with pytest.raises(ValueError, match=message):
+        driver(nodes, frames, t_end=np.nan, op=UnsteppableOperator(len(nodes)), **option)
 
 
 @pytest.mark.parametrize("stimulus, message", [({"t_stim": 0.0}, "duration"),

@@ -270,6 +270,11 @@ class TestStabilityReport:
         with pytest.raises(ValueError, match="k_max"):
             stability_report(np.array([0.0, -2.0]), -1, 0.5)
 
+    @pytest.mark.parametrize("k_max", [2.5, np.float64(2.0)], ids=["fraction", "float64"])
+    def test_non_integer_kmax_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            stability_report(np.array([0.0, -2.0]), k_max, 0.5)
+
 
 @pytest.fixture(scope="module")
 def report():
