@@ -254,7 +254,6 @@ def gen_sphere_nodes(n, method="fibonacci", seed=0):
     pts = _fibonacci_sphere(n)
     if method == "repulsion":
         pts = _repulsion_relax(pts, np.random.default_rng(seed))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return NodeSet(pts, label=f"sphere-{method}-{n}")
 
 

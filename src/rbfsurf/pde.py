@@ -13,7 +13,13 @@ assembled operator and checks a run's span; each built-in ``reaction`` writes it
 into the integrator's row ``out`` and returns it (allocating one without ``out``).  The Turing
 reaction is du = alpha u + v - g, dv = gamma u + beta v + g with g = u v (alpha tau1 v + tau2):
 g enters with opposite signs, so du + dv is linear.  The membrane model computes its stimulus
-profile once, at construction, and its ``reaction`` adds it to dv while t <= t_stim.
+profile once, at construction, and its ``reaction`` adds it to dv while t <= t_stim.  Its gate
+switches from recovering to closing through the smoothed step (1 + tanh((v - v_crit)/w))/2
+of width w = ``GATE_WIDTH``, not the model's Heaviside step (Mitchell & Schaeffer, Bull. Math.
+Biol. 65 (2003)).  With the step, the rates jump wherever a node's voltage crosses v_crit, and
+the error estimate rejects steps at each jump (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6); the smoothed switch lets the 1000-node membrane wave take about 40% fewer right-hand
+sides and stay as close to a tight reference run of the step model.
 
 A step works in one (8, 2, N) array: the state, then the seven stage
 derivatives.  Each stage input y + h sum_j a_sj k_j is one BLAS
@@ -74,6 +80,18 @@ class TuringParams:
         except KeyError:
             raise ValueError(
                 f"unknown preset {name!r}; expected one of {sorted(TURING_PRESETS)}") from None
+
+
+# Width w of the membrane gate's switch s(v) = (1 + tanh((v - v_crit) / w)) / 2, in the units
+# of v.  The model's Heaviside switch makes dh jump by at least 1/150 per ms where a node's
+# voltage crosses v_crit, and each jump costs the integrator rejected steps.  At this width
+# the 600 ms wave on the 1000-node Fibonacci sphere takes about 4,400 right-hand sides where
+# the step takes about 7,400, and lies closer to a Heaviside run at rtol 1e-8 than the
+# Heaviside run at the default tolerances does, in v and in h.  A wider switch moves the
+# gate away from the step model:
+# the largest gate distance from that reference is 4.5e-4 here, 6.1e-4 at w = 2e-3 and 9.0e-4
+# at 3e-3.  Beyond 19 w from v_crit tanh rounds to +-1, and the rates equal the step's.
+GATE_WIDTH = 1.5e-3
 
 
 @dataclass(frozen=True)
@@ -174,7 +192,8 @@ class SchaefferModel:
 
     The stimulus adds the Gaussian bump ``exp(-|x - center|^2 / delta^2)`` to
     dv while ``t <= t_stim`` (Heaviside with H(0) = 1); its profile over
-    ``points`` is computed once.
+    ``points`` is computed once.  The gate switches at ``v_crit`` through a smoothed
+    step of width ``GATE_WIDTH``, not the Heaviside step of Mitchell & Schaeffer.
     """
 
     def __init__(self, params: SchaefferParams, points, stimulus: StimulusSpec):
@@ -189,9 +208,18 @@ class SchaefferModel:
         """Rates (dv, dh) written into ``out`` (2, N), a fresh array if None.
 
         The inward current ``(1-v)h v^2/tau_in`` and outward current
-        ``-v/tau_out`` drive the voltage; the gate recovers below the critical
-        voltage and closes above it (the tie ``v == v_crit`` recovers).  Its temporaries
-        are the gate's mask and recovering rate: ``np.putmask`` costs half a ``where=``.
+        ``-v/tau_out`` drive the voltage.  The gate recovers at ``(1-h)/tau_open`` and
+        closes at ``h/tau_close``, weighted by the smoothed switch s of width ``GATE_WIDTH``
+        in place of the model's step at ``v_crit``:
+
+            T  = tanh((v - v_crit) / GATE_WIDTH) = 2 s - 1
+            dh = (1 - s) (1 - h)/tau_open - s h/tau_close
+               = (1 - h)/(2 tau_open) (1 - T) - h/(2 tau_close) (1 + T)
+
+        with 1 + T computed as 2 - (1 - T).  At ``v == v_crit`` the two rates are averaged.
+        Since |T| <= 1, dh >= 0 at h = 0 and dh <= 0 at h = 1 for every v, so the model keeps
+        h in [0, 1]; an integrator step that crosses v_crit can still overshoot 1 slightly.
+        The one temporary is the recovering rate.
         """
         p = self.params
         v, h = fields
@@ -205,10 +233,17 @@ class SchaefferModel:
         dv -= np.divide(v, p.tau_out, out=dh)  # x - y is x + (-y), bit for bit
         # adding 0.0 after the window turns -0.0 rates into +0.0
         dv += self._profile if t <= self.stimulus.t_stim else 0.0
+        np.subtract(v, p.v_crit, out=dh)
+        dh /= GATE_WIDTH
+        np.tanh(dh, out=dh)
+        np.subtract(1.0, dh, out=dh)
         recovering = np.subtract(1.0, h)
-        recovering /= p.tau_open
-        np.divide(h, -p.tau_close, out=dh)
-        np.putmask(dh, np.less_equal(v, p.v_crit), recovering)
+        recovering /= 2.0 * p.tau_open
+        recovering *= dh
+        np.subtract(2.0, dh, out=dh)
+        dh *= h
+        dh /= 2.0 * p.tau_close
+        np.subtract(recovering, dh, out=dh)
         return out
 
 

@@ -12,6 +12,7 @@ import pytest
 from rbfsurf.kernels import Kernel, KernelFamily
 from rbfsurf.lbo import assemble_operator
 from rbfsurf.nodesets import gen_sphere_nodes, load_nodes, unit_sphere
+from rbfsurf.pde import integrate
 from rbfsurf.surface_geom import analytic_frames
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -36,6 +37,23 @@ def repulsion_nodes(n):
     nearest-neighbor relaxation that replaced it gives different points.
     """
     return load_nodes(DATA_DIR / f"sphere_repulsion_{n}.txt")
+
+
+def tight_reference(model, op, state0, t_end, snapshot_every, rtol, atol):
+    """The snapshots of ``model`` on ``op`` from ``state0``, every ``snapshot_every`` to
+    ``t_end``, integrated at the tight ``rtol`` and ``atol`` given: the reference that a run
+    over the same snapshot times is measured against by :func:`snapshot_distance`."""
+    return integrate(model, op, state0, t_end, rtol=rtol, atol=atol,
+                     snapshot_every=snapshot_every)
+
+
+def snapshot_distance(states, reference):
+    """The largest absolute difference per field, shape (2,), between a run's snapshots and
+    the reference's at the same times; the reference must hold each of the run's times."""
+    by_time = {state.time: state.fields for state in reference}
+    assert all(state.time in by_time for state in states)
+    return np.max([np.abs(state.fields - by_time[state.time]).max(axis=1) for state in states],
+                  axis=0)
 
 
 @pytest.fixture(scope="session")
